@@ -414,7 +414,7 @@ def main():
         sys.exit(EXIT_USAGE)
     except click.exceptions.Abort:
         sys.exit(EXIT_USAGE)
-    except (text.DataError, encoding.DataError, encoding.AnnotationError,
+    except (text.DataError, encoding.AnnotationError,
             training.CheckpointError, FileNotFoundError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)

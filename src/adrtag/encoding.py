@@ -6,16 +6,14 @@ import enum
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from .text import DataError
+
 ADR = "ADR"
 IND = "IND"
 
 
 class AnnotationError(ValueError):
     """Gold annotation violates the encoding contract."""
-
-
-class DataError(ValueError):
-    """A labeled data file is malformed."""
 
 
 class TagLabel(enum.IntEnum):

@@ -11,7 +11,7 @@ differences (see :func:`gradient_check`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -28,7 +28,8 @@ from .numerics import (
     PROB_FLOOR,
 )
 
-GATES = ("u", "f", "c", "o")
+GATES = ("u", "f", "c", "o")  # row-block order of the fused gate arrays
+FORGET_BIAS = 1.0
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -37,8 +38,9 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 class LSTMCellParams:
-    """One direction's gate weights: recurrent W* (HxH), projection I* (HxE),
-    bias b* (H) for the update/forget/candidate/output gates."""
+    """One direction's fused gate weights: recurrent ``w`` (4H x H), input
+    projection ``i`` (4H x E) and bias ``b`` (4H). Rows ``k*H:(k+1)*H`` of
+    each belong to gate ``GATES[k]`` (update, forget, candidate, output)."""
 
     def __init__(
         self,
@@ -47,27 +49,22 @@ class LSTMCellParams:
         emb: int,
         rng: np.random.Generator,
         gate_biases: bool = True,
-        forget_bias: float = 1.0,
     ):
         self.hidden = hidden
         self.emb = emb
         self.gate_biases = gate_biases
-        for g in GATES:
-            setattr(self, f"w_{g}", Parameter(f"{prefix}.w_{g}", glorot(rng, hidden, hidden)))
-            setattr(self, f"i_{g}", Parameter(f"{prefix}.i_{g}", glorot(rng, hidden, emb)))
-            bias = np.zeros(hidden)
-            if gate_biases and g == "f":
-                bias += forget_bias
-            setattr(self, f"b_{g}", Parameter(f"{prefix}.b_{g}", bias))
+        w, i = np.empty((4 * hidden, hidden)), np.empty((4 * hidden, emb))
+        for k in range(len(GATES)):  # one draw per gate block, w before i
+            w[k * hidden : (k + 1) * hidden] = glorot(rng, hidden, hidden)
+            i[k * hidden : (k + 1) * hidden] = glorot(rng, hidden, emb)
+        b = np.zeros(4 * hidden)
+        b[hidden : 2 * hidden] = FORGET_BIAS if gate_biases else 0.0
+        self.w = Parameter(f"{prefix}.w", w)
+        self.i = Parameter(f"{prefix}.i", i)
+        self.b = Parameter(f"{prefix}.b", b)
 
     def params(self) -> List[Parameter]:
-        out = []
-        for g in GATES:
-            out.append(getattr(self, f"w_{g}"))
-            out.append(getattr(self, f"i_{g}"))
-            if self.gate_biases:
-                out.append(getattr(self, f"b_{g}"))
-        return out
+        return [self.w, self.i, self.b] if self.gate_biases else [self.w, self.i]
 
 
 @dataclass
@@ -107,16 +104,10 @@ def lstm_cell_step(cell: LSTMCellParams, h_prev, m_prev, x_t):
             f"expected h ({cell.hidden},) and x ({cell.emb},), "
             f"got {h_prev.shape} and {x_t.shape}"
         )
-    gates = {}
-    for g in GATES:
-        a = (
-            getattr(cell, f"w_{g}").value @ h_prev
-            + getattr(cell, f"i_{g}").value @ x_t
-            + getattr(cell, f"b_{g}").value
-        )
-        gates[g] = tanh_op(a) if g == "c" else sigmoid(a)
-    m_t = gates["f"] * m_prev + gates["u"] * gates["c"]
-    h_t = gates["o"] * np.tanh(m_t)
+    a = cell.w.value @ h_prev + cell.i.value @ x_t + cell.b.value
+    u, f, c, o = np.split(a, len(GATES))
+    m_t = sigmoid(f) * m_prev + sigmoid(u) * tanh_op(c)
+    h_t = sigmoid(o) * np.tanh(m_t)
     return h_t, m_t
 
 
@@ -145,12 +136,6 @@ def mean_pool(h_seq: Sequence[np.ndarray], valid_length: int) -> np.ndarray:
     if valid_length < 1 or valid_length > len(h_seq):
         raise ValueError(f"valid_length {valid_length} out of range")
     return np.mean(np.asarray(h_seq[:valid_length], dtype=np.float64), axis=0)
-
-
-def sum_pool(h_seq: Sequence[np.ndarray], valid_length: int) -> np.ndarray:
-    if valid_length < 1 or valid_length > len(h_seq):
-        raise ValueError(f"valid_length {valid_length} out of range")
-    return np.sum(np.asarray(h_seq[:valid_length], dtype=np.float64), axis=0)
 
 
 def predict_drug(head: LinearHead, pooled: np.ndarray) -> np.ndarray:
@@ -188,9 +173,13 @@ def sequence_loss(predictions: Sequence[np.ndarray], gold: Sequence[TagLabel]) -
 
 @dataclass
 class _DirectionCache:
-    # per timestep: (x_t, h_prev, m_prev, g_u, g_f, g_c, g_o, tanh_m_raw)
-    steps: list
-    mask: np.ndarray  # (B, T), in processing order
+    # Time-major, in processing order; h[t], m[t] enter step t (h[0] = m[0] = 0).
+    x: np.ndarray  # (T, B, E)
+    h: np.ndarray  # (T + 1, B, H)
+    m: np.ndarray  # (T + 1, B, H)
+    gates: np.ndarray  # (T, B, 4H) activations u, f, c, o
+    tanh_m: np.ndarray  # (T, B, H) tanh of the unmasked cell state
+    mask: np.ndarray  # (T, B, 1)
 
 
 @dataclass
@@ -198,7 +187,7 @@ class EncodeCache:
     indices: np.ndarray
     lengths: np.ndarray
     mask: np.ndarray
-    h: np.ndarray  # (B, T, 2H)
+    h: np.ndarray  # (B, T, 2H), a transposed view of time-major storage
     fwd: _DirectionCache
     bwd: _DirectionCache
 
@@ -220,64 +209,53 @@ class TagLossCache:
 
 
 def _run_direction(cell: LSTMCellParams, x: np.ndarray, mask: np.ndarray):
-    """Left-to-right recurrence over (B, T, E) input; masked steps reset the
-    state to zero (padding sits at the sequence tail, so in reversed order it
-    is consumed before any real token)."""
-    B, T, _ = x.shape
+    """Recurrence over time-major (T, B, E) input in processing order; masked
+    steps reset the state to zero (padding sits at the sequence tail, so in
+    reversed order it is consumed before any real token). Returns the
+    (T, B, H) hidden states and the cache for :func:`_backprop_direction`."""
+    T, B, E = x.shape
     H = cell.hidden
-    h = np.zeros((B, H))
-    m = np.zeros((B, H))
-    hs = np.empty((B, T, H))
-    steps = []
-    wv = {g: getattr(cell, f"w_{g}").value for g in GATES}
-    iv = {g: getattr(cell, f"i_{g}").value for g in GATES}
-    bv = {g: getattr(cell, f"b_{g}").value for g in GATES}
+    gates = (x.reshape(T * B, E) @ cell.i.value.T).reshape(T, B, 4 * H)
+    gates += cell.b.value
+    h, m = np.zeros((2, T + 1, B, H))
+    tanh_m = np.empty((T, B, H))
     for t in range(T):
-        xt = x[:, t]
-        mt = mask[:, t][:, None]
-        a = {g: h @ wv[g].T + xt @ iv[g].T + bv[g] for g in GATES}
-        gu = sigmoid(a["u"])
-        gf = sigmoid(a["f"])
-        gc = np.tanh(a["c"])
-        go = sigmoid(a["o"])
-        m_raw = gf * m + gu * gc
-        tm = np.tanh(m_raw)
-        steps.append((xt, h, m, gu, gf, gc, go, tm))
-        h = mt * (go * tm)
-        m = mt * m_raw
-        hs[:, t] = h
-    return hs, _DirectionCache(steps=steps, mask=mask)
+        a = gates[t]
+        a += h[t] @ cell.w.value.T
+        a[:, : 2 * H] = sigmoid(a[:, : 2 * H])
+        np.tanh(a[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
+        a[:, 3 * H :] = sigmoid(a[:, 3 * H :])
+        u, f, c, o = np.split(a, len(GATES), axis=1)
+        m_raw = f * m[t] + u * c
+        np.tanh(m_raw, out=tanh_m[t])
+        h[t + 1] = mask[t] * (o * tanh_m[t])
+        m[t + 1] = mask[t] * m_raw
+    return h[1:], _DirectionCache(x=x, h=h, m=m, gates=gates, tanh_m=tanh_m, mask=mask)
 
 
 def _backprop_direction(cell: LSTMCellParams, cache: _DirectionCache, dhs: np.ndarray):
-    """Accumulate gradients for one direction given dLoss/dh_t at every step."""
-    T = len(cache.steps)
-    B, H = cache.steps[0][1].shape
-    dh_next = np.zeros((B, H))
-    dm_next = np.zeros((B, H))
+    """Accumulate one direction's gradients given dLoss/dh_t, (T, B, H) in
+    processing order. Gate pre-activation gradients overwrite ``cache.gates``
+    step by step; each weight gradient is then one product over all steps."""
+    T, B, _ = cache.gates.shape
+    H = cell.hidden
+    dh_next, dm_next = np.zeros((2, B, H))
     for t in range(T - 1, -1, -1):
-        xt, h_prev, m_prev, gu, gf, gc, go, tm = cache.steps[t]
-        mt = cache.mask[:, t][:, None]
-        dh_raw = (dhs[:, t] + dh_next) * mt
-        dm_raw = dm_next * mt + dh_raw * go * (1.0 - tm * tm)
-        dgo = dh_raw * tm
-        dgf = dm_raw * m_prev
-        dgu = dm_raw * gc
-        dgc = dm_raw * gu
-        dm_next = dm_raw * gf
-        da = {
-            "u": dgu * gu * (1.0 - gu),
-            "f": dgf * gf * (1.0 - gf),
-            "c": dgc * (1.0 - gc * gc),
-            "o": dgo * go * (1.0 - go),
-        }
-        dh_next = np.zeros((B, H))
-        for g in GATES:
-            getattr(cell, f"w_{g}").grad += da[g].T @ h_prev
-            getattr(cell, f"i_{g}").grad += da[g].T @ xt
-            if cell.gate_biases:
-                getattr(cell, f"b_{g}").grad += da[g].sum(axis=0)
-            dh_next += da[g] @ getattr(cell, f"w_{g}").value
+        g = cache.gates[t]
+        u, f, c, o = np.split(g, len(GATES), axis=1)
+        tm, mt = cache.tanh_m[t], cache.mask[t]
+        dh_raw = (dhs[t] + dh_next) * mt
+        dm_raw = dm_next * mt + dh_raw * o * (1.0 - tm * tm)
+        dm_next = dm_raw * f
+        da_u, da_c = dm_raw * c * u * (1.0 - u), dm_raw * u * (1.0 - c * c)
+        da_f, da_o = dm_raw * cache.m[t] * f * (1.0 - f), dh_raw * tm * o * (1.0 - o)
+        np.concatenate((da_u, da_f, da_c, da_o), axis=1, out=g)
+        dh_next = g @ cell.w.value
+    da = cache.gates.reshape(T * B, 4 * H)
+    cell.w.grad += da.T @ cache.h[:-1].reshape(T * B, H)
+    cell.i.grad += da.T @ cache.x.reshape(T * B, -1)
+    if cell.gate_biases:
+        cell.b.grad += da.sum(axis=0)
 
 
 class AdrModel:
@@ -346,20 +324,22 @@ class AdrModel:
         if np.any(lengths < 1) or np.any(lengths > T):
             raise ValueError("valid lengths must be in [1, T]")
         mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
-        x = self.embeddings[indices]
-        hs_f, cache_f = _run_direction(self.encoder.forward_cell, x, mask)
-        hs_b_rev, cache_b = _run_direction(
-            self.encoder.backward_cell, x[:, ::-1], mask[:, ::-1]
+        x = self.embeddings[indices.T]  # (T, B, E), time-major
+        step_mask = mask.T[..., None]
+        hs_f, cache_f = _run_direction(self.encoder.forward_cell, x, step_mask)
+        hs_b, cache_b = _run_direction(
+            self.encoder.backward_cell, x[::-1], step_mask[::-1]
         )
-        h = np.concatenate([hs_f, hs_b_rev[:, ::-1]], axis=2)
+        h = np.concatenate([hs_f, hs_b[::-1]], axis=2).transpose(1, 0, 2)
         return EncodeCache(
             indices=indices, lengths=lengths, mask=mask, h=h, fwd=cache_f, bwd=cache_b
         )
 
     def _backprop_encoder(self, enc: EncodeCache, dh: np.ndarray):
         H = self.hidden
+        dh = dh.transpose(1, 0, 2)  # (T, B, 2H), time-major
         _backprop_direction(self.encoder.forward_cell, enc.fwd, dh[..., :H])
-        _backprop_direction(self.encoder.backward_cell, enc.bwd, dh[..., H:][:, ::-1])
+        _backprop_direction(self.encoder.backward_cell, enc.bwd, dh[::-1, :, H:])
 
     # -- drug-prediction head -----------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Float64 matrix primitives, losses, and a finite-difference gradient oracle.
+"""Float64 activations, losses, and a finite-difference gradient oracle.
 
 Everything here operates on plain numpy float64 arrays. Trainable arrays are
 wrapped in :class:`Parameter`, which carries the gradient buffer and the Adam
@@ -21,14 +21,6 @@ class DimensionError(ValueError):
 
 class NumericalError(RuntimeError):
     """A non-finite value appeared where finite math was required."""
-
-
-def matrix(values) -> np.ndarray:
-    """Coerce nested lists (or any array-like) to a float64 2-D array."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    return arr
 
 
 @dataclass
@@ -54,13 +46,6 @@ class Parameter:
 
     def zero_grad(self):
         self.grad[...] = 0.0
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

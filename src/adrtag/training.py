@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -11,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .encoding import TagLabel
-from .model import AdrModel
+from .model import GATES, AdrModel
 from .numerics import NumericalError, Parameter
 
 CHECKPOINT_MAGIC = b"ADRCKPT1"
@@ -72,13 +73,20 @@ def adam_step(param: Parameter, config: AdamConfig, t: int) -> None:
     g = param.grad
     if not np.all(np.isfinite(g)):
         raise NumericalError(f"non-finite gradient for parameter {param.name}")
+    # In place, in the textbook order: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    # w -= (lr*m_hat) / (sqrt(v_hat) + eps); the spent gradient is the second scratch.
+    s = np.empty_like(g)
     param.adam_m *= config.beta1
-    param.adam_m += (1.0 - config.beta1) * g
+    param.adam_m += np.multiply(1.0 - config.beta1, g, out=s)
     param.adam_v *= config.beta2
-    param.adam_v += (1.0 - config.beta2) * g * g
-    m_hat = param.adam_m / (1.0 - config.beta1**t)
-    v_hat = param.adam_v / (1.0 - config.beta2**t)
-    param.value -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    np.multiply(1.0 - config.beta2, g, out=s)
+    param.adam_v += np.multiply(s, g, out=s)
+    np.divide(param.adam_m, 1.0 - config.beta1**t, out=s)
+    s *= config.learning_rate
+    np.divide(param.adam_v, 1.0 - config.beta2**t, out=g)
+    np.sqrt(g, out=g)
+    g += config.epsilon
+    param.value -= np.divide(s, g, out=s)
     param.zero_grad()
 
 
@@ -99,11 +107,13 @@ class Adam:
 def pad_batch(
     examples: Sequence[Sequence[int]], max_len: int, pad_index: int = 0
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Right-pad (or truncate) index sequences into a (B, max_len) matrix."""
+    """Right-pad index sequences into a (B, T) matrix, T = min(max_len, longest
+    sequence); longer sequences are truncated. Masked steps contribute zeros."""
     if any(len(e) == 0 for e in examples):
         raise ValueError("cannot pad an empty example")
     B = len(examples)
-    out = np.full((B, max_len), pad_index, dtype=np.int64)
+    width = min(max_len, max((len(e) for e in examples), default=0))
+    out = np.full((B, width), pad_index, dtype=np.int64)
     lengths = np.empty(B, dtype=np.int64)
     for i, seq in enumerate(examples):
         trimmed = list(seq)[:max_len]
@@ -253,10 +263,16 @@ def write_log(path, records: Sequence[dict]) -> None:
 
 
 def _model_arrays(model: AdrModel):
+    """(name, array) pairs in file order. Each encoder direction is stored
+    per gate as row-block views named ``fwd.w_u``, ``fwd.i_u``, ``fwd.b_u``,
+    ..., ``bwd.b_o``; writing into a view fills the fused matrix."""
     arrays = [("embeddings", model.embeddings)]
-    for p in model.all_parameters():
-        arrays.append((p.name, p.value))
-    return arrays
+    for cell in (model.encoder.forward_cell, model.encoder.backward_cell):
+        H = cell.hidden
+        for k, g in enumerate(GATES):
+            arrays += [(f"{p.name}_{g}", p.value[k * H : (k + 1) * H]) for p in cell.params()]
+    heads = model.drug_head.params() + model.tag_head.params()
+    return arrays + [(p.name, p.value) for p in heads]
 
 
 def save_checkpoint(model: AdrModel, path) -> None:
@@ -282,6 +298,24 @@ def save_checkpoint(model: AdrModel, path) -> None:
             fh.write(np.ascontiguousarray(a, dtype=np.float64).tobytes())
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_HEADER_FIELDS = {
+    **dict.fromkeys(("hidden", "emb", "drug_count", "seed"), _is_int),
+    "pooling": lambda v: isinstance(v, str),
+    "gate_biases": lambda v: isinstance(v, bool),
+    "arrays": lambda v: isinstance(v, list) and all(
+        isinstance(e, dict) and isinstance(e.get("name"), str)
+        and isinstance(e.get("shape"), list)
+        and all(_is_int(d) and d >= 0 for d in e["shape"])
+        for e in v
+    ),
+    **dict.fromkeys(("vocab_tokens", "drug_names"), lambda v: v is None or isinstance(v, list)),
+}
+
+
 def load_checkpoint(path, expected_hidden: Optional[int] = None) -> AdrModel:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -297,16 +331,20 @@ def load_checkpoint(path, expected_hidden: Optional[int] = None) -> AdrModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header") from exc
     pos += hlen
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header")
     if header.get("version") != 1:
         raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
+    for key, valid in _HEADER_FIELDS.items():
+        if key not in header or not valid(header[key]):
+            raise CheckpointError(f"{path}: header field {key!r} is missing or malformed")
     if expected_hidden is not None and header["hidden"] != expected_hidden:
         raise CheckpointError(
             f"{path}: checkpoint hidden size {header['hidden']} != expected {expected_hidden}"
         )
     arrays = {}
     for entry in header["arrays"]:
-        n = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        nbytes = n * 8
+        nbytes = math.prod(entry["shape"]) * 8
         if pos + nbytes > len(data):
             raise CheckpointError(f"{path}: truncated while reading {entry['name']}")
         arrays[entry["name"]] = np.frombuffer(
@@ -315,24 +353,22 @@ def load_checkpoint(path, expected_hidden: Optional[int] = None) -> AdrModel:
         pos += nbytes
     if pos != len(data):
         raise CheckpointError(f"{path}: trailing bytes after arrays")
+    embeddings = arrays.get("embeddings")
+    if embeddings is None or embeddings.shape[1:] != (header["emb"],):
+        raise CheckpointError(f"{path}: embeddings missing or not V x {header['emb']}")
 
-    model = AdrModel(
-        arrays["embeddings"],
-        hidden=header["hidden"],
-        drug_count=header["drug_count"],
-        seed=header["seed"],
-        gate_biases=header["gate_biases"],
-        pooling=header["pooling"],
-        vocab_tokens=header["vocab_tokens"],
-        drug_names=header["drug_names"],
-    )
-    for p in model.all_parameters():
-        if p.name not in arrays:
-            raise CheckpointError(f"{path}: missing array {p.name}")
-        if arrays[p.name].shape != p.value.shape:
+    kwargs = {k: header[k] for k in _HEADER_FIELDS if k not in ("emb", "arrays")}
+    try:
+        model = AdrModel(embeddings, **kwargs)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    for name, view in _model_arrays(model)[1:]:
+        if name not in arrays:
+            raise CheckpointError(f"{path}: missing array {name}")
+        if arrays[name].shape != view.shape:
             raise CheckpointError(
-                f"{path}: shape mismatch for {p.name}: "
-                f"{arrays[p.name].shape} vs {p.value.shape}"
+                f"{path}: shape mismatch for {name}: "
+                f"{arrays[name].shape} vs {view.shape}"
             )
-        p.value[...] = arrays[p.name]
+        view[...] = arrays[name]
     return model

@@ -1,3 +1,4 @@
+import json
 import sys
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from adrtag import cli as cli_module
 from adrtag.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_USAGE, main
+from adrtag.model import AdrModel
+from adrtag.training import CHECKPOINT_MAGIC, save_checkpoint
 
 
 def run_cli(monkeypatch, capsys, *args):
@@ -303,6 +306,30 @@ class TestErrors:
                              "--test", str(workspace / "test.tsv"),
                              "--trials", "2")
         assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "key", ["hidden", "emb", "drug_count", "seed", "pooling", "gate_biases", "arrays"]
+)
+def test_checkpoint_header_missing_key_is_data_error(monkeypatch, capsys, tmp_path, key):
+    tokens = ["<PAD>", "<UNK>", "<LINK>", "<USER>", "<DRUG>", "ugh", "dizzy"]
+    model = AdrModel(np.random.default_rng(0).normal(size=(len(tokens), 3)),
+                     hidden=2, drug_count=2, seed=0, vocab_tokens=tokens,
+                     drug_names=["a", "b"])
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    data = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 8
+    end = start + int.from_bytes(data[len(CHECKPOINT_MAGIC) : start], "little")
+    header = json.loads(data[start:end])
+    del header[key]
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob + data[end:])
+
+    code, _, err = run_cli(monkeypatch, capsys, "predict",
+                           "--checkpoint", str(path), "--text", "ugh so dizzy")
+    assert code == EXIT_DATA
+    assert repr(key) in err and "Traceback" not in err
 
 
 class TestGradcheckCommand:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adrtag.encoding import TagLabel
 from adrtag.model import (
@@ -38,10 +40,11 @@ def scalar_cell_reference(cell, h_prev, m_prev, x):
         return 1.0 / (1.0 + math.exp(-v))
 
     def pre(g):
+        k = "ufco".index(g)  # row block k holds gate g; with H = 1 it is row k
         return (
-            getattr(cell, f"w_{g}").value[0, 0] * h_prev
-            + getattr(cell, f"i_{g}").value[0, 0] * x
-            + getattr(cell, f"b_{g}").value[0]
+            cell.w.value[k, 0] * h_prev
+            + cell.i.value[k, 0] * x
+            + cell.b.value[k]
         )
 
     gu, gf, go = sig(pre("u")), sig(pre("f")), sig(pre("o"))
@@ -59,9 +62,9 @@ class TestCellStep:
 
     def test_unit_weights_zero_input(self):
         cell = zero_cell(1, 1)
-        for g in ("u", "f", "c", "o"):
-            getattr(cell, f"w_{g}").value[...] = 1.0
-            getattr(cell, f"i_{g}").value[...] = 1.0
+        for k in range(4):
+            cell.w.value[k : k + 1] = 1.0
+            cell.i.value[k : k + 1] = 1.0
         h, m = lstm_cell_step(cell, np.zeros(1), np.zeros(1), np.zeros(1))
         assert h[0] == 0.0 and m[0] == 0.0
 
@@ -294,3 +297,80 @@ class TestSharing:
     def test_drug_count_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             AdrModel(np.zeros((4, 2)), hidden=2, drug_count=1, seed=0)
+
+
+class TestFusedLayout:
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_fresh_blocks_are_per_gate_glorot_draws(self, seed):
+        H, E = 3, 4
+        model = AdrModel(np.zeros((5, E)), hidden=H, drug_count=2, seed=seed)
+        rng = np.random.default_rng(seed)
+        w_bound, i_bound = math.sqrt(6.0 / (2 * H)), math.sqrt(6.0 / (H + E))
+        for cell in (model.encoder.forward_cell, model.encoder.backward_cell):
+            assert cell.w.value.shape == (4 * H, H) and cell.i.value.shape == (4 * H, E)
+            for k in range(4):  # gates u, f, c, o
+                rows = slice(k * H, (k + 1) * H)
+                w = rng.uniform(-w_bound, w_bound, size=(H, H))
+                i = rng.uniform(-i_bound, i_bound, size=(H, E))
+                assert np.array_equal(cell.w.value[rows], w)
+                assert np.array_equal(cell.i.value[rows], i)
+            expected_b = np.zeros(4 * H)
+            expected_b[H : 2 * H] = 1.0  # forget-gate bias
+            assert np.array_equal(cell.b.value, expected_b)
+
+    def test_three_parameters_per_direction(self):
+        emb = np.zeros((5, 2))
+        with_b = AdrModel(emb, hidden=3, drug_count=2, seed=0)
+        without_b = AdrModel(emb, hidden=3, drug_count=2, seed=0, gate_biases=False)
+        assert [p.name for p in with_b.encoder_parameters()] == [
+            "fwd.w", "fwd.i", "fwd.b", "bwd.w", "bwd.i", "bwd.b"
+        ]
+        assert [p.name for p in without_b.encoder_parameters()] == [
+            "fwd.w", "fwd.i", "bwd.w", "bwd.i"
+        ]
+
+
+def _pad_to(rows, width, fill):
+    out = np.full((len(rows), width), fill)
+    for b, row in enumerate(rows):
+        out[b, : len(row)] = row
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    extra=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_extra_padding_changes_nothing(lengths, extra, seed):
+    """Losses, real-position states and every gradient of an over-padded
+    batch equal those of the batch trimmed to its longest sequence."""
+    rng = np.random.default_rng(seed)
+    model = AdrModel(rng.normal(size=(10, 4)), hidden=3, drug_count=3, seed=seed)
+    lengths = np.array(lengths)
+    ids = [rng.integers(1, 10, size=n) for n in lengths]
+    tags = [rng.integers(0, int(TagLabel.PAD), size=n) for n in lengths]
+    labels = rng.integers(0, 3, size=len(lengths))
+
+    def run(width):
+        idx = _pad_to(ids, width, 0)
+        model.zero_grad()
+        drug, dc = model.drug_loss(idx, lengths, labels)
+        h = dc.enc.h.copy()
+        model.backward_drug(dc)
+        tag, tc = model.tag_loss(idx, lengths, _pad_to(tags, width, int(TagLabel.PAD)))
+        model.backward_tags(tc)
+        return drug, tag, h, [p.grad.copy() for p in model.all_parameters()]
+
+    T = int(lengths.max())
+    trimmed, padded = run(T), run(T + extra)
+    # Zero-padded rows can move the summation order inside a product, so a
+    # gradient entry that cancels to near zero may differ by ~1e-17 absolute.
+    close = dict(rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(padded[0], trimmed[0], **close)
+    np.testing.assert_allclose(padded[1], trimmed[1], **close)
+    for b, n in enumerate(lengths):
+        np.testing.assert_allclose(padded[2][b, :n], trimmed[2][b, :n], **close)
+    for g_pad, g_trim in zip(padded[3], trimmed[3]):
+        np.testing.assert_allclose(g_pad, g_trim, **close)

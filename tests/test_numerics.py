@@ -11,55 +11,10 @@ from adrtag.numerics import (
     Parameter,
     cross_entropy,
     finite_difference_gradient,
-    matmul,
-    matrix,
     sigmoid,
     softmax,
     tanh_op,
 )
-
-
-def naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            s = 0.0
-            for k in range(a.shape[1]):
-                s += a[i, k] * b[k, j]
-            out[i, j] = s
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = matrix([[5, 6], [7, 8]])
-        assert np.array_equal(matmul(np.eye(2), b), b)
-
-    def test_known_product(self):
-        a = matrix([[1, 2], [3, 4]])
-        b = matrix([[5, 6], [7, 8]])
-        assert np.array_equal(matmul(a, b), naive_matmul(a, b))
-        assert np.array_equal(matmul(a, b), matrix([[19, 22], [43, 50]]))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-    def test_matches_triple_loop_oracle(self):
-        # integer-valued entries make the comparison order-independent, so
-        # exact equality is a fair demand
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            m, k, n = rng.integers(1, 9, size=3)
-            a = rng.integers(-9, 10, size=(m, k)).astype(float)
-            b = rng.integers(-9, 10, size=(k, n)).astype(float)
-            assert np.array_equal(matmul(a, b), naive_matmul(a, b))
-
-    def test_close_to_oracle_on_real_entries(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(8, 8))
-        b = rng.normal(size=(8, 8))
-        np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b), rtol=1e-13)
 
 
 class TestSigmoid:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -85,6 +86,24 @@ class TestAdam:
         assert traj[-1] < 0.05
         assert traj[-1] < traj[0]
 
+    def test_five_steps_match_textbook_bit_for_bit(self):
+        cfg = AdamConfig(learning_rate=0.01)
+        rng = np.random.default_rng(4)
+        p = Parameter("w", rng.normal(size=(3, 4)))
+        w, m, v = p.value.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+        for t in range(1, 6):
+            g = rng.normal(size=(3, 4))
+            p.grad[...] = g
+            adam_step(p, cfg, t)
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+            m_hat = m / (1.0 - cfg.beta1**t)
+            v_hat = v / (1.0 - cfg.beta2**t)
+            w = w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            assert np.array_equal(p.adam_m, m)
+            assert np.array_equal(p.adam_v, v)
+            assert np.array_equal(p.value, w)
+
     def test_bad_step_index(self):
         p = Parameter("w", np.ones(1))
         with pytest.raises(ValueError):
@@ -94,7 +113,7 @@ class TestAdam:
 class TestPadBatch:
     def test_pads_and_records_lengths(self):
         mat, lengths = pad_batch([[5, 6], [7]], max_len=3)
-        assert mat.tolist() == [[5, 6, 0], [7, 0, 0]]
+        assert mat.tolist() == [[5, 6], [7, 0]]  # width min(max_len, longest)
         assert lengths.tolist() == [2, 1]
 
     def test_exact_length_unchanged(self):
@@ -279,3 +298,58 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         with pytest.raises(CheckpointError, match="hidden"):
             load_checkpoint(path, expected_hidden=5)
+
+
+def _write_v1_checkpoint(path, arrays, hidden, emb, gate_biases):
+    """A version-1 writer that shares no code with adrtag.training."""
+    header = {
+        "version": 1,
+        "seed": 5,
+        "hidden": hidden,
+        "emb": emb,
+        "drug_count": 3,
+        "pooling": "mean",
+        "gate_biases": gate_biases,
+        "vocab_tokens": ["<PAD>", "<UNK>", "<LINK>", "<USER>", "<DRUG>", "ache"],
+        "drug_names": ["a", "b", "c"],
+        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"ADRCKPT1")
+        fh.write(len(blob).to_bytes(8, "little"))
+        fh.write(blob)
+        for _, a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("gate_biases", [True, False])
+def test_per_gate_v1_checkpoint_fills_fused_blocks(tmp_path, gate_biases):
+    H, E = 3, 4
+    rng = np.random.default_rng(8)
+    arrays = [("embeddings", rng.normal(size=(6, E)))]
+    for prefix in ("fwd", "bwd"):
+        for g in ("u", "f", "c", "o"):
+            arrays.append((f"{prefix}.w_{g}", rng.normal(size=(H, H))))
+            arrays.append((f"{prefix}.i_{g}", rng.normal(size=(H, E))))
+            if gate_biases:
+                arrays.append((f"{prefix}.b_{g}", rng.normal(size=H)))
+    for name, shape in (("drug.w", (3, 2 * H)), ("drug.b", (3,)),
+                        ("tag.w", (4, 2 * H)), ("tag.b", (4,))):
+        arrays.append((name, rng.normal(size=shape)))
+    path = tmp_path / "v1.ckpt"
+    _write_v1_checkpoint(path, arrays, H, E, gate_biases)
+
+    model = load_checkpoint(path)
+    by_name = dict(arrays)
+    cells = {"fwd": model.encoder.forward_cell, "bwd": model.encoder.backward_cell}
+    for prefix, cell in cells.items():
+        for k, g in enumerate(("u", "f", "c", "o")):
+            rows = slice(k * H, (k + 1) * H)
+            assert np.array_equal(cell.w.value[rows], by_name[f"{prefix}.w_{g}"])
+            assert np.array_equal(cell.i.value[rows], by_name[f"{prefix}.i_{g}"])
+            if gate_biases:
+                assert np.array_equal(cell.b.value[rows], by_name[f"{prefix}.b_{g}"])
+    resaved = tmp_path / "resaved.ckpt"
+    save_checkpoint(model, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
