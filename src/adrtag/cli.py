@@ -23,6 +23,12 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
+# Keys `pretrain` and `train` read from --config; one file may serve both.
+CONFIG_KEYS = frozenset({
+    "seed", "hidden", "pooling", "gate_biases", "epochs", "batch_size", "max_len",
+    "learning_rate",
+})
+
 
 def _ckpt_path(path) -> Path:
     base = os.environ.get("ADR_CHECKPOINT_DIR")
@@ -39,6 +45,9 @@ def _load_config(path) -> dict:
         cfg = yaml.safe_load(fh) or {}
     if not isinstance(cfg, dict):
         raise click.UsageError(f"{path}: config must be a mapping")
+    unknown = sorted(str(k) for k in cfg if k not in CONFIG_KEYS)
+    if unknown:
+        raise click.UsageError(f"{path}: unknown config key(s) {', '.join(unknown)}")
     return cfg
 
 
@@ -256,8 +265,17 @@ def train(config_path, labeled, vocab, embeddings, init_checkpoint, out_path,
     cfg = _load_config(config_path)
     seed = _pick(seed, cfg, "seed", 0)
     if init_checkpoint:
+        fixed = [flag for flag, given in (("--pooling", pooling is not None),
+                                          ("--gate-biases", gate_biases is True),
+                                          ("--no-gate-biases", gate_biases is False))
+                 if given]
+        if fixed:
+            raise click.UsageError(
+                f"{', '.join(fixed)}: the --init-checkpoint architecture is fixed"
+            )
         model = training.load_checkpoint(
-            _ckpt_path(init_checkpoint), expected_hidden=hidden
+            _ckpt_path(init_checkpoint),
+            expected_hidden=_pick(hidden, cfg, "hidden", None),
         )
         vocab_obj = (
             text.Vocabulary.load(vocab)

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from . import training
 from .encoding import ADR, Span, TagLabel, decode_spans
 
 
@@ -95,11 +96,19 @@ def format_report(report: EvalReport) -> str:
 
 def evaluate_tagging(model, data, label: str = ADR) -> MatchCounts:
     """Micro-averaged counts of a tagger over (token indices, gold tag ids)
-    pairs; spans are decoded from the predicted and gold tag sequences."""
+    pairs; spans are decoded from the predicted and gold tag sequences.
+
+    Records are tagged in length-sorted chunks of ``INFERENCE_BATCH``, each
+    padded to its own longest record, so nothing is truncated."""
+    order = sorted(range(len(data)), key=lambda i: len(data[i][0]))
     total = MatchCounts()
-    for ids, gold_tags, _sid in data:
-        pred_tags = model.predict_tags(ids)
-        pred_spans = decode_spans(pred_tags)
-        gold_spans = decode_spans([TagLabel(t) for t in gold_tags])
-        total = total + approximate_match(pred_spans, gold_spans, label)
+    for start in range(0, len(order), training.INFERENCE_BATCH):
+        chunk = [data[i] for i in order[start : start + training.INFERENCE_BATCH]]
+        seqs = [ids for ids, _, _ in chunk]
+        idx, lengths = training.pad_batch(seqs, max_len=max(map(len, seqs)))
+        pred = model.predict_tag_batch(idx, lengths)
+        for row, n, (_, gold_tags, _) in zip(pred, lengths, chunk):
+            pred_spans = decode_spans([TagLabel(int(t)) for t in row[:n]])
+            gold_spans = decode_spans([TagLabel(t) for t in gold_tags])
+            total = total + approximate_match(pred_spans, gold_spans, label)
     return total

@@ -17,16 +17,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .encoding import TagLabel
-from .numerics import (
-    DimensionError,
-    Parameter,
-    cross_entropy,
-    sigmoid,
-    softmax,
-    softmax_rows,
-    tanh_op,
-    PROB_FLOOR,
-)
+from .numerics import PROB_FLOOR, DimensionError, Parameter, sigmoid, softmax_rows
 
 GATES = ("u", "f", "c", "o")  # row-block order of the fused gate arrays
 FORGET_BIAS = 1.0
@@ -88,86 +79,8 @@ class LinearHead:
 
 
 # ---------------------------------------------------------------------------
-# Functional single-sequence API (no batching, no caching). Used directly by
-# tests and by ad-hoc prediction; the batched training path below must agree
-# with it.
-# ---------------------------------------------------------------------------
-
-
-def lstm_cell_step(cell: LSTMCellParams, h_prev, m_prev, x_t):
-    """One recurrence step; returns (h_t, m_t)."""
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    m_prev = np.asarray(m_prev, dtype=np.float64)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if h_prev.shape != (cell.hidden,) or x_t.shape != (cell.emb,):
-        raise DimensionError(
-            f"expected h ({cell.hidden},) and x ({cell.emb},), "
-            f"got {h_prev.shape} and {x_t.shape}"
-        )
-    a = cell.w.value @ h_prev + cell.i.value @ x_t + cell.b.value
-    u, f, c, o = np.split(a, len(GATES))
-    m_t = sigmoid(f) * m_prev + sigmoid(u) * tanh_op(c)
-    h_t = sigmoid(o) * np.tanh(m_t)
-    return h_t, m_t
-
-
-def bilstm_forward(params: BiLSTMParams, x_seq: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Concatenated forward/backward hidden states, one 2H vector per position."""
-    if len(x_seq) == 0:
-        raise ValueError("bilstm_forward requires a nonempty sequence")
-    hidden = params.forward_cell.hidden
-    fwd = []
-    h = np.zeros(hidden)
-    m = np.zeros(hidden)
-    for x in x_seq:
-        h, m = lstm_cell_step(params.forward_cell, h, m, x)
-        fwd.append(h)
-    bwd = [None] * len(x_seq)
-    h = np.zeros(hidden)
-    m = np.zeros(hidden)
-    for t in range(len(x_seq) - 1, -1, -1):
-        h, m = lstm_cell_step(params.backward_cell, h, m, x_seq[t])
-        bwd[t] = h
-    return [np.concatenate([f, b]) for f, b in zip(fwd, bwd)]
-
-
-def mean_pool(h_seq: Sequence[np.ndarray], valid_length: int) -> np.ndarray:
-    """Arithmetic mean of the first ``valid_length`` hidden vectors."""
-    if valid_length < 1 or valid_length > len(h_seq):
-        raise ValueError(f"valid_length {valid_length} out of range")
-    return np.mean(np.asarray(h_seq[:valid_length], dtype=np.float64), axis=0)
-
-
-def predict_drug(head: LinearHead, pooled: np.ndarray) -> np.ndarray:
-    if pooled.shape != (head.w.value.shape[1],):
-        raise DimensionError(
-            f"pooled vector {pooled.shape} does not match head {head.w.value.shape}"
-        )
-    return softmax(head.w.value @ pooled + head.b.value)
-
-
-def tag_forward(head: LinearHead, h_seq: Sequence[np.ndarray]) -> List[np.ndarray]:
-    if len(h_seq) == 0:
-        raise ValueError("tag_forward requires a nonempty sequence")
-    return [softmax(head.w.value @ h + head.b.value) for h in h_seq]
-
-
-def sequence_loss(predictions: Sequence[np.ndarray], gold: Sequence[TagLabel]) -> float:
-    """Sum of per-position cross-entropy over non-PAD positions."""
-    if len(predictions) != len(gold):
-        raise DimensionError(
-            f"{len(predictions)} predictions vs {len(gold)} gold tags"
-        )
-    total = 0.0
-    for dist, tag in zip(predictions, gold):
-        if tag == TagLabel.PAD:
-            continue
-        total += cross_entropy(dist, int(tag))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Batched training path with activation caching and hand-derived BPTT.
+# Batched forward, shared by training and inference, with activation caching
+# and hand-derived BPTT.
 # ---------------------------------------------------------------------------
 
 
@@ -343,6 +256,14 @@ class AdrModel:
 
     # -- drug-prediction head -----------------------------------------------
 
+    def _drug_logits(self, enc: EncodeCache) -> tuple:
+        """Pooled encoder states (B, 2H) over real positions and the drug
+        head's logits (B, D)."""
+        pooled = (enc.h * enc.mask[..., None]).sum(axis=1)
+        if self.pooling == "mean":
+            pooled = pooled / enc.lengths[:, None]
+        return pooled, pooled @ self.drug_head.w.value.T + self.drug_head.b.value
+
     def drug_loss(self, indices, lengths, labels) -> tuple:
         """Mean cross-entropy of the masked-drug classifier over a batch.
 
@@ -351,11 +272,7 @@ class AdrModel:
         enc = self.encode_batch(indices, lengths)
         labels = np.asarray(labels)
         B = enc.h.shape[0]
-        weighted = enc.h * enc.mask[..., None]
-        pooled = weighted.sum(axis=1)
-        if self.pooling == "mean":
-            pooled = pooled / enc.lengths[:, None]
-        logits = pooled @ self.drug_head.w.value.T + self.drug_head.b.value
+        pooled, logits = self._drug_logits(enc)
         probs = softmax_rows(logits)
         picked = np.maximum(probs[np.arange(B), labels], PROB_FLOOR)
         loss = float(-np.log(picked).mean())
@@ -378,10 +295,14 @@ class AdrModel:
         cache.enc = None  # spent; a second backward would double-count
 
     def predict_drug_batch(self, indices, lengths) -> np.ndarray:
-        _, cache = self.drug_loss(indices, lengths, np.zeros(len(lengths), dtype=int))
-        return cache.probs
+        """Drug distributions (B, D) for a padded batch."""
+        return softmax_rows(self._drug_logits(self.encode_batch(indices, lengths))[1])
 
     # -- tagging head ---------------------------------------------------------
+
+    def _tag_logits(self, enc: EncodeCache) -> np.ndarray:
+        """Tag head logits (B, T, L) at every position, padding included."""
+        return enc.h @ self.tag_head.w.value.T + self.tag_head.b.value
 
     def tag_loss(self, indices, lengths, tags) -> tuple:
         """Per-sequence sum of cross-entropy at non-PAD positions, averaged
@@ -393,8 +314,7 @@ class AdrModel:
             raise DimensionError(
                 f"tags {tags.shape} must align with tokens {enc.indices.shape}"
             )
-        logits = enc.h @ self.tag_head.w.value.T + self.tag_head.b.value
-        probs = softmax_rows(logits)
+        probs = softmax_rows(self._tag_logits(enc))
         valid = enc.mask * (tags != int(TagLabel.PAD))
         B, T = tags.shape
         safe = np.where(valid > 0, tags, 0)
@@ -419,13 +339,15 @@ class AdrModel:
         self._backprop_encoder(cache.enc, dh)
         cache.enc = None
 
+    def predict_tag_batch(self, indices, lengths) -> np.ndarray:
+        """Greedy tag ids (B, T) for a padded batch; entries past a row's
+        length are meaningless."""
+        return self._tag_logits(self.encode_batch(indices, lengths)).argmax(axis=2)
+
     def predict_tags(self, token_indices: Sequence[int]) -> List[TagLabel]:
         """Greedy per-position tags for one unpadded sequence."""
-        idx = np.asarray([token_indices])
-        lengths = np.asarray([len(token_indices)])
-        enc = self.encode_batch(idx, lengths)
-        logits = enc.h[0] @ self.tag_head.w.value.T + self.tag_head.b.value
-        return [TagLabel(int(i)) for i in logits.argmax(axis=1)]
+        row = self.predict_tag_batch([token_indices], [len(token_indices)])[0]
+        return [TagLabel(int(i)) for i in row]
 
 
 # ---------------------------------------------------------------------------

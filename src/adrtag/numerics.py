@@ -1,4 +1,4 @@
-"""Float64 activations, losses, and a finite-difference gradient oracle.
+"""Float64 activations and a finite-difference gradient oracle.
 
 Everything here operates on plain numpy float64 arrays. Trainable arrays are
 wrapped in :class:`Parameter`, which carries the gradient buffer and the Adam
@@ -59,38 +59,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def tanh_op(x: np.ndarray) -> np.ndarray:
-    """Elementwise hyperbolic tangent."""
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def softmax(logits) -> np.ndarray:
-    """Probability vector from a 1-D logit vector (max-subtracted for stability)."""
-    z = np.asarray(logits, dtype=np.float64).ravel()
-    if z.size == 0:
-        raise ValueError("softmax of an empty logit vector")
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax over the last axis."""
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(dist, target: int) -> float:
-    """Negative log-probability of ``target`` under ``dist``.
-
-    The picked probability is clamped at ``PROB_FLOOR`` before the log so a
-    confidently wrong model yields a large finite loss, never inf.
-    """
-    d = np.asarray(dist, dtype=np.float64).ravel()
-    if not 0 <= target < d.size:
-        raise ValueError(f"target {target} out of range for {d.size} classes")
-    return float(-np.log(max(d[target], PROB_FLOOR)))
 
 
 def finite_difference_gradient(

@@ -251,9 +251,12 @@ def load_embeddings(path, vocab: Vocabulary, seed: int = 0) -> EmbeddingTable:
                     f"{path}: line {lineno}: expected {dim} values, got {len(parts) - 1}"
                 )
             try:
-                rows[parts[0]] = np.array(parts[1:], dtype=np.float64)
+                vec = np.array(parts[1:], dtype=np.float64)
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: bad float") from exc
+            if not np.isfinite(vec).all():
+                raise DataError(f"{path}: line {lineno}: non-finite value (nan or inf)")
+            rows[parts[0]] = vec
 
     rng = np.random.default_rng(seed)
     vectors = np.zeros((len(vocab), dim), dtype=np.float64)

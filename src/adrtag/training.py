@@ -104,6 +104,9 @@ class Adam:
             adam_step(p, self.config, self.t)
 
 
+INFERENCE_BATCH = 64  # sequences per forward when scoring held-out or test data
+
+
 def pad_batch(
     examples: Sequence[Sequence[int]], max_len: int, pad_index: int = 0
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -190,8 +193,8 @@ def _drug_accuracy(model, examples, indices, max_len) -> Optional[float]:
     if not indices:
         return None
     correct = 0
-    for start in range(0, len(indices), 64):
-        chosen = [examples[i] for i in indices[start : start + 64]]
+    for start in range(0, len(indices), INFERENCE_BATCH):
+        chosen = [examples[i] for i in indices[start : start + INFERENCE_BATCH]]
         idx, lengths = pad_batch([c[0] for c in chosen], max_len)
         probs = model.predict_drug_batch(idx, lengths)
         correct += int((probs.argmax(axis=1) == [c[1] for c in chosen]).sum())

@@ -308,16 +308,21 @@ class TestErrors:
         assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize(
-    "key", ["hidden", "emb", "drug_count", "seed", "pooling", "gate_biases", "arrays"]
-)
-def test_checkpoint_header_missing_key_is_data_error(monkeypatch, capsys, tmp_path, key):
+def _save_tiny_checkpoint(path):
+    """A hidden=2, mean-pooled, gate-biased model over a 7-token vocabulary."""
     tokens = ["<PAD>", "<UNK>", "<LINK>", "<USER>", "<DRUG>", "ugh", "dizzy"]
     model = AdrModel(np.random.default_rng(0).normal(size=(len(tokens), 3)),
                      hidden=2, drug_count=2, seed=0, vocab_tokens=tokens,
                      drug_names=["a", "b"])
-    path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
+
+
+@pytest.mark.parametrize(
+    "key", ["hidden", "emb", "drug_count", "seed", "pooling", "gate_biases", "arrays"]
+)
+def test_checkpoint_header_missing_key_is_data_error(monkeypatch, capsys, tmp_path, key):
+    path = tmp_path / "model.ckpt"
+    _save_tiny_checkpoint(path)
     data = path.read_bytes()
     start = len(CHECKPOINT_MAGIC) + 8
     end = start + int.from_bytes(data[len(CHECKPOINT_MAGIC) : start], "little")
@@ -330,6 +335,62 @@ def test_checkpoint_header_missing_key_is_data_error(monkeypatch, capsys, tmp_pa
                            "--checkpoint", str(path), "--text", "ugh so dizzy")
     assert code == EXIT_DATA
     assert repr(key) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train"])
+def test_unknown_config_key_is_usage_error(workspace, monkeypatch, capsys, tmp_path,
+                                           command):
+    config = tmp_path / "cfg.yaml"
+    config.write_text("epochs: 1\nhiden: 50\n")
+    inputs = {
+        "pretrain": ["--corpus", str(workspace / "raw.tsv"),
+                     "--lexicon", str(workspace / "drugs.txt")],
+        "train": ["--labeled", str(workspace / "train.tsv")],
+    }[command]
+    vocab = tmp_path / "v.txt"
+    vocab.write_text("<PAD>\n<UNK>\n<LINK>\n<USER>\n<DRUG>\nugh\n")
+    code, _, err = run_cli(monkeypatch, capsys, command, "--config", str(config),
+                           *inputs, "--vocab", str(vocab),
+                           "--embeddings", str(workspace / "emb.txt"),
+                           "--out", str(tmp_path / "x.ckpt"))
+    assert code == EXIT_USAGE
+    assert "cfg.yaml" in err and "hiden" in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--pooling", "mean"], ["--gate-biases"], ["--no-gate-biases"]],
+    ids=["pooling", "gate-biases", "no-gate-biases"],
+)
+def test_init_checkpoint_rejects_architecture_flags(workspace, monkeypatch, capsys,
+                                                    tmp_path, flags):
+    ckpt = tmp_path / "init.ckpt"
+    _save_tiny_checkpoint(ckpt)
+    code, _, err = run_cli(monkeypatch, capsys, "train",
+                           "--labeled", str(workspace / "train.tsv"),
+                           "--init-checkpoint", str(ckpt), *flags,
+                           "--epochs", "0", "--out", str(tmp_path / "x.ckpt"))
+    assert code == EXIT_USAGE
+    assert flags[0] in err and "Traceback" not in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("hidden, expected", [(2, 0), (3, EXIT_DATA)])
+def test_init_checkpoint_checks_config_hidden(workspace, monkeypatch, capsys, tmp_path,
+                                              hidden, expected):
+    """Config values stay allowed with --init-checkpoint (the file may be
+    shared with pretrain), but a config hidden size must match."""
+    ckpt = tmp_path / "init.ckpt"
+    _save_tiny_checkpoint(ckpt)
+    config = tmp_path / "cfg.yaml"
+    config.write_text(f"hidden: {hidden}\npooling: sum\ngate_biases: false\n")
+    code, _, err = run_cli(monkeypatch, capsys, "train", "--config", str(config),
+                           "--labeled", str(workspace / "train.tsv"),
+                           "--init-checkpoint", str(ckpt),
+                           "--epochs", "0", "--out", str(tmp_path / "x.ckpt"))
+    assert code == expected, err
+    if expected:
+        assert "hidden size 2 != expected 3" in err
 
 
 class TestGradcheckCommand:

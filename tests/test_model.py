@@ -5,21 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adrtag.encoding import TagLabel
-from adrtag.model import (
-    AdrModel,
-    BiLSTMParams,
-    LSTMCellParams,
-    LinearHead,
+from adrtag import training
+from adrtag.encoding import TagLabel, decode_spans
+from adrtag.evaluation import MatchCounts, approximate_match, evaluate_tagging
+from adrtag.model import AdrModel, BiLSTMParams, LSTMCellParams, LinearHead, gradient_check
+from adrtag.numerics import DimensionError
+from reference import (
     bilstm_forward,
-    gradient_check,
+    cross_entropy,
     lstm_cell_step,
     mean_pool,
     predict_drug,
     sequence_loss,
     tag_forward,
 )
-from adrtag.numerics import DimensionError, cross_entropy
 
 
 def make_cell(hidden, emb, seed=0, gate_biases=True):
@@ -374,3 +373,81 @@ def test_extra_padding_changes_nothing(lengths, extra, seed):
         np.testing.assert_allclose(padded[2][b, :n], trimmed[2][b, :n], **close)
     for g_pad, g_trim in zip(padded[3], trimmed[3]):
         np.testing.assert_allclose(g_pad, g_trim, **close)
+
+
+def _per_tweet_counts(model, data):
+    """Evaluation counts from one ``predict_tags`` call per record."""
+    total = MatchCounts()
+    for ids, gold, _ in data:
+        pred_spans = decode_spans(model.predict_tags(ids))
+        gold_spans = decode_spans([TagLabel(t) for t in gold])
+        total = total + approximate_match(pred_spans, gold_spans)
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 7), min_size=1, max_size=5),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_batched_heads_match_reference(lengths, seed, data):
+    """Every batched head agrees with the single-sequence reference, for any
+    batch size, lengths, order of the sequences and weights."""
+    rng = np.random.default_rng(seed)
+    model = AdrModel(rng.normal(size=(10, 4)), hidden=3, drug_count=3, seed=seed)
+    for head in (model.drug_head, model.tag_head):
+        head.b.value[...] = rng.normal(size=head.b.value.shape)
+    order = data.draw(st.permutations(range(len(lengths))), label="batch order")
+    ids = [rng.integers(1, 10, size=lengths[k]) for k in order]
+    tags = [rng.integers(0, int(TagLabel.PAD), size=lengths[k]) for k in order]
+    labels = rng.integers(0, 3, size=len(order))
+    idx, n = training.pad_batch(ids, max_len=7)
+    gold = training.pad_batch(tags, max_len=7, pad_index=int(TagLabel.PAD))[0]
+
+    h_seqs = [bilstm_forward(model.encoder, model.embeddings[row]) for row in ids]
+    drug_ref = [predict_drug(model.drug_head, mean_pool(h, len(h))) for h in h_seqs]
+    close = dict(rtol=1e-12, atol=0)
+    np.testing.assert_allclose(model.predict_drug_batch(idx, n), drug_ref, **close)
+    drug_loss_ref = np.mean([cross_entropy(p, y) for p, y in zip(drug_ref, labels)])
+    np.testing.assert_allclose(model.drug_loss(idx, n, labels)[0], drug_loss_ref, **close)
+    tag_loss_ref = np.mean(
+        [sequence_loss(tag_forward(model.tag_head, h), t) for h, t in zip(h_seqs, tags)]
+    )
+    np.testing.assert_allclose(model.tag_loss(idx, n, gold)[0], tag_loss_ref, **close)
+
+    pred = model.predict_tag_batch(idx, n)
+    for row, length, seq in zip(pred, n, ids):
+        assert [TagLabel(int(t)) for t in row[:length]] == model.predict_tags(seq)
+    records = [(seq, list(t), f"r{b}") for b, (seq, t) in enumerate(zip(ids, tags))]
+    assert evaluate_tagging(model, records) == _per_tweet_counts(model, records)
+
+
+def test_evaluate_tagging_batches_by_length(monkeypatch):
+    """More records than one chunk: one ``predict_tag_batch`` call per chunk,
+    none to ``predict_tags``, and the per-tweet counts."""
+    rng = np.random.default_rng(3)
+    model = AdrModel(rng.normal(size=(12, 4)), hidden=3, drug_count=2, seed=3)
+    model.tag_head.b.value[...] = [0.5, -0.5, 0.0, 0.0]
+    records = []
+    for r in range(2 * training.INFERENCE_BATCH + 5):
+        length = int(rng.integers(1, 13))
+        records.append(
+            (list(rng.integers(1, 12, size=length)),
+             list(rng.integers(0, int(TagLabel.PAD), size=length)), f"r{r}")
+        )
+    expected = _per_tweet_counts(model, records)
+    assert expected.predicted > 0 and expected.gold > 0
+
+    shapes = []
+    batched = model.predict_tag_batch
+
+    def recording(idx, n):
+        shapes.append(idx.shape)
+        return batched(idx, n)
+
+    monkeypatch.setattr(model, "predict_tag_batch", recording)
+    monkeypatch.setattr(model, "predict_tags", None)
+    assert evaluate_tagging(model, records) == expected
+    assert [b for b, _ in shapes] == [training.INFERENCE_BATCH] * 2 + [5]
+    assert [t for _, t in shapes] == sorted(t for _, t in shapes)

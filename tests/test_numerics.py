@@ -2,19 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adrtag.numerics import (
-    DimensionError,
     NumericalError,
     Parameter,
-    cross_entropy,
     finite_difference_gradient,
     sigmoid,
-    softmax,
-    tanh_op,
+    softmax_rows,
 )
+from reference import cross_entropy, softmax
 
 
 class TestSigmoid:
@@ -39,49 +37,58 @@ class TestSigmoid:
         assert np.all(np.isfinite(out))
 
 
-class TestTanh:
-    def test_zero(self):
-        assert tanh_op(np.array([0.0]))[0] == 0.0
-
-    def test_odd_symmetry(self):
-        x = np.linspace(-3, 3, 13)
-        np.testing.assert_array_equal(tanh_op(x), -tanh_op(-x))
-
-    def test_reference_value(self):
-        assert tanh_op(np.array([0.5]))[0] == pytest.approx(0.46211716, abs=1e-8)
+def _one_row(logits):
+    """``softmax_rows`` applied to a 1-D logit list as a single row."""
+    return softmax_rows(np.asarray(logits, dtype=np.float64)[None, :])[0]
 
 
-class TestSoftmax:
+class _SoftmaxValueCases:
+    """Value cases run against both the reference 1-D softmax and the
+    row-wise softmax the model uses."""
+
+    softmax = staticmethod(softmax)
+
     def test_uniform(self):
-        np.testing.assert_allclose(softmax([0, 0, 0]), [1 / 3] * 3, rtol=1e-12)
+        np.testing.assert_allclose(self.softmax([0, 0, 0]), [1 / 3] * 3, rtol=1e-12)
 
     def test_proportional_to_exponentials(self):
-        got = softmax([math.log(1), math.log(2), math.log(3)])
+        got = self.softmax([math.log(1), math.log(2), math.log(3)])
         np.testing.assert_allclose(got, [1 / 6, 2 / 6, 3 / 6], rtol=1e-12)
 
     def test_shift_invariance_large_logits(self):
-        big = softmax([1000.0, 1000.5])
-        small = softmax([0.0, 0.5])
+        big = self.softmax([1000.0, 1000.5])
+        small = self.softmax([0.0, 0.5])
         assert np.all(np.isfinite(big))
         np.testing.assert_allclose(big, small, atol=1e-9)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            softmax([])
-
-    @settings(max_examples=50, deadline=None)
+    # one property, run by both subclasses: each is its own executor
+    @settings(
+        max_examples=50,
+        deadline=None,
+        suppress_health_check=[HealthCheck.differing_executors],
+    )
     @given(
         st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=10),
         st.floats(-1e3, 1e3),
     )
     def test_sums_to_one_and_shift_invariant(self, logits, shift):
-        p = softmax(logits)
+        p = self.softmax(logits)
         assert abs(p.sum() - 1.0) < 1e-9
         # entries can underflow to exactly 0.0 when the logit gap exceeds
         # the float64 exponent range, so only nonnegativity is guaranteed
         assert np.all(p >= 0)
-        q = softmax([x + shift for x in logits])
+        q = self.softmax([x + shift for x in logits])
         assert np.max(np.abs(p - q)) < 1e-9
+
+
+class TestSoftmax(_SoftmaxValueCases):
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            softmax([])
+
+
+class TestSoftmaxRows(_SoftmaxValueCases):
+    softmax = staticmethod(_one_row)
 
 
 class TestCrossEntropy:

@@ -221,6 +221,14 @@ class TestLoadEmbeddings:
         with pytest.raises(DataError, match="line 2"):
             load_embeddings(path, v)
 
+    @pytest.mark.parametrize("line", ["foo 1.0 nan", "foo inf -inf"])
+    def test_non_finite_value_names_line(self, tmp_path, line):
+        v = Vocabulary.build([["alpha", "foo"]], cap=5)
+        path = tmp_path / "emb.txt"
+        path.write_text(f"2 2\nalpha 1.0 2.0\n{line}\n")
+        with pytest.raises(DataError, match=rf"emb\.txt: line 3: non-finite"):
+            load_embeddings(path, v)
+
     def test_bad_header(self, tmp_path):
         v = Vocabulary.build([["alpha"]], cap=5)
         path = tmp_path / "emb.txt"
