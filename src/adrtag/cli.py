@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -23,11 +24,19 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-# Keys `pretrain` and `train` read from --config; one file may serve both.
-CONFIG_KEYS = frozenset({
-    "seed", "hidden", "pooling", "gate_biases", "epochs", "batch_size", "max_len",
-    "learning_rate",
-})
+# The settings `pretrain` and `train` share. Each is a flag on both commands
+# and a key of their --config file, whose value is checked with the same type.
+# A setting that is not given keeps the default of the code that reads it.
+TRAINING_SETTINGS = {
+    "hidden": click.INT,
+    "epochs": click.INT,
+    "batch_size": click.INT,
+    "max_len": click.INT,
+    "seed": click.INT,
+    "learning_rate": click.FLOAT,
+    "pooling": click.Choice(["mean", "sum"]),
+    "gate_biases": click.BOOL,
+}
 
 
 def _ckpt_path(path) -> Path:
@@ -38,23 +47,49 @@ def _ckpt_path(path) -> Path:
     return p
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh) or {}
-    if not isinstance(cfg, dict):
-        raise click.UsageError(f"{path}: config must be a mapping")
-    unknown = sorted(str(k) for k in cfg if k not in CONFIG_KEYS)
-    if unknown:
-        raise click.UsageError(f"{path}: unknown config key(s) {', '.join(unknown)}")
-    return cfg
+def _training_options(command):
+    """Add --config and one flag per TRAINING_SETTINGS entry, None when not given."""
+    for name, kind in reversed(TRAINING_SETTINGS.items()):
+        flag = "--" + name.replace("_", "-")
+        if kind is click.BOOL:
+            flag += f"/--no-{flag[2:]}"
+        command = click.option(flag, name, type=kind, default=None)(command)
+    return click.option("--config", "config_path", type=click.Path(exists=True))(command)
 
 
-def _pick(flag, cfg, key, default):
-    if flag is not None:
-        return flag
-    return cfg.get(key, default)
+def _resolve_settings(config_path, flags) -> dict:
+    """The training settings given in --config or as flags; a flag wins. A
+    config value must parse as the text of its flag would."""
+    settings = {}
+    if config_path is not None:
+        with open(config_path, encoding="utf-8") as fh:
+            try:
+                cfg = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise click.UsageError(f"{config_path}: not valid YAML: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise click.UsageError(f"{config_path}: config must be a mapping")
+        unknown = sorted(str(k) for k in cfg if k not in TRAINING_SETTINGS)
+        if unknown:
+            raise click.UsageError(
+                f"{config_path}: unknown config key(s) {', '.join(unknown)}"
+            )
+        for key, value in cfg.items():
+            try:
+                settings[key] = TRAINING_SETTINGS[key].convert(str(value), None, None)
+            except click.BadParameter as exc:
+                raise click.UsageError(f"{config_path}: {key}: {exc.message}") from exc
+    settings.update((k, v) for k, v in flags.items() if v is not None)
+    return settings
+
+
+def _train_config(factory, settings) -> training.TrainConfig:
+    """`factory`'s config with the given settings; the rest keep their defaults."""
+    def given(cls):
+        return {f.name: settings[f.name] for f in fields(cls) if f.name in settings}
+
+    return factory(adam=training.AdamConfig(**given(training.AdamConfig)),
+                   **given(training.TrainConfig))
 
 
 def _read_unlabeled(path):
@@ -98,19 +133,18 @@ def _encode_labeled(sentences, vocab):
     return data
 
 
-def _build_model_from_inputs(vocab_path, embeddings_path, hidden, drug_names,
-                             seed, pooling, gate_biases):
+def _build_model_from_inputs(vocab_path, embeddings_path, settings, drug_names=None):
+    seed = settings.get("seed", 0)
     vocab = text.Vocabulary.load(vocab_path)
     table = text.load_embeddings(embeddings_path, vocab, seed=seed)
     model = AdrModel(
         table.vectors,
-        hidden=hidden,
+        hidden=settings.get("hidden", 500),
         drug_count=max(len(drug_names), 2) if drug_names is not None else 2,
         seed=seed,
-        gate_biases=gate_biases,
-        pooling=pooling,
         vocab_tokens=vocab.index_to_token,
         drug_names=drug_names,
+        **{k: settings[k] for k in ("pooling", "gate_biases") if k in settings},
     )
     return model, vocab, table
 
@@ -133,33 +167,29 @@ def preprocess(input_path, lexicon, stopwords, out_path, drug_mask):
     tweets = _read_unlabeled(input_path)
     if not tweets:
         raise text.DataError(f"{input_path}: no tweets found")
-    kept = no_drug = multi_drug = empty = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for tweet_id, raw in tweets:
-            tokens = text.remove_stopwords(
-                text.tokenize(text.normalize(raw)), stop
-            )
-            if not tokens:
-                empty += 1
-                continue
-            try:
-                ex = text.mask_drug(
-                    text.TokenizedTweet(tokens, tweet_id), lex, mask=drug_mask
-                )
-            except text.NoDrugMention:
-                no_drug += 1
-                continue
-            except text.MultipleDrugMentions:
-                multi_drug += 1
-                continue
-            fh.write(f"{ex.source_id}\t{lex.names[ex.drug_label]}\t{' '.join(ex.tokens)}\n")
-            kept += 1
+    lines = []
+    no_drug = multi_drug = empty = 0
+    for tweet_id, raw in tweets:
+        tokens = text.remove_stopwords(text.tokenize(text.normalize(raw)), stop)
+        if not tokens:
+            empty += 1
+            continue
+        try:
+            ex = text.mask_drug(text.TokenizedTweet(tokens, tweet_id), lex, mask=drug_mask)
+        except text.NoDrugMention:
+            no_drug += 1
+            continue
+        except text.MultipleDrugMentions:
+            multi_drug += 1
+            continue
+        lines.append(f"{ex.source_id}\t{lex.names[ex.drug_label]}\t{' '.join(ex.tokens)}\n")
     click.echo(
-        f"kept={kept} rejected_no_drug={no_drug} "
+        f"kept={len(lines)} rejected_no_drug={no_drug} "
         f"rejected_multi_drug={multi_drug} dropped_empty={empty}"
     )
-    if kept == 0:
+    if not lines:
         raise text.DataError("no tweets survived preprocessing")
+    Path(out_path).write_text("".join(lines), encoding="utf-8")
 
 
 @cli.command("build-vocab")
@@ -185,50 +215,29 @@ def build_vocab(unlabeled, labeled, cap, source, out_path):
 
 
 @cli.command()
-@click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--corpus", type=click.Path(exists=True), required=True)
 @click.option("--vocab", type=click.Path(exists=True), required=True)
 @click.option("--embeddings", type=click.Path(exists=True), required=True)
 @click.option("--lexicon", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--log", "log_path", type=click.Path())
-@click.option("--hidden", type=int)
-@click.option("--epochs", type=int)
-@click.option("--batch-size", type=int)
-@click.option("--max-len", type=int)
-@click.option("--seed", type=int)
-@click.option("--learning-rate", type=float)
-@click.option("--pooling", type=click.Choice(["mean", "sum"]))
-@click.option("--gate-biases/--no-gate-biases", default=None)
-def pretrain(config_path, corpus, vocab, embeddings, lexicon, out_path, log_path,
-             hidden, epochs, batch_size, max_len, seed, learning_rate, pooling,
-             gate_biases):
+@_training_options
+def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, config_path,
+             **flags):
     """Phase 1: train the encoder to predict the masked drug from context."""
-    cfg = _load_config(config_path)
-    seed = _pick(seed, cfg, "seed", 0)
+    settings = _resolve_settings(config_path, flags)
     lex = text.DrugLexicon.load(lexicon)
     if len(lex) < 2:
         raise click.UsageError("drug lexicon must contain at least 2 names")
-    model, vocab_obj, table = _build_model_from_inputs(
-        vocab, embeddings, _pick(hidden, cfg, "hidden", 500), lex.names, seed,
-        _pick(pooling, cfg, "pooling", "mean"),
-        _pick(gate_biases, cfg, "gate_biases", True),
-    )
+    model, vocab_obj, table = _build_model_from_inputs(vocab, embeddings, settings,
+                                                       lex.names)
     click.echo(f"embedding coverage: {table.coverage:.3f}")
     examples = []
     for tweet_id, drug, tokens in _read_processed(corpus):
         if drug not in lex.index:
             raise text.DataError(f"{corpus}: unknown drug name {drug!r}")
         examples.append((vocab_obj.indices(tokens), lex.index[drug], tweet_id))
-    train_cfg = training.pretrain_config(
-        epochs=_pick(epochs, cfg, "epochs", 30),
-        batch_size=_pick(batch_size, cfg, "batch_size", 128),
-        max_len=_pick(max_len, cfg, "max_len", 40),
-        seed=seed,
-        adam=training.AdamConfig(
-            learning_rate=_pick(learning_rate, cfg, "learning_rate", 0.001)
-        ),
-    )
+    train_cfg = _train_config(training.pretrain_config, settings)
     log = training.pretrain(examples, model, train_cfg)
     training.save_checkpoint(model, _ckpt_path(out_path))
     if log_path:
@@ -243,39 +252,28 @@ def pretrain(config_path, corpus, vocab, embeddings, lexicon, out_path, log_path
 
 
 @cli.command()
-@click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--labeled", type=click.Path(exists=True), required=True)
 @click.option("--vocab", type=click.Path(exists=True))
 @click.option("--embeddings", type=click.Path(exists=True))
 @click.option("--init-checkpoint", type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--log", "log_path", type=click.Path())
-@click.option("--hidden", type=int)
-@click.option("--epochs", type=int)
-@click.option("--batch-size", type=int)
-@click.option("--max-len", type=int)
-@click.option("--seed", type=int)
-@click.option("--learning-rate", type=float)
-@click.option("--pooling", type=click.Choice(["mean", "sum"]))
-@click.option("--gate-biases/--no-gate-biases", default=None)
-def train(config_path, labeled, vocab, embeddings, init_checkpoint, out_path,
-          log_path, hidden, epochs, batch_size, max_len, seed, learning_rate,
-          pooling, gate_biases):
+@_training_options
+def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path,
+          config_path, **flags):
     """Phase 2: supervised tagging, fresh or from a pretraining checkpoint."""
-    cfg = _load_config(config_path)
-    seed = _pick(seed, cfg, "seed", 0)
+    settings = _resolve_settings(config_path, flags)
     if init_checkpoint:
-        fixed = [flag for flag, given in (("--pooling", pooling is not None),
-                                          ("--gate-biases", gate_biases is True),
-                                          ("--no-gate-biases", gate_biases is False))
+        fixed = [flag for flag, given in (("--pooling", flags["pooling"] is not None),
+                                          ("--gate-biases", flags["gate_biases"] is True),
+                                          ("--no-gate-biases", flags["gate_biases"] is False))
                  if given]
         if fixed:
             raise click.UsageError(
                 f"{', '.join(fixed)}: the --init-checkpoint architecture is fixed"
             )
         model = training.load_checkpoint(
-            _ckpt_path(init_checkpoint),
-            expected_hidden=_pick(hidden, cfg, "hidden", None),
+            _ckpt_path(init_checkpoint), expected_hidden=settings.get("hidden")
         )
         vocab_obj = (
             text.Vocabulary.load(vocab)
@@ -287,23 +285,11 @@ def train(config_path, labeled, vocab, embeddings, init_checkpoint, out_path,
             raise click.UsageError(
                 "--vocab and --embeddings are required without --init-checkpoint"
             )
-        model, vocab_obj, _ = _build_model_from_inputs(
-            vocab, embeddings, _pick(hidden, cfg, "hidden", 500), None, seed,
-            _pick(pooling, cfg, "pooling", "mean"),
-            _pick(gate_biases, cfg, "gate_biases", True),
-        )
+        model, vocab_obj, _ = _build_model_from_inputs(vocab, embeddings, settings)
     sentences = encoding.read_conll(labeled)
     data = _encode_labeled(sentences, vocab_obj)
     click.echo(f"training tweets: {len(data)}")
-    train_cfg = training.supervised_config(
-        epochs=_pick(epochs, cfg, "epochs", 5),
-        batch_size=_pick(batch_size, cfg, "batch_size", 1),
-        max_len=_pick(max_len, cfg, "max_len", 40),
-        seed=seed,
-        adam=training.AdamConfig(
-            learning_rate=_pick(learning_rate, cfg, "learning_rate", 0.001)
-        ),
-    )
+    train_cfg = _train_config(training.supervised_config, settings)
     log = [{"phase": "supervised", "event": "data", "train_tweets": len(data)}]
     log += training.train_supervised(data, model, train_cfg)
     training.save_checkpoint(model, _ckpt_path(out_path))
@@ -320,9 +306,9 @@ def train(config_path, labeled, vocab, embeddings, init_checkpoint, out_path,
 @click.option("--trials", default=1, show_default=True)
 @click.option("--labeled", type=click.Path(exists=True),
               help="training TSV, required when --trials > 1")
-@click.option("--epochs", type=int, default=5, show_default=True)
-@click.option("--max-len", type=int, default=40, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--epochs", type=int, default=training.TrainConfig.epochs, show_default=True)
+@click.option("--max-len", type=int, default=training.TrainConfig.max_len, show_default=True)
+@click.option("--seed", type=int, default=training.TrainConfig.seed, show_default=True)
 @click.option("--label", type=click.Choice(["ADR", "IND"]), default="ADR",
               show_default=True, help="span label to score")
 @click.option("--report", "report_path", type=click.Path())
@@ -332,36 +318,20 @@ def evaluate(checkpoint, test_path, trials, labeled, epochs, max_len, seed,
     the checkpoint with per-trial seeds (seed+i) and report mean ± std."""
     if trials < 1:
         raise click.UsageError("--trials must be >= 1")
-    base = _ckpt_path(checkpoint)
-    test_data = None
-
-    def _load_test(vocab_obj):
-        return _encode_labeled(encoding.read_conll(test_path), vocab_obj)
-
+    if trials > 1 and not labeled:
+        raise click.UsageError("--labeled is required when --trials > 1")
     per_trial = []
-    if trials == 1:
-        model = training.load_checkpoint(base)
-        vocab_obj = text.Vocabulary(model.vocab_tokens)
-        test_data = _load_test(vocab_obj)
+    for i in range(trials):
+        model = training.load_checkpoint(_ckpt_path(checkpoint))
+        if i == 0:
+            vocab_obj = text.Vocabulary(model.vocab_tokens)
+            test_data = _encode_labeled(encoding.read_conll(test_path), vocab_obj)
+        if trials > 1:
+            data = _encode_labeled(encoding.read_conll(labeled), vocab_obj)
+            training.train_supervised(data, model, training.supervised_config(
+                epochs=epochs, max_len=max_len, seed=seed + i))
         per_trial.append(evaluation.prf(
             evaluation.evaluate_tagging(model, test_data, label)))
-    else:
-        if not labeled:
-            raise click.UsageError("--labeled is required when --trials > 1")
-        for i in range(trials):
-            model = training.load_checkpoint(base)
-            vocab_obj = text.Vocabulary(model.vocab_tokens)
-            if test_data is None:
-                test_data = _load_test(vocab_obj)
-            data = _encode_labeled(encoding.read_conll(labeled), vocab_obj)
-            training.train_supervised(
-                data, model,
-                training.supervised_config(
-                    epochs=epochs, max_len=max_len, seed=seed + i
-                ),
-            )
-            per_trial.append(evaluation.prf(
-                evaluation.evaluate_tagging(model, test_data, label)))
     report = evaluation.aggregate_trials(per_trial)
     out = evaluation.format_report(report)
     click.echo(out)

@@ -38,7 +38,8 @@ class AdamConfig:
 
 @dataclass
 class TrainConfig:
-    phase: str = "supervised"
+    """Defaults are phase 2's (supervised tagging)."""
+
     batch_size: int = 1
     epochs: int = 5
     max_len: int = 40
@@ -53,16 +54,12 @@ class TrainConfig:
 
 
 def pretrain_config(**kw) -> TrainConfig:
-    kw.setdefault("phase", "pretrain")
     kw.setdefault("batch_size", 128)
     kw.setdefault("epochs", 30)
     return TrainConfig(**kw)
 
 
 def supervised_config(**kw) -> TrainConfig:
-    kw.setdefault("phase", "supervised")
-    kw.setdefault("batch_size", 1)
-    kw.setdefault("epochs", 5)
     return TrainConfig(**kw)
 
 
@@ -91,12 +88,16 @@ def adam_step(param: Parameter, config: AdamConfig, t: int) -> None:
 
 
 class Adam:
-    """Tracks the shared step counter for a fixed parameter group."""
+    """Tracks the shared step counter for a fixed parameter group, whose
+    moments start from zero."""
 
     def __init__(self, params: Sequence[Parameter], config: AdamConfig = None):
         self.params = list(params)
         self.config = config or AdamConfig()
         self.t = 0
+        for p in self.params:  # fresh moments; in place, so no memory is added
+            p.adam_m.fill(0.0)
+            p.adam_v.fill(0.0)
 
     def step(self):
         self.t += 1

@@ -7,7 +7,7 @@ import pytest
 from adrtag import cli as cli_module
 from adrtag.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_USAGE, main
 from adrtag.model import AdrModel
-from adrtag.training import CHECKPOINT_MAGIC, save_checkpoint
+from adrtag.training import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 
 
 def run_cli(monkeypatch, capsys, *args):
@@ -413,3 +413,142 @@ class TestGradcheckCommand:
         code, _, _ = run_cli(monkeypatch, capsys, "gradcheck", "--seeds", "1",
                              "--emb", "3", "--hidden", "3", "--timesteps", "3")
         assert code == EXIT_NUMERICAL
+
+
+# Name -> (opts, secondary_opts, type name, choices, required, value when omitted),
+# recorded before the flags of `pretrain` and `train` came from one settings table.
+FLAG_SURFACE = {
+    "pretrain": {
+        "config_path": (("--config",), (), "path", (), False, None),
+        "corpus": (("--corpus",), (), "path", (), True, None),
+        "vocab": (("--vocab",), (), "path", (), True, None),
+        "embeddings": (("--embeddings",), (), "path", (), True, None),
+        "lexicon": (("--lexicon",), (), "path", (), True, None),
+        "out_path": (("--out",), (), "path", (), True, None),
+        "log_path": (("--log",), (), "path", (), False, None),
+        "hidden": (("--hidden",), (), "integer", (), False, None),
+        "epochs": (("--epochs",), (), "integer", (), False, None),
+        "batch_size": (("--batch-size",), (), "integer", (), False, None),
+        "max_len": (("--max-len",), (), "integer", (), False, None),
+        "seed": (("--seed",), (), "integer", (), False, None),
+        "learning_rate": (("--learning-rate",), (), "float", (), False, None),
+        "pooling": (("--pooling",), (), "choice", ("mean", "sum"), False, None),
+        "gate_biases": (("--gate-biases",), ("--no-gate-biases",), "boolean", (), False, None),
+    },
+    "train": {
+        "config_path": (("--config",), (), "path", (), False, None),
+        "labeled": (("--labeled",), (), "path", (), True, None),
+        "vocab": (("--vocab",), (), "path", (), False, None),
+        "embeddings": (("--embeddings",), (), "path", (), False, None),
+        "init_checkpoint": (("--init-checkpoint",), (), "path", (), False, None),
+        "out_path": (("--out",), (), "path", (), True, None),
+        "log_path": (("--log",), (), "path", (), False, None),
+        "hidden": (("--hidden",), (), "integer", (), False, None),
+        "epochs": (("--epochs",), (), "integer", (), False, None),
+        "batch_size": (("--batch-size",), (), "integer", (), False, None),
+        "max_len": (("--max-len",), (), "integer", (), False, None),
+        "seed": (("--seed",), (), "integer", (), False, None),
+        "learning_rate": (("--learning-rate",), (), "float", (), False, None),
+        "pooling": (("--pooling",), (), "choice", ("mean", "sum"), False, None),
+        "gate_biases": (("--gate-biases",), ("--no-gate-biases",), "boolean", (), False, None),
+    },
+    "evaluate": {
+        "checkpoint": (("--checkpoint",), (), "path", (), True, None),
+        "test_path": (("--test",), (), "path", (), True, None),
+        "trials": (("--trials",), (), "integer", (), False, 1),
+        "labeled": (("--labeled",), (), "path", (), False, None),
+        "epochs": (("--epochs",), (), "integer", (), False, 5),
+        "max_len": (("--max-len",), (), "integer", (), False, 40),
+        "seed": (("--seed",), (), "integer", (), False, 0),
+        "label": (("--label",), (), "choice", ("ADR", "IND"), False, "ADR"),
+        "report_path": (("--report",), (), "path", (), False, None),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_SURFACE))
+def test_flag_surface_is_unchanged(name):
+    command = cli_module.cli.commands[name]
+    omitted = command.make_context(name, [], resilient_parsing=True).params
+    surface = {
+        p.name: (tuple(p.opts), tuple(p.secondary_opts), p.type.name,
+                 tuple(getattr(p.type, "choices", ())), p.required, omitted[p.name])
+        for p in command.params
+    }
+    assert surface == FLAG_SURFACE[name]
+
+
+def _training_inputs(workspace, monkeypatch, capsys, tmp_path, command):
+    """Valid input flags for `pretrain` or `train`, so only the config can fail."""
+    vocab = tmp_path / "v.txt"
+    if command == "train":
+        run_cli(monkeypatch, capsys, "build-vocab", "--labeled", str(workspace / "train.tsv"),
+                "--cap", "50", "--out", str(vocab))
+        inputs = ["--labeled", str(workspace / "train.tsv")]
+    else:
+        processed = tmp_path / "p.tsv"
+        run_cli(monkeypatch, capsys, "preprocess", "--input", str(workspace / "raw.tsv"),
+                "--lexicon", str(workspace / "drugs.txt"), "--out", str(processed))
+        run_cli(monkeypatch, capsys, "build-vocab", "--unlabeled", str(processed),
+                "--cap", "50", "--out", str(vocab))
+        inputs = ["--corpus", str(processed), "--lexicon", str(workspace / "drugs.txt")]
+    return inputs + ["--vocab", str(vocab), "--embeddings", str(workspace / "emb.txt")]
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train"])
+@pytest.mark.parametrize("line", ["hidden: abc", "learning_rate: abc", "seed: [1]",
+                                  "batch_size: 2.5", "gate_biases: maybe"],
+                         ids=lambda line: line.split(":")[0])
+def test_mistyped_config_value_is_usage_error(workspace, monkeypatch, capsys, tmp_path,
+                                              command, line):
+    config = tmp_path / "cfg.yaml"
+    config.write_text(f"epochs: 1\nmax_len: 12\n{line}\n")
+    inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, command)
+    code, _, err = run_cli(monkeypatch, capsys, command, "--config", str(config), *inputs,
+                           "--out", str(tmp_path / "x.ckpt"))
+    assert code == EXIT_USAGE
+    assert f"cfg.yaml: {line.split(':')[0]}:" in err and "Traceback" not in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("text", ["hidden: [3", "- hidden\n- 3"], ids=["not-yaml", "list"])
+def test_config_that_is_not_a_mapping_is_usage_error(workspace, monkeypatch, capsys,
+                                                     tmp_path, text):
+    config = tmp_path / "cfg.yaml"
+    config.write_text(text + "\n")
+    inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, "train")
+    code, _, err = run_cli(monkeypatch, capsys, "train", "--config", str(config), *inputs,
+                           "--out", str(tmp_path / "x.ckpt"))
+    assert code == EXIT_USAGE
+    assert "cfg.yaml" in err and "Traceback" not in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train"])
+def test_config_values_parse_like_flags_and_flags_win(workspace, monkeypatch, capsys,
+                                                      tmp_path, command):
+    config = tmp_path / "cfg.yaml"
+    config.write_text("hidden: 3\nepochs: 1\nmax_len: '12'\ngate_biases: 'false'\n")
+    inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, command)
+    ckpt = tmp_path / "x.ckpt"
+    code, _, err = run_cli(monkeypatch, capsys, command, "--config", str(config), *inputs,
+                           "--hidden", "4", "--out", str(ckpt))
+    assert code == 0, err
+    model = load_checkpoint(ckpt)
+    assert (model.hidden, model.gate_biases) == (4, False)
+    code, _, err = run_cli(monkeypatch, capsys, "predict", "--checkpoint", str(ckpt),
+                           "--text", "ugh so dizzy")
+    assert code == 0, err
+
+
+def test_preprocess_leaves_no_output_when_all_rejected(workspace, monkeypatch, capsys,
+                                                       tmp_path):
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("a\tfeeling fine\nb\tcymbalta and effexor together\n")
+    out_path = tmp_path / "out.tsv"
+    code, out, err = run_cli(monkeypatch, capsys, "preprocess", "--input", str(raw),
+                             "--lexicon", str(workspace / "drugs.txt"),
+                             "--out", str(out_path))
+    assert code == EXIT_DATA
+    assert "kept=0" in out and "no tweets survived" in err
+    assert not out_path.exists()

@@ -241,6 +241,20 @@ class TestTrainSupervised:
         probs_after = model.predict_drug_batch(idx, lengths)
         assert not np.array_equal(probs_before, probs_after)
 
+    def test_moments_start_fresh_after_pretraining(self, tmp_path):
+        # phase 2 in the same process must match phase 2 from a saved checkpoint,
+        # which carries no Adam moments
+        vocab, _, model = tiny_setup()
+        examples = synthetic.unlabeled_examples(vocab, 3, 30, seed=7)
+        pretrain(examples, model, pretrain_config(epochs=2, batch_size=8, max_len=12, seed=0))
+        save_checkpoint(model, tmp_path / "pre.ckpt")
+        reloaded = load_checkpoint(tmp_path / "pre.ckpt")
+        data = synthetic.labeled_examples(vocab, 3, 10, seed=8)
+        for m in (model, reloaded):
+            train_supervised(data, m, supervised_config(epochs=2, max_len=12))
+        for p, q in zip(model.tag_parameters(), reloaded.tag_parameters()):
+            assert np.array_equal(p.value, q.value), p.name
+
     def test_loss_monotone_over_second_half_when_memorizing(self):
         vocab, _, model = tiny_setup(emb_dim=8, hidden=8)
         data = synthetic.labeled_examples(vocab, 3, 8, seed=10)
