@@ -149,6 +149,15 @@ def _build_model_from_inputs(vocab_path, embeddings_path, settings, drug_names=N
     return model, vocab, table
 
 
+def _load_tagger(checkpoint, expected_hidden=None):
+    """The checkpoint's model and the vocabulary it was trained with."""
+    path = _ckpt_path(checkpoint)
+    model = training.load_checkpoint(path, expected_hidden=expected_hidden)
+    if model.vocab_tokens is None:
+        raise training.CheckpointError(f"{path}: checkpoint carries no vocabulary")
+    return model, text.Vocabulary(model.vocab_tokens)
+
+
 @click.group()
 def cli():
     """Semi-supervised BiLSTM toolkit for ADR mention extraction."""
@@ -266,20 +275,14 @@ def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path,
     if init_checkpoint:
         fixed = [flag for flag, given in (("--pooling", flags["pooling"] is not None),
                                           ("--gate-biases", flags["gate_biases"] is True),
-                                          ("--no-gate-biases", flags["gate_biases"] is False))
+                                          ("--no-gate-biases", flags["gate_biases"] is False),
+                                          ("--vocab", vocab is not None),
+                                          ("--embeddings", embeddings is not None))
                  if given]
         if fixed:
-            raise click.UsageError(
-                f"{', '.join(fixed)}: the --init-checkpoint architecture is fixed"
-            )
-        model = training.load_checkpoint(
-            _ckpt_path(init_checkpoint), expected_hidden=settings.get("hidden")
-        )
-        vocab_obj = (
-            text.Vocabulary.load(vocab)
-            if vocab
-            else text.Vocabulary(model.vocab_tokens)
-        )
+            raise click.UsageError(f"{', '.join(fixed)}: the --init-checkpoint architecture, "
+                                   "vocabulary and embeddings are fixed")
+        model, vocab_obj = _load_tagger(init_checkpoint, settings.get("hidden"))
     else:
         if not (vocab and embeddings):
             raise click.UsageError(
@@ -322,9 +325,8 @@ def evaluate(checkpoint, test_path, trials, labeled, epochs, max_len, seed,
         raise click.UsageError("--labeled is required when --trials > 1")
     per_trial = []
     for i in range(trials):
-        model = training.load_checkpoint(_ckpt_path(checkpoint))
+        model, vocab_obj = _load_tagger(checkpoint)
         if i == 0:
-            vocab_obj = text.Vocabulary(model.vocab_tokens)
             test_data = _encode_labeled(encoding.read_conll(test_path), vocab_obj)
         if trials > 1:
             data = _encode_labeled(encoding.read_conll(labeled), vocab_obj)
@@ -344,10 +346,7 @@ def evaluate(checkpoint, test_path, trials, labeled, epochs, max_len, seed,
 @click.option("--text", "raw_text", help="raw tweet text; reads stdin if omitted")
 def predict(checkpoint, raw_text):
     """Tag ad-hoc text with a trained model and print the decoded spans."""
-    model = training.load_checkpoint(_ckpt_path(checkpoint))
-    if model.vocab_tokens is None:
-        raise training.CheckpointError("checkpoint carries no vocabulary")
-    vocab_obj = text.Vocabulary(model.vocab_tokens)
+    model, vocab_obj = _load_tagger(checkpoint)
     if raw_text is None:
         raw_text = sys.stdin.read()
     tokens = text.tokenize(text.normalize(raw_text))

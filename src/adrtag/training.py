@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -267,9 +269,9 @@ def write_log(path, records: Sequence[dict]) -> None:
 
 
 def _model_arrays(model: AdrModel):
-    """(name, array) pairs in file order. Each encoder direction is stored
-    per gate as row-block views named ``fwd.w_u``, ``fwd.i_u``, ``fwd.b_u``,
-    ..., ``bwd.b_o``; writing into a view fills the fused matrix."""
+    """(name, array) pairs in file order, for saving and loading. Encoder
+    directions are stored per gate as row-block views ``fwd.w_u``, ``fwd.i_u``,
+    ``fwd.b_u``, ..., ``bwd.b_o``; reading into a view fills the fused matrix."""
     arrays = [("embeddings", model.embeddings)]
     for cell in (model.encoder.forward_cell, model.encoder.backward_cell):
         H = cell.hidden
@@ -280,6 +282,7 @@ def _model_arrays(model: AdrModel):
 
 
 def save_checkpoint(model: AdrModel, path) -> None:
+    """Write a temporary file beside ``path``, then rename it over ``path``."""
     arrays = _model_arrays(model)
     header = {
         "version": 1,
@@ -294,12 +297,18 @@ def save_checkpoint(model: AdrModel, path) -> None:
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(len(blob).to_bytes(8, "little"))
+            fh.write(blob)
+            for _, a in arrays:
+                fh.write(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _is_int(value) -> bool:
@@ -321,58 +330,48 @@ _HEADER_FIELDS = {
 
 
 def load_checkpoint(path, expected_hidden: Optional[int] = None) -> AdrModel:
+    """One pass: sizes are checked against the file before any array is
+    allocated, and each array is read straight into the model's storage."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    pos = len(CHECKPOINT_MAGIC)
-    if len(data) < pos + 8:
-        raise CheckpointError(f"{path}: truncated header")
-    hlen = int.from_bytes(data[pos : pos + 8], "little")
-    pos += 8
-    try:
-        header = json.loads(data[pos : pos + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt header") from exc
-    pos += hlen
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: corrupt header")
-    if header.get("version") != 1:
-        raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
-    for key, valid in _HEADER_FIELDS.items():
-        if key not in header or not valid(header[key]):
-            raise CheckpointError(f"{path}: header field {key!r} is missing or malformed")
-    if expected_hidden is not None and header["hidden"] != expected_hidden:
-        raise CheckpointError(
-            f"{path}: checkpoint hidden size {header['hidden']} != expected {expected_hidden}"
-        )
-    arrays = {}
-    for entry in header["arrays"]:
-        nbytes = math.prod(entry["shape"]) * 8
-        if pos + nbytes > len(data):
-            raise CheckpointError(f"{path}: truncated while reading {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(
-            data[pos : pos + nbytes], dtype=np.float64
-        ).reshape(entry["shape"]).copy()
-        pos += nbytes
-    if pos != len(data):
-        raise CheckpointError(f"{path}: trailing bytes after arrays")
-    embeddings = arrays.get("embeddings")
-    if embeddings is None or embeddings.shape[1:] != (header["emb"],):
-        raise CheckpointError(f"{path}: embeddings missing or not V x {header['emb']}")
-
-    kwargs = {k: header[k] for k in _HEADER_FIELDS if k not in ("emb", "arrays")}
-    try:
-        model = AdrModel(embeddings, **kwargs)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
-    for name, view in _model_arrays(model)[1:]:
-        if name not in arrays:
-            raise CheckpointError(f"{path}: missing array {name}")
-        if arrays[name].shape != view.shape:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file")
+        hlen = int.from_bytes(fh.read(8), "little")
+        if hlen > size - len(CHECKPOINT_MAGIC) - 8:
+            raise CheckpointError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: corrupt header") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: corrupt header")
+        if header.get("version") != 1:
+            raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
+        for key, valid in _HEADER_FIELDS.items():
+            if key not in header or not valid(header[key]):
+                raise CheckpointError(f"{path}: header field {key!r} is missing or malformed")
+        if expected_hidden is not None and header["hidden"] != expected_hidden:
             raise CheckpointError(
-                f"{path}: shape mismatch for {name}: "
-                f"{arrays[name].shape} vs {view.shape}"
+                f"{path}: checkpoint hidden size {header['hidden']} != expected {expected_hidden}"
             )
-        view[...] = arrays[name]
+        listed = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
+        described = fh.tell() + 8 * sum(math.prod(shape) for _, shape in listed)
+        if size != described:
+            problem = "truncated" if size < described else "trailing bytes after arrays"
+            raise CheckpointError(f"{path}: {problem}: {size} bytes, header says {described}")
+        rows = listed[0][1][0] if listed and listed[0][1] else 0
+        kwargs = {k: header[k] for k in _HEADER_FIELDS if k not in ("emb", "arrays")}
+        try:
+            model = AdrModel(np.empty((rows, header["emb"])), **kwargs)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
+        arrays = _model_arrays(model)
+        for found, want in itertools.zip_longest(listed, [(n, a.shape) for n, a in arrays]):
+            if found != want:
+                raise CheckpointError(f"{path}: file array {found} != model array {want}")
+        for name, a in arrays:
+            if fh.readinto(a) != a.nbytes:
+                raise CheckpointError(f"{path}: truncated while reading {name}")
+            if not np.isfinite(a).all():
+                raise CheckpointError(f"{path}: non-finite value in {name}")
     return model

@@ -308,12 +308,12 @@ class TestErrors:
         assert code == EXIT_USAGE
 
 
-def _save_tiny_checkpoint(path):
+def _save_tiny_checkpoint(path, vocabulary=True):
     """A hidden=2, mean-pooled, gate-biased model over a 7-token vocabulary."""
     tokens = ["<PAD>", "<UNK>", "<LINK>", "<USER>", "<DRUG>", "ugh", "dizzy"]
     model = AdrModel(np.random.default_rng(0).normal(size=(len(tokens), 3)),
-                     hidden=2, drug_count=2, seed=0, vocab_tokens=tokens,
-                     drug_names=["a", "b"])
+                     hidden=2, drug_count=2, seed=0,
+                     vocab_tokens=tokens if vocabulary else None, drug_names=["a", "b"])
     save_checkpoint(model, path)
 
 
@@ -359,20 +359,44 @@ def test_unknown_config_key_is_usage_error(workspace, monkeypatch, capsys, tmp_p
 
 
 @pytest.mark.parametrize(
-    "flags", [["--pooling", "mean"], ["--gate-biases"], ["--no-gate-biases"]],
-    ids=["pooling", "gate-biases", "no-gate-biases"],
+    "flags", [["--pooling", "mean"], ["--gate-biases"], ["--no-gate-biases"],
+              ["--vocab", "vocab.txt"], ["--embeddings", "emb.txt"]],
+    ids=["pooling", "gate-biases", "no-gate-biases", "vocab", "embeddings"],
 )
 def test_init_checkpoint_rejects_architecture_flags(workspace, monkeypatch, capsys,
                                                     tmp_path, flags):
+    """The checkpoint fixes the architecture, the vocabulary and the embeddings."""
     ckpt = tmp_path / "init.ckpt"
     _save_tiny_checkpoint(ckpt)
+    (workspace / "vocab.txt").write_text("<PAD>\n<UNK>\n<LINK>\n<USER>\n<DRUG>\nugh\n")
+    args = [str(workspace / f) if f.endswith(".txt") else f for f in flags]
     code, _, err = run_cli(monkeypatch, capsys, "train",
                            "--labeled", str(workspace / "train.tsv"),
-                           "--init-checkpoint", str(ckpt), *flags,
+                           "--init-checkpoint", str(ckpt), *args,
                            "--epochs", "0", "--out", str(tmp_path / "x.ckpt"))
     assert code == EXIT_USAGE
     assert flags[0] in err and "Traceback" not in err
     assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_checkpoint_without_vocabulary_is_data_error(workspace, monkeypatch, capsys,
+                                                     tmp_path, command):
+    ckpt = tmp_path / "novocab.ckpt"
+    _save_tiny_checkpoint(ckpt, vocabulary=False)
+    out = tmp_path / "out.txt"
+    args = {
+        "train": ["--labeled", str(workspace / "train.tsv"), "--init-checkpoint", str(ckpt),
+                  "--epochs", "0", "--out", str(out)],
+        "evaluate": ["--checkpoint", str(ckpt), "--test", str(workspace / "test.tsv"),
+                     "--report", str(out)],
+        "predict": ["--checkpoint", str(ckpt), "--text", "ugh so dizzy"],
+    }[command]
+    code, _, err = run_cli(monkeypatch, capsys, command, *args)
+    assert code == EXIT_DATA
+    assert "novocab.ckpt: checkpoint carries no vocabulary" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("hidden, expected", [(2, 0), (3, EXIT_DATA)])

@@ -1,10 +1,14 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synthetic
+from adrtag import training
 from adrtag.encoding import TagLabel
 from adrtag.model import AdrModel
 from adrtag.numerics import NumericalError, Parameter
@@ -313,6 +317,61 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="hidden"):
             load_checkpoint(path, expected_hidden=5)
 
+    @pytest.mark.parametrize("name", ["embeddings", "bwd.i", "tag.b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_array_is_named(self, tmp_path, name, bad):
+        _, _, model = tiny_setup(hidden=2)
+        target = {p.name: p.value for p in model.all_parameters()}
+        target["embeddings"] = model.embeddings
+        target[name].flat[-1] = bad
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match=f"non-finite value in {name}"):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_setup(hidden=2)[2], path)
+        before = path.read_bytes()
+        real = training._model_arrays
+        # a string array fails to convert after the header and the real arrays are written
+        monkeypatch.setattr(training, "_model_arrays",
+                            lambda m: real(m) + [("late", np.array(["not a float"]))])
+        with pytest.raises(ValueError):
+            save_checkpoint(tiny_setup(hidden=3)[2], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    vocab, _, model = tiny_setup(emb_dim=3, hidden=2)
+    model.vocab_tokens = vocab.index_to_token
+    path = tmp_path_factory.mktemp("corrupt") / "model.ckpt"
+    save_checkpoint(model, path)
+    return path.read_bytes(), path
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)), max_size=4),
+    st.one_of(st.none(), st.integers(min_value=0)),
+)
+def test_corrupted_checkpoint_is_rejected_or_finite(tiny_checkpoint, overwrites, keep):
+    blob, path = tiny_checkpoint
+    data = bytearray(blob)
+    for pos, value in overwrites:
+        data[pos % len(data)] = value
+    if keep is not None:
+        data = data[: keep % (len(data) + 1)]
+    path.write_bytes(bytes(data))
+    try:
+        model = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert np.isfinite(model.embeddings).all()
+    assert all(np.isfinite(p.value).all() for p in model.all_parameters())
+
 
 def _write_v1_checkpoint(path, arrays, hidden, emb, gate_biases):
     """A version-1 writer that shares no code with adrtag.training."""
@@ -337,9 +396,8 @@ def _write_v1_checkpoint(path, arrays, hidden, emb, gate_biases):
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-@pytest.mark.parametrize("gate_biases", [True, False])
-def test_per_gate_v1_checkpoint_fills_fused_blocks(tmp_path, gate_biases):
-    H, E = 3, 4
+def _v1_arrays(H, E, gate_biases):
+    """Random arrays for a 6-token, 3-drug model, in the version-1 file order."""
     rng = np.random.default_rng(8)
     arrays = [("embeddings", rng.normal(size=(6, E)))]
     for prefix in ("fwd", "bwd"):
@@ -351,6 +409,13 @@ def test_per_gate_v1_checkpoint_fills_fused_blocks(tmp_path, gate_biases):
     for name, shape in (("drug.w", (3, 2 * H)), ("drug.b", (3,)),
                         ("tag.w", (4, 2 * H)), ("tag.b", (4,))):
         arrays.append((name, rng.normal(size=shape)))
+    return arrays
+
+
+@pytest.mark.parametrize("gate_biases", [True, False])
+def test_per_gate_v1_checkpoint_fills_fused_blocks(tmp_path, gate_biases):
+    H, E = 3, 4
+    arrays = _v1_arrays(H, E, gate_biases)
     path = tmp_path / "v1.ckpt"
     _write_v1_checkpoint(path, arrays, H, E, gate_biases)
 
@@ -367,3 +432,15 @@ def test_per_gate_v1_checkpoint_fills_fused_blocks(tmp_path, gate_biases):
     resaved = tmp_path / "resaved.ckpt"
     save_checkpoint(model, resaved)
     assert resaved.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda a: a + [("extra.w", np.ones(2))], "extra.w"),
+    (lambda a: a[:-1], "tag.b"),
+    (lambda a: [a[0], a[2], a[1]] + a[3:], "fwd.i_u"),
+], ids=["extra", "missing", "reordered"])
+def test_array_list_must_match_model(tmp_path, edit, named):
+    path = tmp_path / "v1.ckpt"
+    _write_v1_checkpoint(path, edit(_v1_arrays(3, 4, True)), 3, 4, True)
+    with pytest.raises(CheckpointError, match=re.escape(f"array ('{named}', (")):
+        load_checkpoint(path)
