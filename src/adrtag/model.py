@@ -87,12 +87,12 @@ class LinearHead:
 @dataclass
 class _DirectionCache:
     # Time-major, in processing order; h[t], m[t] enter step t (h[0] = m[0] = 0).
-    x: np.ndarray  # (T, B, E)
+    emb: np.ndarray  # (V, E) embedding table; inputs are gathered where used
+    ids: np.ndarray  # (T, B) token ids
     h: np.ndarray  # (T + 1, B, H)
     m: np.ndarray  # (T + 1, B, H)
     gates: np.ndarray  # (T, B, 4H) activations u, f, c, o
-    tanh_m: np.ndarray  # (T, B, H) tanh of the unmasked cell state
-    mask: np.ndarray  # (T, B, 1)
+    tanh_m: np.ndarray  # (T, B, H)
 
 
 @dataclass
@@ -100,7 +100,8 @@ class EncodeCache:
     indices: np.ndarray
     lengths: np.ndarray
     mask: np.ndarray
-    h: np.ndarray  # (B, T, 2H), a transposed view of time-major storage
+    rev: tuple  # (rows, cols) index reversing each row within its length; self-inverse
+    h: np.ndarray  # (B, T, 2H); unspecified at padding positions
     fwd: _DirectionCache
     bwd: _DirectionCache
 
@@ -121,14 +122,14 @@ class TagLossCache:
     valid: np.ndarray  # (B, T) float, 1 at scored positions
 
 
-def _run_direction(cell: LSTMCellParams, x: np.ndarray, mask: np.ndarray):
-    """Recurrence over time-major (T, B, E) input in processing order; masked
-    steps reset the state to zero (padding sits at the sequence tail, so in
-    reversed order it is consumed before any real token). Returns the
-    (T, B, H) hidden states and the cache for :func:`_backprop_direction`."""
-    T, B, E = x.shape
+def _run_direction(cell: LSTMCellParams, emb: np.ndarray, ids: np.ndarray):
+    """Recurrence over time-major (T, B) token ids in processing order.
+    Padding sits at the tail of every row, so no real step reads a state that
+    padding wrote. Returns the (T, B, H) hidden states and the cache for
+    :func:`_backprop_direction`."""
+    T, B = ids.shape
     H = cell.hidden
-    gates = (x.reshape(T * B, E) @ cell.i.value.T).reshape(T, B, 4 * H)
+    gates = (emb[ids.ravel()] @ cell.i.value.T).reshape(T, B, 4 * H)
     gates += cell.b.value
     h, m = np.zeros((2, T + 1, B, H))
     tanh_m = np.empty((T, B, H))
@@ -139,16 +140,15 @@ def _run_direction(cell: LSTMCellParams, x: np.ndarray, mask: np.ndarray):
         np.tanh(a[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
         a[:, 3 * H :] = sigmoid(a[:, 3 * H :])
         u, f, c, o = np.split(a, len(GATES), axis=1)
-        m_raw = f * m[t] + u * c
-        np.tanh(m_raw, out=tanh_m[t])
-        h[t + 1] = mask[t] * (o * tanh_m[t])
-        m[t + 1] = mask[t] * m_raw
-    return h[1:], _DirectionCache(x=x, h=h, m=m, gates=gates, tanh_m=tanh_m, mask=mask)
+        m[t + 1] = f * m[t] + u * c
+        np.tanh(m[t + 1], out=tanh_m[t])
+        h[t + 1] = o * tanh_m[t]
+    return h[1:], _DirectionCache(emb=emb, ids=ids, h=h, m=m, gates=gates, tanh_m=tanh_m)
 
 
 def _backprop_direction(cell: LSTMCellParams, cache: _DirectionCache, dhs: np.ndarray):
     """Accumulate one direction's gradients given dLoss/dh_t, (T, B, H) in
-    processing order. Gate pre-activation gradients overwrite ``cache.gates``
+    processing order, zero at padding. Gate gradients overwrite ``cache.gates``
     step by step; each weight gradient is then one product over all steps."""
     T, B, _ = cache.gates.shape
     H = cell.hidden
@@ -156,9 +156,9 @@ def _backprop_direction(cell: LSTMCellParams, cache: _DirectionCache, dhs: np.nd
     for t in range(T - 1, -1, -1):
         g = cache.gates[t]
         u, f, c, o = np.split(g, len(GATES), axis=1)
-        tm, mt = cache.tanh_m[t], cache.mask[t]
-        dh_raw = (dhs[t] + dh_next) * mt
-        dm_raw = dm_next * mt + dh_raw * o * (1.0 - tm * tm)
+        tm = cache.tanh_m[t]
+        dh_raw = dhs[t] + dh_next
+        dm_raw = dm_next + dh_raw * o * (1.0 - tm * tm)
         dm_next = dm_raw * f
         da_u, da_c = dm_raw * c * u * (1.0 - u), dm_raw * u * (1.0 - c * c)
         da_f, da_o = dm_raw * cache.m[t] * f * (1.0 - f), dh_raw * tm * o * (1.0 - o)
@@ -166,7 +166,7 @@ def _backprop_direction(cell: LSTMCellParams, cache: _DirectionCache, dhs: np.nd
         dh_next = g @ cell.w.value
     da = cache.gates.reshape(T * B, 4 * H)
     cell.w.grad += da.T @ cache.h[:-1].reshape(T * B, H)
-    cell.i.grad += da.T @ cache.x.reshape(T * B, -1)
+    cell.i.grad += da.T @ cache.emb[cache.ids.ravel()]
     if cell.gate_biases:
         cell.b.grad += da.sum(axis=0)
 
@@ -236,23 +236,25 @@ class AdrModel:
         B, T = indices.shape
         if np.any(lengths < 1) or np.any(lengths > T):
             raise ValueError("valid lengths must be in [1, T]")
-        mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
-        x = self.embeddings[indices.T]  # (T, B, E), time-major
-        step_mask = mask.T[..., None]
-        hs_f, cache_f = _run_direction(self.encoder.forward_cell, x, step_mask)
-        hs_b, cache_b = _run_direction(
-            self.encoder.backward_cell, x[::-1], step_mask[::-1]
-        )
-        h = np.concatenate([hs_f, hs_b[::-1]], axis=2).transpose(1, 0, 2)
+        steps = np.arange(T)
+        mask = (steps[None, :] < lengths[:, None]).astype(np.float64)
+        # Backward reads each row from its own last token; padding stays at the tail.
+        rev = (np.arange(B)[:, None], np.where(mask > 0, lengths[:, None] - 1 - steps, steps))
+        H = self.hidden
+        h = np.empty((B, T, 2 * H))
+        hs, fwd = _run_direction(self.encoder.forward_cell, self.embeddings, indices.T)
+        h[..., :H] = hs.transpose(1, 0, 2)
+        hs, bwd = _run_direction(self.encoder.backward_cell, self.embeddings, indices[rev].T)
+        h[..., H:][rev] = hs.transpose(1, 0, 2)
         return EncodeCache(
-            indices=indices, lengths=lengths, mask=mask, h=h, fwd=cache_f, bwd=cache_b
+            indices=indices, lengths=lengths, mask=mask, rev=rev, h=h, fwd=fwd, bwd=bwd
         )
 
     def _backprop_encoder(self, enc: EncodeCache, dh: np.ndarray):
         H = self.hidden
-        dh = dh.transpose(1, 0, 2)  # (T, B, 2H), time-major
-        _backprop_direction(self.encoder.forward_cell, enc.fwd, dh[..., :H])
-        _backprop_direction(self.encoder.backward_cell, enc.bwd, dh[::-1, :, H:])
+        _backprop_direction(self.encoder.forward_cell, enc.fwd, dh[..., :H].transpose(1, 0, 2))
+        dh_bwd = dh[..., H:][enc.rev].transpose(1, 0, 2)  # processing order, like enc.bwd
+        _backprop_direction(self.encoder.backward_cell, enc.bwd, dh_bwd)
 
     # -- drug-prediction head -----------------------------------------------
 

@@ -49,14 +49,11 @@ class Parameter:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, stable for large |x|."""
+    """Elementwise logistic function; ``exp`` only sees ``-|x|``, so it never
+    overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

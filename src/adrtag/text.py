@@ -223,7 +223,6 @@ class EmbeddingTable:
     """Frozen word vectors aligned with a vocabulary (row i = token i)."""
 
     vectors: np.ndarray
-    dim: int
     coverage: float
 
 
@@ -274,4 +273,4 @@ def load_embeddings(path, vocab: Vocabulary, seed: int = 0) -> EmbeddingTable:
         else:
             vectors[i] = rng.uniform(-0.05, 0.05, size=dim)
     coverage = found / vocab_words if vocab_words else 0.0
-    return EmbeddingTable(vectors=vectors, dim=dim, coverage=coverage)
+    return EmbeddingTable(vectors=vectors, coverage=coverage)

@@ -108,6 +108,7 @@ class Adam:
 
 
 INFERENCE_BATCH = 64  # sequences per forward when scoring held-out or test data
+HELDOUT_DENOMINATOR = 10  # about one example in this many is held out
 
 
 def pad_batch(
@@ -128,13 +129,13 @@ def pad_batch(
     return out, lengths
 
 
-def heldout_split(ids: Sequence[str], fraction_denominator: int = 10):
-    """Deterministic ~1/denominator held-out split keyed on a stable hash of
-    the example id (independent of corpus order and process salt)."""
+def heldout_split(ids: Sequence[str]):
+    """Deterministic ~1/HELDOUT_DENOMINATOR held-out split keyed on a stable
+    hash of the example id (independent of corpus order and process salt)."""
     train, held = [], []
     for i, sid in enumerate(ids):
         digest = hashlib.md5(str(sid).encode("utf-8")).digest()
-        (held if digest[0] % fraction_denominator == 0 else train).append(i)
+        (held if digest[0] % HELDOUT_DENOMINATOR == 0 else train).append(i)
     return train, held
 
 
@@ -359,6 +360,19 @@ def load_checkpoint(path, expected_hidden: Optional[int] = None) -> AdrModel:
         if size != described:
             problem = "truncated" if size < described else "trailing bytes after arrays"
             raise CheckpointError(f"{path}: {problem}: {size} bytes, header says {described}")
+        # The file size bounds the listed shapes; tie the header's sizes to
+        # them before the constructor allocates anything from those sizes.
+        shapes = dict(listed)
+        H, E, vocab = header["hidden"], header["emb"], header["vocab_tokens"]
+        implied = {"fwd.w_u": (H, H), "fwd.i_u": (H, E), "drug.w": (header["drug_count"], 2 * H)}
+        if vocab is not None:
+            implied["embeddings"] = (len(vocab), E)
+        for name, shape in implied.items():
+            if shapes.get(name) != shape:
+                raise CheckpointError(
+                    f"{path}: header implies {name} of shape {shape}, "
+                    f"array list gives {shapes.get(name)}"
+                )
         rows = listed[0][1][0] if listed and listed[0][1] else 0
         kwargs = {k: header[k] for k in _HEADER_FIELDS if k not in ("emb", "arrays")}
         try:

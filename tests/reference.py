@@ -12,7 +12,19 @@ import numpy as np
 
 from adrtag.encoding import TagLabel
 from adrtag.model import GATES, BiLSTMParams, LinearHead, LSTMCellParams
-from adrtag.numerics import PROB_FLOOR, DimensionError, sigmoid
+from adrtag.numerics import PROB_FLOOR, DimensionError
+
+
+def sigmoid(x) -> np.ndarray:
+    """Elementwise logistic function, one formula per sign of ``x`` so that
+    ``exp`` never overflows."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def softmax(logits) -> np.ndarray:

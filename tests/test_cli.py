@@ -323,18 +323,35 @@ def _save_tiny_checkpoint(path, vocabulary=True):
 def test_checkpoint_header_missing_key_is_data_error(monkeypatch, capsys, tmp_path, key):
     path = tmp_path / "model.ckpt"
     _save_tiny_checkpoint(path)
-    data = path.read_bytes()
-    start = len(CHECKPOINT_MAGIC) + 8
-    end = start + int.from_bytes(data[len(CHECKPOINT_MAGIC) : start], "little")
-    header = json.loads(data[start:end])
-    del header[key]
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob + data[end:])
+    _rewrite_header(path, lambda header: header.pop(key))
 
     code, _, err = run_cli(monkeypatch, capsys, "predict",
                            "--checkpoint", str(path), "--text", "ugh so dizzy")
     assert code == EXIT_DATA
     assert repr(key) in err and "Traceback" not in err
+
+
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to the checkpoint's JSON header in place; arrays untouched."""
+    data = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 8
+    end = start + int.from_bytes(data[len(CHECKPOINT_MAGIC) : start], "little")
+    header = json.loads(data[start:end])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob + data[end:])
+
+
+def test_vocabulary_longer_than_embeddings_is_data_error(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "model.ckpt"
+    _save_tiny_checkpoint(path)
+    _rewrite_header(path, lambda header: header["vocab_tokens"].extend(["so", "here", "words"]))
+
+    code, _, err = run_cli(monkeypatch, capsys, "predict",
+                           "--checkpoint", str(path), "--text", "ugh here words")
+    assert code == EXIT_DATA
+    assert "model.ckpt: header implies embeddings of shape (10, 3)" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["pretrain", "train"])

@@ -227,6 +227,41 @@ class TestBackward:
             for res in gradient_check(seed):
                 assert res.ok, f"{res.head} head, seed {seed}: {res}"
 
+    def test_directional_derivatives_at_paper_shape(self):
+        """H=500, E=400 and a batch of 16 unsorted lengths 3-30: the analytic
+        gradient along random unit directions matches a central difference."""
+        rng = np.random.default_rng(0)
+        model = AdrModel(rng.normal(scale=0.1, size=(50, 400)), hidden=500,
+                         drug_count=10, seed=0)
+        lengths = rng.permutation(np.linspace(3, 30, 16).astype(int))
+        idx, n = training.pad_batch([rng.integers(1, 50, size=k) for k in lengths], 30)
+        tags = np.where(idx > 0, rng.integers(0, int(TagLabel.PAD), size=idx.shape),
+                        int(TagLabel.PAD))
+        labels = rng.integers(0, 10, size=16)
+        eps = 1e-5
+        for params, loss, backward in (
+            (model.drug_parameters(), lambda: model.drug_loss(idx, n, labels),
+             model.backward_drug),
+            (model.tag_parameters(), lambda: model.tag_loss(idx, n, tags),
+             model.backward_tags),
+        ):
+            model.zero_grad()
+            backward(loss()[1])
+            for _ in range(3):
+                d = [rng.normal(size=p.value.shape) for p in params]
+                norm = np.sqrt(sum((x * x).sum() for x in d))
+                analytic = sum((p.grad * x).sum() for p, x in zip(params, d)) / norm
+                for p, x in zip(params, d):
+                    p.value += eps * x / norm
+                plus = loss()[0]
+                for p, x in zip(params, d):
+                    p.value -= 2 * eps * x / norm
+                minus = loss()[0]
+                for p, x in zip(params, d):
+                    p.value += eps * x / norm
+                numeric = (plus - minus) / (2 * eps)
+                assert abs(analytic - numeric) < 1e-4 * max(abs(analytic), abs(numeric))
+
     def test_tag_loss_leaves_drug_head_untouched(self):
         model = AdrModel(
             np.random.default_rng(1).normal(size=(8, 4)), hidden=3, drug_count=3, seed=2

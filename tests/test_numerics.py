@@ -12,6 +12,7 @@ from adrtag.numerics import (
     sigmoid,
     softmax_rows,
 )
+import reference
 from reference import cross_entropy, softmax
 
 
@@ -35,6 +36,15 @@ class TestSigmoid:
     def test_never_nan_for_large_inputs(self):
         out = sigmoid(np.array([-1000.0, 1000.0]))
         assert np.all(np.isfinite(out))
+
+    def test_matches_two_branch_reference_bit_for_bit(self):
+        special = [0.0, 1e-300, 1.0, 700.0, 745.0, 800.0, np.inf]
+        xs = np.concatenate([
+            special, np.negative(special),
+            np.random.default_rng(0).normal(scale=50.0, size=100_000),
+        ])
+        assert np.array_equal(sigmoid(xs), reference.sigmoid(xs))
+        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 def _one_row(logits):

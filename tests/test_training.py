@@ -434,6 +434,20 @@ def test_per_gate_v1_checkpoint_fills_fused_blocks(tmp_path, gate_biases):
     assert resaved.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("hidden, emb", [(1000, 4), (3, 1000)], ids=["hidden", "emb"])
+def test_header_sizes_must_match_arrays_before_model_is_built(tmp_path, monkeypatch,
+                                                              hidden, emb):
+    """A header whose sizes disagree with its (size-checked) array list is
+    rejected before the constructor can allocate from those sizes."""
+    path = tmp_path / "v1.ckpt"
+    _write_v1_checkpoint(path, _v1_arrays(3, 4, True), hidden, emb, True)
+    built = []
+    monkeypatch.setattr(training, "AdrModel", lambda *a, **kw: built.append(a))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: header implies fwd.")):
+        load_checkpoint(path)
+    assert built == []
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda a: a + [("extra.w", np.ones(2))], "extra.w"),
     (lambda a: a[:-1], "tag.b"),
