@@ -86,13 +86,23 @@ class LinearHead:
 
 @dataclass
 class _DirectionCache:
-    # Time-major, in processing order; h[t], m[t] enter step t (h[0] = m[0] = 0).
+    # Packed time-major, in processing order: step t holds the live prefix of
+    # the length-sorted rows at positions offsets[t]:offsets[t]+live[t].
     emb: np.ndarray  # (V, E) embedding table; inputs are gathered where used
-    ids: np.ndarray  # (T, B) token ids
-    h: np.ndarray  # (T + 1, B, H)
-    m: np.ndarray  # (T + 1, B, H)
-    gates: np.ndarray  # (T, B, 4H) activations u, f, c, o
-    tanh_m: np.ndarray  # (T, B, H)
+    ids: np.ndarray  # (N,) token ids of the N real positions
+    live: np.ndarray  # (steps,) rows live at each step, non-increasing
+    h: np.ndarray  # (live[0] + N, H): zero start states, then each position's output
+    m: np.ndarray  # (live[0] + N, H), laid out like h
+    gates: np.ndarray  # (N, 4H) activations u, f, c, o
+    tanh_m: np.ndarray  # (N, H)
+
+
+def _offsets(live: np.ndarray) -> tuple:
+    """Where each step's rows begin: among the packed positions, and in the
+    state arrays, whose first live[0] rows are the zero start states and whose
+    row live[0] + p is position p's output (so step t reads step t - 1's)."""
+    offsets = np.cumsum(live) - live
+    return offsets, np.concatenate(([0], live[0] + offsets[:-1]))
 
 
 @dataclass
@@ -100,8 +110,8 @@ class EncodeCache:
     indices: np.ndarray
     lengths: np.ndarray
     mask: np.ndarray
-    rev: tuple  # (rows, cols) index reversing each row within its length; self-inverse
-    h: np.ndarray  # (B, T, 2H); unspecified at padding positions
+    pack: tuple  # (rows, fwd_cols, bwd_cols): (B, T) position of each packed position
+    h: np.ndarray  # (B, T, 2H); zero at padding positions
     fwd: _DirectionCache
     bwd: _DirectionCache
 
@@ -122,51 +132,57 @@ class TagLossCache:
     valid: np.ndarray  # (B, T) float, 1 at scored positions
 
 
-def _run_direction(cell: LSTMCellParams, emb: np.ndarray, ids: np.ndarray):
-    """Recurrence over time-major (T, B) token ids in processing order.
-    Padding sits at the tail of every row, so no real step reads a state that
-    padding wrote. Returns the (T, B, H) hidden states and the cache for
+def _run_direction(cell: LSTMCellParams, emb: np.ndarray, ids: np.ndarray, live: np.ndarray):
+    """Recurrence over the packed token ids of the real positions, in
+    processing order; each step computes only its ``live`` prefix of rows.
+    Returns the packed (N, H) hidden states and the cache for
     :func:`_backprop_direction`."""
-    T, B = ids.shape
     H = cell.hidden
-    gates = (emb[ids.ravel()] @ cell.i.value.T).reshape(T, B, 4 * H)
+    gates = emb[ids] @ cell.i.value.T
     gates += cell.b.value
-    h, m = np.zeros((2, T + 1, B, H))
-    tanh_m = np.empty((T, B, H))
-    for t in range(T):
-        a = gates[t]
-        a += h[t] @ cell.w.value.T
+    h, m = np.zeros((2, live[0] + len(ids), H))
+    tanh_m = np.empty((len(ids), H))
+    for o, s, n in zip(*_offsets(live), live):
+        a = gates[o : o + n]
+        a += h[s : s + n] @ cell.w.value.T
         a[:, : 2 * H] = sigmoid(a[:, : 2 * H])
         np.tanh(a[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
         a[:, 3 * H :] = sigmoid(a[:, 3 * H :])
-        u, f, c, o = np.split(a, len(GATES), axis=1)
-        m[t + 1] = f * m[t] + u * c
-        np.tanh(m[t + 1], out=tanh_m[t])
-        h[t + 1] = o * tanh_m[t]
-    return h[1:], _DirectionCache(emb=emb, ids=ids, h=h, m=m, gates=gates, tanh_m=tanh_m)
+        u, f, c, og = np.split(a, len(GATES), axis=1)
+        out = live[0] + o
+        m[out : out + n] = f * m[s : s + n] + u * c
+        np.tanh(m[out : out + n], out=tanh_m[o : o + n])
+        h[out : out + n] = og * tanh_m[o : o + n]
+    cache = _DirectionCache(emb=emb, ids=ids, live=live, h=h, m=m, gates=gates, tanh_m=tanh_m)
+    return h[live[0] :], cache
 
 
 def _backprop_direction(cell: LSTMCellParams, cache: _DirectionCache, dhs: np.ndarray):
-    """Accumulate one direction's gradients given dLoss/dh_t, (T, B, H) in
-    processing order, zero at padding. Gate gradients overwrite ``cache.gates``
-    step by step; each weight gradient is then one product over all steps."""
-    T, B, _ = cache.gates.shape
+    """Accumulate one direction's gradients given dLoss/dh, (N, H) in the
+    packed order of the cache. Gate gradients overwrite ``cache.gates`` step
+    by step; each weight gradient is then one product over the real positions."""
+    live = cache.live
+    offsets, starts = _offsets(live)
     H = cell.hidden
-    dh_next, dm_next = np.zeros((2, B, H))
-    for t in range(T - 1, -1, -1):
-        g = cache.gates[t]
-        u, f, c, o = np.split(g, len(GATES), axis=1)
-        tm = cache.tanh_m[t]
-        dh_raw = dhs[t] + dh_next
-        dm_raw = dm_next + dh_raw * o * (1.0 - tm * tm)
-        dm_next = dm_raw * f
+    # A row joins the walk at its last step, where nothing flows back into it.
+    dh_next, dm_next = np.zeros((2, live[0], H))
+    for t in range(len(live) - 1, -1, -1):
+        o, s, n = offsets[t], starts[t], live[t]
+        g = cache.gates[o : o + n]
+        u, f, c, og = np.split(g, len(GATES), axis=1)
+        tm = cache.tanh_m[o : o + n]
+        dh_raw = dhs[o : o + n] + dh_next[:n]
+        dm_raw = dm_next[:n] + dh_raw * og * (1.0 - tm * tm)
+        dm_next[:n] = dm_raw * f
         da_u, da_c = dm_raw * c * u * (1.0 - u), dm_raw * u * (1.0 - c * c)
-        da_f, da_o = dm_raw * cache.m[t] * f * (1.0 - f), dh_raw * tm * o * (1.0 - o)
+        da_f, da_o = dm_raw * cache.m[s : s + n] * f * (1.0 - f), dh_raw * tm * og * (1.0 - og)
         np.concatenate((da_u, da_f, da_c, da_o), axis=1, out=g)
-        dh_next = g @ cell.w.value
-    da = cache.gates.reshape(T * B, 4 * H)
-    cell.w.grad += da.T @ cache.h[:-1].reshape(T * B, H)
-    cell.i.grad += da.T @ cache.emb[cache.ids.ravel()]
+        np.matmul(g, cell.w.value, out=dh_next[:n])
+    da = cache.gates
+    # Position offsets[t] + k entered step t with the state in row starts[t] + k.
+    h_in = cache.h[np.arange(len(da)) + np.repeat(starts - offsets, live)]
+    cell.w.grad += da.T @ h_in
+    cell.i.grad += da.T @ cache.emb[cache.ids]
     if cell.gate_biases:
         cell.b.grad += da.sum(axis=0)
 
@@ -238,30 +254,41 @@ class AdrModel:
             raise ValueError("valid lengths must be in [1, T]")
         steps = np.arange(T)
         mask = (steps[None, :] < lengths[:, None]).astype(np.float64)
-        # Backward reads each row from its own last token; padding stays at the tail.
-        rev = (np.arange(B)[:, None], np.where(mask > 0, lengths[:, None] - 1 - steps, steps))
+        # Longest rows first, so the rows live at step t are one prefix in both
+        # directions; the backward direction reads each row from its last token.
+        order = np.argsort(-lengths, kind="stable")
+        sorted_lengths = lengths[order]
+        live = (sorted_lengths[None, :] > steps[: sorted_lengths[0], None]).sum(axis=1)
+        t = np.repeat(np.arange(len(live)), live)
+        k = np.arange(len(t)) - np.repeat(np.cumsum(live) - live, live)
+        pack = (order[k], t, sorted_lengths[k] - 1 - t)
+        rows, fwd_cols, bwd_cols = pack
         H = self.hidden
-        h = np.empty((B, T, 2 * H))
-        hs, fwd = _run_direction(self.encoder.forward_cell, self.embeddings, indices.T)
-        h[..., :H] = hs.transpose(1, 0, 2)
-        hs, bwd = _run_direction(self.encoder.backward_cell, self.embeddings, indices[rev].T)
-        h[..., H:][rev] = hs.transpose(1, 0, 2)
+        h = np.zeros((B, T, 2 * H))
+        hs, fwd = _run_direction(
+            self.encoder.forward_cell, self.embeddings, indices[rows, fwd_cols], live
+        )
+        h[rows, fwd_cols, :H] = hs
+        hs, bwd = _run_direction(
+            self.encoder.backward_cell, self.embeddings, indices[rows, bwd_cols], live
+        )
+        h[rows, bwd_cols, H:] = hs
         return EncodeCache(
-            indices=indices, lengths=lengths, mask=mask, rev=rev, h=h, fwd=fwd, bwd=bwd
+            indices=indices, lengths=lengths, mask=mask, pack=pack, h=h, fwd=fwd, bwd=bwd
         )
 
     def _backprop_encoder(self, enc: EncodeCache, dh: np.ndarray):
         H = self.hidden
-        _backprop_direction(self.encoder.forward_cell, enc.fwd, dh[..., :H].transpose(1, 0, 2))
-        dh_bwd = dh[..., H:][enc.rev].transpose(1, 0, 2)  # processing order, like enc.bwd
-        _backprop_direction(self.encoder.backward_cell, enc.bwd, dh_bwd)
+        rows, fwd_cols, bwd_cols = enc.pack
+        _backprop_direction(self.encoder.forward_cell, enc.fwd, dh[rows, fwd_cols, :H])
+        _backprop_direction(self.encoder.backward_cell, enc.bwd, dh[rows, bwd_cols, H:])
 
     # -- drug-prediction head -----------------------------------------------
 
     def _drug_logits(self, enc: EncodeCache) -> tuple:
         """Pooled encoder states (B, 2H) over real positions and the drug
         head's logits (B, D)."""
-        pooled = (enc.h * enc.mask[..., None]).sum(axis=1)
+        pooled = enc.h.sum(axis=1)  # padding states are zero
         if self.pooling == "mean":
             pooled = pooled / enc.lengths[:, None]
         return pooled, pooled @ self.drug_head.w.value.T + self.drug_head.b.value
@@ -290,9 +317,10 @@ class AdrModel:
         self.drug_head.w.grad += dlogits.T @ cache.pooled
         self.drug_head.b.grad += dlogits.sum(axis=0)
         dpooled = dlogits @ self.drug_head.w.value
-        dh = dpooled[:, None, :] * cache.enc.mask[..., None]
         if self.pooling == "mean":
-            dh = dh / cache.enc.lengths[:, None, None]
+            dpooled = dpooled / cache.enc.lengths[:, None]
+        # Every real position gets its row's gradient; padding is never read.
+        dh = np.broadcast_to(dpooled[:, None, :], cache.enc.h.shape)
         self._backprop_encoder(cache.enc, dh)
         cache.enc = None  # spent; a second backward would double-count
 

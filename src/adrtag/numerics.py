@@ -39,7 +39,8 @@ class Parameter:
     adam_v: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.value = np.asarray(self.value, dtype=np.float64)
+        # C-contiguous, so the flattened arrays the optimizer slices are views.
+        self.value = np.ascontiguousarray(self.value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
         self.adam_m = np.zeros_like(self.value)
         self.adam_v = np.zeros_like(self.value)

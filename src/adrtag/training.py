@@ -65,27 +65,37 @@ def supervised_config(**kw) -> TrainConfig:
     return TrainConfig(**kw)
 
 
+ADAM_CHUNK = 32768  # elements per slice of the update, so its operands stay in cache
+
+
 def adam_step(param: Parameter, config: AdamConfig, t: int) -> None:
     """One bias-corrected Adam update; zeroes the gradient afterwards."""
     if t < 1:
         raise ValueError("step index must be >= 1")
-    g = param.grad
-    if not np.all(np.isfinite(g)):
+    if not np.all(np.isfinite(param.grad)):
         raise NumericalError(f"non-finite gradient for parameter {param.name}")
     # In place, in the textbook order: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
     # w -= (lr*m_hat) / (sqrt(v_hat) + eps); the spent gradient is the second scratch.
-    s = np.empty_like(g)
-    param.adam_m *= config.beta1
-    param.adam_m += np.multiply(1.0 - config.beta1, g, out=s)
-    param.adam_v *= config.beta2
-    np.multiply(1.0 - config.beta2, g, out=s)
-    param.adam_v += np.multiply(s, g, out=s)
-    np.divide(param.adam_m, 1.0 - config.beta1**t, out=s)
-    s *= config.learning_rate
-    np.divide(param.adam_v, 1.0 - config.beta2**t, out=g)
-    np.sqrt(g, out=g)
-    g += config.epsilon
-    param.value -= np.divide(s, g, out=s)
+    # Every operation is element-wise, so slicing changes no result.
+    w, m, v, grad = (
+        a.reshape(-1) for a in (param.value, param.adam_m, param.adam_v, param.grad)
+    )
+    scratch = np.empty(min(ADAM_CHUNK, grad.size))
+    for start in range(0, grad.size, ADAM_CHUNK):
+        chunk = slice(start, start + ADAM_CHUNK)
+        g, mc, vc = grad[chunk], m[chunk], v[chunk]
+        s = scratch[: len(g)]
+        mc *= config.beta1
+        mc += np.multiply(1.0 - config.beta1, g, out=s)
+        vc *= config.beta2
+        np.multiply(1.0 - config.beta2, g, out=s)
+        vc += np.multiply(s, g, out=s)
+        np.divide(mc, 1.0 - config.beta1**t, out=s)
+        s *= config.learning_rate
+        np.divide(vc, 1.0 - config.beta2**t, out=g)
+        np.sqrt(g, out=g)
+        g += config.epsilon
+        w[chunk] -= np.divide(s, g, out=s)
     param.zero_grad()
 
 
@@ -148,6 +158,15 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start : start + batch_size]
 
 
+def _check_loss(loss: float, phase: str, epoch: int, chosen) -> None:
+    """Fail before the backward pass when the forward pass lost finiteness."""
+    if not math.isfinite(loss):
+        ids = ", ".join(str(c[2]) for c in chosen)
+        raise NumericalError(
+            f"{phase} epoch {epoch}: non-finite loss on the batch of tweets {ids}"
+        )
+
+
 def pretrain(
     examples: Sequence[PretrainExample],
     model: AdrModel,
@@ -178,6 +197,7 @@ def pretrain(
             idx, lengths = pad_batch([c[0] for c in chosen], config.max_len)
             labels = np.array([c[1] for c in chosen])
             loss, cache = model.drug_loss(idx, lengths, labels)
+            _check_loss(loss, "pretrain", epoch, chosen)
             model.backward_drug(cache)
             optimizer.step()
             total_loss += loss * len(chosen)
@@ -236,6 +256,7 @@ def train_supervised(
                 [c[1] for c in chosen], config.max_len, pad_index=int(TagLabel.PAD)
             )
             loss, cache = model.tag_loss(idx, lengths, tags)
+            _check_loss(loss, "supervised", epoch, chosen)
             pred = cache.probs.argmax(axis=2)
             hit = (pred == tags) * (cache.valid > 0)
             correct += int(hit.sum())

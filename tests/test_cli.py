@@ -593,3 +593,43 @@ def test_preprocess_leaves_no_output_when_all_rejected(workspace, monkeypatch, c
     assert code == EXIT_DATA
     assert "kept=0" in out and "no tweets survived" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train"])
+def test_non_finite_loss_is_numerical_error(workspace, monkeypatch, capsys, tmp_path,
+                                            command):
+    """A NaN embedding row read by one tweet: exit 3 naming that tweet, no
+    traceback and no checkpoint."""
+    words = ["ugh", "feel", "dizzy", "head", "hurts", "sleepy"]
+    corpus, labeled = tmp_path / "corpus.tsv", tmp_path / "labeled.tsv"
+    corpus.write_text("".join(
+        f"t{i}\teffexor\t{' '.join(words[i % 3 :] + (['zzz'] if i == 4 else []))}\n"
+        for i in range(6)
+    ))
+    labeled.write_text("\n\n".join(
+        "\n".join(f"{w}\tO" for w in words[i % 3 :] + (["zzz"] if i == 4 else []))
+        for i in range(6)
+    ) + "\n")
+    vocab = tmp_path / "vocab.txt"
+    code, _, _ = run_cli(monkeypatch, capsys, "build-vocab", "--unlabeled", str(corpus),
+                         "--labeled", str(labeled), "--out", str(vocab))
+    assert code == 0
+    load_embeddings = cli_module.text.load_embeddings
+
+    def poisoned(path, vocab, seed=0):
+        table = load_embeddings(path, vocab, seed=seed)
+        table.vectors[vocab.index("zzz")] = np.nan
+        return table
+
+    monkeypatch.setattr(cli_module.text, "load_embeddings", poisoned)
+    out_path = tmp_path / "out.ckpt"
+    inputs = (["--corpus", str(corpus), "--lexicon", str(workspace / "drugs.txt")]
+              if command == "pretrain" else ["--labeled", str(labeled)])
+    code, _, err = run_cli(monkeypatch, capsys, command, *inputs, "--vocab", str(vocab),
+                           "--embeddings", str(workspace / "emb.txt"),
+                           "--hidden", "4", "--epochs", "1", "--batch-size", "1",
+                           "--out", str(out_path))
+    assert code == EXIT_NUMERICAL, err
+    assert "Traceback" not in err
+    assert ("t4" if command == "pretrain" else "sent-4") in err and "epoch 0" in err
+    assert not out_path.exists()

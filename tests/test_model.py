@@ -429,14 +429,25 @@ def _per_tweet_counts(model, data):
 def test_batched_heads_match_reference(lengths, seed, data):
     """Every batched head agrees with the single-sequence reference, for any
     batch size, lengths, order of the sequences and weights."""
+    order = data.draw(st.permutations(range(len(lengths))), label="batch order")
+    _check_heads_match_reference([lengths[k] for k in order], seed)
+
+
+@pytest.mark.parametrize("lengths", [[4, 4, 4], [7] * 5, [1], [6]])
+def test_constant_live_rows_and_single_row_match_reference(lengths):
+    """Equal lengths keep every row live at every step; B=1 is one live row."""
+    for seed in range(3):
+        _check_heads_match_reference(lengths, seed)
+
+
+def _check_heads_match_reference(lengths, seed):
     rng = np.random.default_rng(seed)
     model = AdrModel(rng.normal(size=(10, 4)), hidden=3, drug_count=3, seed=seed)
     for head in (model.drug_head, model.tag_head):
         head.b.value[...] = rng.normal(size=head.b.value.shape)
-    order = data.draw(st.permutations(range(len(lengths))), label="batch order")
-    ids = [rng.integers(1, 10, size=lengths[k]) for k in order]
-    tags = [rng.integers(0, int(TagLabel.PAD), size=lengths[k]) for k in order]
-    labels = rng.integers(0, 3, size=len(order))
+    ids = [rng.integers(1, 10, size=n) for n in lengths]
+    tags = [rng.integers(0, int(TagLabel.PAD), size=n) for n in lengths]
+    labels = rng.integers(0, 3, size=len(lengths))
     idx, n = training.pad_batch(ids, max_len=7)
     gold = training.pad_batch(tags, max_len=7, pad_index=int(TagLabel.PAD))[0]
 
@@ -456,6 +467,45 @@ def test_batched_heads_match_reference(lengths, seed, data):
         assert [TagLabel(int(t)) for t in row[:length]] == model.predict_tags(seq)
     records = [(seq, list(t), f"r{b}") for b, (seq, t) in enumerate(zip(ids, tags))]
     assert evaluate_tagging(model, records) == _per_tweet_counts(model, records)
+
+
+class TestPacking:
+    """``encode_batch`` sorts rows by length and runs each step on its live
+    rows only; no row may see another, or its position in the batch."""
+
+    LENGTHS = [3, 7, 1, 7, 4, 3, 7, 2]  # unsorted, with ties
+
+    def setup_batch(self, seed=0, extra=2):
+        rng = np.random.default_rng(seed)
+        model = AdrModel(rng.normal(size=(12, 5)), hidden=4, drug_count=3, seed=seed)
+        model.tag_head.b.value[...] = rng.normal(size=4)
+        ids = [rng.integers(1, 12, size=k) for k in self.LENGTHS]
+        idx = _pad_to(ids, max(self.LENGTHS) + extra, 0)
+        return model, ids, idx, np.array(self.LENGTHS)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_row_matches_itself_alone(self, seed):
+        model, ids, idx, n = self.setup_batch(seed)
+        h = model.encode_batch(idx, n).h
+        pred = model.predict_tag_batch(idx, n)
+        for b, row in enumerate(ids):
+            alone = model.encode_batch([row], [len(row)]).h[0]
+            np.testing.assert_allclose(h[b, : len(row)], alone, rtol=0, atol=1e-13)
+            alone_pred = model.predict_tag_batch([row], [len(row)])[0]
+            assert np.array_equal(pred[b, : len(row)], alone_pred)
+
+    def test_permuting_rows_permutes_states(self):
+        model, _, idx, n = self.setup_batch()
+        perm = np.random.default_rng(5).permutation(len(n))
+        h = model.encode_batch(idx, n).h
+        np.testing.assert_allclose(model.encode_batch(idx[perm], n[perm]).h, h[perm],
+                                   rtol=0, atol=1e-13)
+
+    def test_states_are_zero_at_padding(self):
+        model, _, idx, n = self.setup_batch()
+        h = model.encode_batch(idx, n).h
+        padding = np.arange(idx.shape[1])[None, :] >= n[:, None]
+        assert padding.sum() > 0 and not h[padding].any()
 
 
 def test_evaluate_tagging_batches_by_length(monkeypatch):

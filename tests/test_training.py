@@ -272,6 +272,37 @@ class TestTrainSupervised:
         assert all(b <= a + 1e-3 for a, b in zip(half, half[1:]))
 
 
+class TestNonFiniteLoss:
+    """A NaN embedding row read by one tweet fails that tweet's batch right
+    after the forward pass, naming the phase, epoch and tweet, before any
+    backward pass or update can write the NaN into the weights."""
+
+    @staticmethod
+    def poison_one_tweet(model, examples, victim):
+        used = {i for k, e in enumerate(examples) if k != victim for i in e[0]}
+        row = min(set(range(1, len(model.embeddings))) - used)
+        examples[victim][0][0] = row
+        model.embeddings[row] = np.nan
+
+    def test_pretrain_names_the_tweet(self):
+        vocab, _, model = tiny_setup()
+        examples = synthetic.unlabeled_examples(vocab, 3, 20, seed=1)
+        victim = heldout_split([e[2] for e in examples])[0][-1]
+        self.poison_one_tweet(model, examples, victim)
+        name = re.escape(examples[victim][2])
+        with pytest.raises(NumericalError, match=rf"pretrain epoch 0: .*\b{name}$"):
+            pretrain(examples, model, pretrain_config(epochs=1, batch_size=1, max_len=12))
+        assert all(np.isfinite(p.value).all() for p in model.all_parameters())
+
+    def test_supervised_names_the_tweet(self):
+        vocab, _, model = tiny_setup()
+        data = synthetic.labeled_examples(vocab, 3, 12, seed=4)
+        self.poison_one_tweet(model, data, 7)
+        with pytest.raises(NumericalError, match=r"supervised epoch 0: .*\bl7$"):
+            train_supervised(data, model, supervised_config(epochs=1, max_len=12))
+        assert all(np.isfinite(p.value).all() for p in model.all_parameters())
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         vocab, _, model = tiny_setup(seed=11)
