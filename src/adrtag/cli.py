@@ -7,6 +7,7 @@ Relative checkpoint paths are resolved against $ADR_CHECKPOINT_DIR when set.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 from dataclasses import fields
@@ -17,6 +18,7 @@ import numpy as np
 import yaml
 
 from . import encoding, evaluation, text, training
+from .files import atomic_write
 from .model import AdrModel, gradient_check
 from .numerics import NumericalError
 
@@ -158,6 +160,15 @@ def _load_tagger(checkpoint, expected_hidden=None):
     return model, text.Vocabulary(model.vocab_tokens)
 
 
+@contextlib.contextmanager
+def _naming_checkpoint(checkpoint):
+    """Name the checkpoint in a NumericalError raised inside the block."""
+    try:
+        yield
+    except NumericalError as exc:
+        raise NumericalError(f"{_ckpt_path(checkpoint)}: {exc}") from exc
+
+
 @click.group()
 def cli():
     """Semi-supervised BiLSTM toolkit for ADR mention extraction."""
@@ -198,7 +209,8 @@ def preprocess(input_path, lexicon, stopwords, out_path, drug_mask):
     )
     if not lines:
         raise text.DataError("no tweets survived preprocessing")
-    Path(out_path).write_text("".join(lines), encoding="utf-8")
+    with atomic_write(out_path) as fh:
+        fh.writelines(lines)
 
 
 @cli.command("build-vocab")
@@ -328,17 +340,19 @@ def evaluate(checkpoint, test_path, trials, labeled, epochs, max_len, seed,
         model, vocab_obj = _load_tagger(checkpoint)
         if i == 0:
             test_data = _encode_labeled(encoding.read_conll(test_path), vocab_obj)
-        if trials > 1:
-            data = _encode_labeled(encoding.read_conll(labeled), vocab_obj)
-            training.train_supervised(data, model, training.supervised_config(
-                epochs=epochs, max_len=max_len, seed=seed + i))
-        per_trial.append(evaluation.prf(
-            evaluation.evaluate_tagging(model, test_data, label)))
+        with _naming_checkpoint(checkpoint):
+            if trials > 1:
+                data = _encode_labeled(encoding.read_conll(labeled), vocab_obj)
+                training.train_supervised(data, model, training.supervised_config(
+                    epochs=epochs, max_len=max_len, seed=seed + i))
+            per_trial.append(evaluation.prf(
+                evaluation.evaluate_tagging(model, test_data, label)))
     report = evaluation.aggregate_trials(per_trial)
     out = evaluation.format_report(report)
     click.echo(out)
     if report_path:
-        Path(report_path).write_text(out + "\n", encoding="utf-8")
+        with atomic_write(report_path) as fh:
+            fh.write(out + "\n")
 
 
 @cli.command()
@@ -353,7 +367,8 @@ def predict(checkpoint, raw_text):
     if not tokens:
         click.echo("warning: input is empty after preprocessing", err=True)
         return
-    tags = model.predict_tags(vocab_obj.indices(tokens))
+    with _naming_checkpoint(checkpoint):
+        tags = model.predict_tags(vocab_obj.indices(tokens))
     for tok, tag in zip(tokens, tags):
         click.echo(f"{tok}\t{encoding.TAG_TO_STRING[tag]}")
     for span in encoding.decode_spans(tags):

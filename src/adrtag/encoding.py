@@ -6,6 +6,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from .files import atomic_write
 from .text import DataError
 
 ADR = "ADR"
@@ -109,7 +110,7 @@ def read_conll(path) -> List[Tuple[List[str], List[TagLabel]]]:
 
 
 def write_conll(path, sentences) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for tokens, tags in sentences:
             for tok, tag in zip(tokens, tags):
                 fh.write(f"{tok}\t{TAG_TO_STRING[TagLabel(tag)]}\n")

@@ -17,7 +17,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .encoding import TagLabel
-from .numerics import PROB_FLOOR, DimensionError, Parameter, sigmoid, softmax_rows
+from .numerics import (
+    PROB_FLOOR,
+    DimensionError,
+    NumericalError,
+    Parameter,
+    sigmoid,
+    softmax_rows,
+)
 
 GATES = ("u", "f", "c", "o")  # row-block order of the fused gate arrays
 FORGET_BIAS = 1.0
@@ -31,23 +38,25 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 class LSTMCellParams:
     """One direction's fused gate weights: recurrent ``w`` (4H x H), input
     projection ``i`` (4H x E) and bias ``b`` (4H). Rows ``k*H:(k+1)*H`` of
-    each belong to gate ``GATES[k]`` (update, forget, candidate, output)."""
+    each belong to gate ``GATES[k]`` (update, forget, candidate, output).
+    Without ``rng``, ``w`` and ``i`` are left unset, for a caller that fills them."""
 
     def __init__(
         self,
         prefix: str,
         hidden: int,
         emb: int,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator],
         gate_biases: bool = True,
     ):
         self.hidden = hidden
         self.emb = emb
         self.gate_biases = gate_biases
         w, i = np.empty((4 * hidden, hidden)), np.empty((4 * hidden, emb))
-        for k in range(len(GATES)):  # one draw per gate block, w before i
-            w[k * hidden : (k + 1) * hidden] = glorot(rng, hidden, hidden)
-            i[k * hidden : (k + 1) * hidden] = glorot(rng, hidden, emb)
+        if rng is not None:
+            for k in range(len(GATES)):  # one draw per gate block, w before i
+                w[k * hidden : (k + 1) * hidden] = glorot(rng, hidden, hidden)
+                i[k * hidden : (k + 1) * hidden] = glorot(rng, hidden, emb)
         b = np.zeros(4 * hidden)
         b[hidden : 2 * hidden] = FORGET_BIAS if gate_biases else 0.0
         self.w = Parameter(f"{prefix}.w", w)
@@ -68,10 +77,14 @@ class BiLSTMParams:
 
 
 class LinearHead:
-    """Affine map followed (by callers) by a softmax."""
+    """Affine map followed (by callers) by a softmax. Without ``rng``, ``w``
+    is left unset, for a caller that fills it."""
 
-    def __init__(self, prefix: str, out_dim: int, in_dim: int, rng: np.random.Generator):
-        self.w = Parameter(f"{prefix}.w", glorot(rng, out_dim, in_dim))
+    def __init__(
+        self, prefix: str, out_dim: int, in_dim: int, rng: Optional[np.random.Generator]
+    ):
+        w = glorot(rng, out_dim, in_dim) if rng is not None else np.empty((out_dim, in_dim))
+        self.w = Parameter(f"{prefix}.w", w)
         self.b = Parameter(f"{prefix}.b", np.zeros(out_dim))
 
     def params(self) -> List[Parameter]:
@@ -188,7 +201,10 @@ def _backprop_direction(cell: LSTMCellParams, cache: _DirectionCache, dhs: np.nd
 
 
 class AdrModel:
-    """Encoder + both task heads, with frozen word embeddings as input."""
+    """Encoder + both task heads, with frozen word embeddings as input.
+
+    The weights are Glorot draws from ``seed``; ``load_checkpoint``, which
+    overwrites every array, builds the model with ``_draw_weights=False``."""
 
     def __init__(
         self,
@@ -200,6 +216,8 @@ class AdrModel:
         pooling: str = "mean",
         vocab_tokens: Optional[List[str]] = None,
         drug_names: Optional[List[str]] = None,
+        *,
+        _draw_weights: bool = True,
     ):
         if drug_count < 2:
             raise ValueError("drug catalog must contain at least 2 names")
@@ -214,7 +232,7 @@ class AdrModel:
         self.gate_biases = gate_biases
         self.vocab_tokens = vocab_tokens
         self.drug_names = drug_names
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if _draw_weights else None
         self.encoder = BiLSTMParams(
             LSTMCellParams("fwd", hidden, self.emb, rng, gate_biases),
             LSTMCellParams("bwd", hidden, self.emb, rng, gate_biases),
@@ -265,14 +283,20 @@ class AdrModel:
         rows, fwd_cols, bwd_cols = pack
         H = self.hidden
         h = np.zeros((B, T, 2 * H))
-        hs, fwd = _run_direction(
-            self.encoder.forward_cell, self.embeddings, indices[rows, fwd_cols], live
-        )
-        h[rows, fwd_cols, :H] = hs
-        hs, bwd = _run_direction(
-            self.encoder.backward_cell, self.embeddings, indices[rows, bwd_cols], live
-        )
-        h[rows, bwd_cols, H:] = hs
+        # A huge but finite embedding row can overflow the gate sums to inf,
+        # and then to NaN states that would tag silently.
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                hs, fwd = _run_direction(
+                    self.encoder.forward_cell, self.embeddings, indices[rows, fwd_cols], live
+                )
+                h[rows, fwd_cols, :H] = hs
+                hs, bwd = _run_direction(
+                    self.encoder.backward_cell, self.embeddings, indices[rows, bwd_cols], live
+                )
+                h[rows, bwd_cols, H:] = hs
+        except FloatingPointError as exc:
+            raise NumericalError(f"encoder forward overflowed: {exc}") from exc
         return EncodeCache(
             indices=indices, lengths=lengths, mask=mask, pack=pack, h=h, fwd=fwd, bwd=bwd
         )

@@ -1,13 +1,13 @@
 """Float64 activations and a finite-difference gradient oracle.
 
 Everything here operates on plain numpy float64 arrays. Trainable arrays are
-wrapped in :class:`Parameter`, which carries the gradient buffer and the Adam
-moment buffers alongside the weights.
+wrapped in :class:`Parameter`, which allocates the gradient buffer and the
+Adam moment buffers beside the weights on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Sequence
 
 import numpy as np
@@ -23,9 +23,14 @@ class NumericalError(RuntimeError):
     """A non-finite value appeared where finite math was required."""
 
 
+_TRAINING_BUFFERS = ("grad", "adam_m", "adam_v")
+
+
 @dataclass
 class Parameter:
-    """A trainable array plus its gradient and Adam moment buffers.
+    """A trainable array. Its gradient ``grad`` and Adam moments ``adam_m``
+    and ``adam_v`` are allocated, zero-filled, the first time they are read,
+    so a model that only predicts holds only its weights.
 
     Gradients accumulate additively into ``grad``; callers must zero it
     between optimizer steps (shared encoder weights receive gradients from
@@ -34,19 +39,27 @@ class Parameter:
 
     name: str
     value: np.ndarray
-    grad: np.ndarray = field(init=False)
-    adam_m: np.ndarray = field(init=False)
-    adam_v: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # C-contiguous, so the flattened arrays the optimizer slices are views.
         self.value = np.ascontiguousarray(self.value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
-        self.adam_m = np.zeros_like(self.value)
-        self.adam_v = np.zeros_like(self.value)
+
+    def __getattr__(self, attr):
+        # Reached only when ``attr`` is not yet an instance attribute.
+        if attr not in _TRAINING_BUFFERS:
+            raise AttributeError(attr)
+        buffer = np.zeros_like(self.value)
+        setattr(self, attr, buffer)
+        return buffer
 
     def zero_grad(self):
-        self.grad[...] = 0.0
+        if "grad" in vars(self):
+            self.grad[...] = 0.0
+
+    def drop_moments(self):
+        """Forget the Adam moments; the next read allocates fresh zeros."""
+        vars(self).pop("adam_m", None)
+        vars(self).pop("adam_v", None)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

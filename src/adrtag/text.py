@@ -10,6 +10,8 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
+from .files import atomic_write
+
 PAD = "<PAD>"
 UNK = "<UNK>"
 LINK = "<LINK>"
@@ -207,7 +209,7 @@ class Vocabulary:
         return [self.index(t) for t in tokens]
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for tok in self.index_to_token:
                 fh.write(tok + "\n")
 

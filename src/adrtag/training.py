@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .encoding import TagLabel
+from .files import atomic_write
 from .model import GATES, AdrModel
 from .numerics import NumericalError, Parameter
 
@@ -69,20 +70,21 @@ ADAM_CHUNK = 32768  # elements per slice of the update, so its operands stay in 
 
 
 def adam_step(param: Parameter, config: AdamConfig, t: int) -> None:
-    """One bias-corrected Adam update; zeroes the gradient afterwards."""
+    """One bias-corrected Adam update; zeroes the gradient as it goes."""
     if t < 1:
         raise ValueError("step index must be >= 1")
-    if not np.all(np.isfinite(param.grad)):
-        raise NumericalError(f"non-finite gradient for parameter {param.name}")
-    # In place, in the textbook order: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
-    # w -= (lr*m_hat) / (sqrt(v_hat) + eps); the spent gradient is the second scratch.
-    # Every operation is element-wise, so slicing changes no result.
     w, m, v, grad = (
         a.reshape(-1) for a in (param.value, param.adam_m, param.adam_v, param.grad)
     )
+    chunks = [slice(start, start + ADAM_CHUNK) for start in range(0, grad.size, ADAM_CHUNK)]
+    if not all(np.isfinite(grad[chunk]).all() for chunk in chunks):
+        raise NumericalError(f"non-finite gradient for parameter {param.name}")
+    # In place, in the textbook order: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    # w -= (lr*m_hat) / (sqrt(v_hat) + eps); the spent gradient is the second
+    # scratch, zeroed for the next step while it is still in cache.
+    # Every operation is element-wise, so slicing changes no result.
     scratch = np.empty(min(ADAM_CHUNK, grad.size))
-    for start in range(0, grad.size, ADAM_CHUNK):
-        chunk = slice(start, start + ADAM_CHUNK)
+    for chunk in chunks:
         g, mc, vc = grad[chunk], m[chunk], v[chunk]
         s = scratch[: len(g)]
         mc *= config.beta1
@@ -96,7 +98,7 @@ def adam_step(param: Parameter, config: AdamConfig, t: int) -> None:
         np.sqrt(g, out=g)
         g += config.epsilon
         w[chunk] -= np.divide(s, g, out=s)
-    param.zero_grad()
+        g.fill(0.0)
 
 
 class Adam:
@@ -107,9 +109,8 @@ class Adam:
         self.params = list(params)
         self.config = config or AdamConfig()
         self.t = 0
-        for p in self.params:  # fresh moments; in place, so no memory is added
-            p.adam_m.fill(0.0)
-            p.adam_v.fill(0.0)
+        for p in self.params:  # the first step allocates fresh zero moments
+            p.drop_moments()
 
     def step(self):
         self.t += 1
@@ -158,13 +159,18 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start : start + batch_size]
 
 
-def _check_loss(loss: float, phase: str, epoch: int, chosen) -> None:
-    """Fail before the backward pass when the forward pass lost finiteness."""
-    if not math.isfinite(loss):
+def _forward(loss_fn, phase: str, epoch: int, chosen, *args) -> tuple:
+    """``loss_fn(*args)``, failing before the backward pass when the forward
+    pass overflowed or lost finiteness, with the phase, epoch and tweets."""
+    try:
+        loss, cache = loss_fn(*args)
+        problem = None if math.isfinite(loss) else "non-finite loss"
+    except NumericalError as exc:
+        problem = str(exc)
+    if problem is not None:
         ids = ", ".join(str(c[2]) for c in chosen)
-        raise NumericalError(
-            f"{phase} epoch {epoch}: non-finite loss on the batch of tweets {ids}"
-        )
+        raise NumericalError(f"{phase} epoch {epoch}: {problem} on the batch of tweets {ids}")
+    return loss, cache
 
 
 def pretrain(
@@ -196,8 +202,8 @@ def pretrain(
             chosen = [examples[train_idx[i]] for i in batch]
             idx, lengths = pad_batch([c[0] for c in chosen], config.max_len)
             labels = np.array([c[1] for c in chosen])
-            loss, cache = model.drug_loss(idx, lengths, labels)
-            _check_loss(loss, "pretrain", epoch, chosen)
+            loss, cache = _forward(model.drug_loss, "pretrain", epoch, chosen,
+                                   idx, lengths, labels)
             model.backward_drug(cache)
             optimizer.step()
             total_loss += loss * len(chosen)
@@ -255,8 +261,8 @@ def train_supervised(
             tags, _ = pad_batch(
                 [c[1] for c in chosen], config.max_len, pad_index=int(TagLabel.PAD)
             )
-            loss, cache = model.tag_loss(idx, lengths, tags)
-            _check_loss(loss, "supervised", epoch, chosen)
+            loss, cache = _forward(model.tag_loss, "supervised", epoch, chosen,
+                                   idx, lengths, tags)
             pred = cache.probs.argmax(axis=2)
             hit = (pred == tags) * (cache.valid > 0)
             correct += int(hit.sum())
@@ -278,7 +284,7 @@ def train_supervised(
 
 def write_log(path, records: Sequence[dict]) -> None:
     """Line-delimited JSON training log."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
@@ -304,7 +310,7 @@ def _model_arrays(model: AdrModel):
 
 
 def save_checkpoint(model: AdrModel, path) -> None:
-    """Write a temporary file beside ``path``, then rename it over ``path``."""
+    """Write the checkpoint atomically: ``path`` is never half-written."""
     arrays = _model_arrays(model)
     header = {
         "version": 1,
@@ -319,18 +325,12 @@ def save_checkpoint(model: AdrModel, path) -> None:
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(len(blob).to_bytes(8, "little"))
-            fh.write(blob)
-            for _, a in arrays:
-                fh.write(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_write(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(len(blob).to_bytes(8, "little"))
+        fh.write(blob)
+        for _, a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype=np.float64).tobytes())
 
 
 def _is_int(value) -> bool:
@@ -353,7 +353,8 @@ _HEADER_FIELDS = {
 
 def load_checkpoint(path, expected_hidden: Optional[int] = None) -> AdrModel:
     """One pass: sizes are checked against the file before any array is
-    allocated, and each array is read straight into the model's storage."""
+    allocated, and each array is read straight into the model's storage,
+    which is built without random draws and holds no training buffers."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -397,7 +398,7 @@ def load_checkpoint(path, expected_hidden: Optional[int] = None) -> AdrModel:
         rows = listed[0][1][0] if listed and listed[0][1] else 0
         kwargs = {k: header[k] for k in _HEADER_FIELDS if k not in ("emb", "arrays")}
         try:
-            model = AdrModel(np.empty((rows, header["emb"])), **kwargs)
+            model = AdrModel(np.empty((rows, header["emb"])), **kwargs, _draw_weights=False)
         except ValueError as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
         arrays = _model_arrays(model)

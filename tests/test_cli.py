@@ -416,6 +416,53 @@ def test_checkpoint_without_vocabulary_is_data_error(workspace, monkeypatch, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_overflow_in_inference_is_numerical_error(workspace, monkeypatch, capsys, tmp_path,
+                                                  command):
+    """Finite but huge embedding rows overflow the encoder: exit 3 naming the
+    checkpoint, no traceback, no tags and no report."""
+    ckpt = tmp_path / "huge.ckpt"
+    tokens = ["<PAD>", "<UNK>", "<LINK>", "<USER>", "<DRUG>", "ugh", "dizzy"]
+    embeddings = np.full((len(tokens), 3), 1.7e308)
+    embeddings[0] = 0.0
+    model = AdrModel(embeddings, hidden=2, drug_count=2, seed=0, vocab_tokens=tokens,
+                     drug_names=["a", "b"])
+    model.encoder.forward_cell.i.value[...] = 1.0
+    save_checkpoint(model, ckpt)
+    report = tmp_path / "report.txt"
+    args = {
+        "predict": ["--checkpoint", str(ckpt), "--text", "ugh so dizzy"],
+        "evaluate": ["--checkpoint", str(ckpt), "--test", str(workspace / "test.tsv"),
+                     "--report", str(report)],
+    }[command]
+    code, out, err = run_cli(monkeypatch, capsys, command, *args)
+    assert code == EXIT_NUMERICAL, err
+    assert f"{ckpt}: encoder forward overflowed" in err
+    assert "Traceback" not in err and out == ""
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["preprocess", "evaluate"])
+def test_failed_output_write_keeps_previous_file(workspace, monkeypatch, capsys, tmp_path,
+                                                 disk_fills_up, command):
+    out = tmp_path / "out.txt"
+    out.write_text("previous\n")
+    ckpt = tmp_path / "model.ckpt"
+    _save_tiny_checkpoint(ckpt)
+    args = {
+        "preprocess": ["--input", str(workspace / "raw.tsv"),
+                       "--lexicon", str(workspace / "drugs.txt"), "--out", str(out)],
+        "evaluate": ["--checkpoint", str(ckpt), "--test", str(workspace / "test.tsv"),
+                     "--report", str(out)],
+    }[command]
+    listing = sorted(p.name for p in tmp_path.iterdir())
+    disk_fills_up(20)
+    with pytest.raises(OSError, match="No space left"):
+        run_cli(monkeypatch, capsys, command, *args)
+    assert out.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+
 @pytest.mark.parametrize("hidden, expected", [(2, 0), (3, EXIT_DATA)])
 def test_init_checkpoint_checks_config_hidden(workspace, monkeypatch, capsys, tmp_path,
                                               hidden, expected):

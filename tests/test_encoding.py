@@ -125,6 +125,15 @@ class TestConllIO:
         write_conll(path, sentences)
         assert read_conll(path) == sentences
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        write_conll(path, [(["fine"], [TagLabel.O])])
+        before = path.read_bytes()
+        with pytest.raises(ValueError):  # 9 is no tag
+            write_conll(path, [(["ugh"], [TagLabel.O]), (["bad"], [9])])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["data.tsv"]
+
     def test_unknown_tag_names_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("ugh\tO\nweight\tB-ADR\n")

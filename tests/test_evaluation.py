@@ -9,9 +9,12 @@ from adrtag.evaluation import (
     MatchCounts,
     aggregate_trials,
     approximate_match,
+    evaluate_tagging,
     format_report,
     prf,
 )
+from adrtag.model import AdrModel
+from adrtag.numerics import NumericalError
 from test_encoding import random_span_set
 
 
@@ -143,3 +146,16 @@ class TestAggregateTrials:
         assert len(lines) == 4  # header, two trials, summary
         assert "±" in lines[-1]
         assert lines[-1].startswith("mean")
+
+
+def test_overflowing_embedding_row_fails_instead_of_tagging():
+    """A huge but finite row overflows the gate sums; the NaN states it leads
+    to would otherwise tag every position I-ADR."""
+    embeddings = np.random.default_rng(0).normal(size=(6, 3))
+    model = AdrModel(embeddings, hidden=2, drug_count=2, seed=0)
+    data = [([1, 2, 3], [2, 2, 2], "ok"), ([4, 5], [0, 2], "huge")]
+    assert evaluate_tagging(model, data).gold == 1
+    model.embeddings[5] = 1.7e308
+    model.encoder.backward_cell.i.value[...] = 1.0
+    with pytest.raises(NumericalError, match="encoder forward overflowed"):
+        evaluate_tagging(model, data)

@@ -153,3 +153,16 @@ def test_parameter_buffers_start_zeroed():
     p.grad += 1.0
     p.zero_grad()
     assert np.array_equal(p.grad, np.zeros((2, 2)))
+
+
+def test_parameter_allocates_training_buffers_on_first_use():
+    p = Parameter("w", np.ones((2, 2)))
+    p.zero_grad()
+    assert set(vars(p)) == {"name", "value"}
+    p.adam_m += 1.0
+    assert set(vars(p)) == {"name", "value", "adam_m"}
+    p.drop_moments()
+    assert set(vars(p)) == {"name", "value"}
+    assert np.array_equal(p.adam_m, np.zeros((2, 2)))
+    with pytest.raises(AttributeError):
+        p.momentum

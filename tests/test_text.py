@@ -177,6 +177,16 @@ class TestVocabulary:
         w = Vocabulary.load(path)
         assert w.index_to_token == v.index_to_token
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        Vocabulary.build([["a"]], cap=5).save(path)
+        before = path.read_bytes()
+        bad = Vocabulary(list(SENTINELS) + ["fine", "lone\ud800surrogate"])
+        with pytest.raises(UnicodeEncodeError):
+            bad.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
+
 
 def test_normalize_token_alignment():
     assert normalize_token("@BLENDOS") == USER

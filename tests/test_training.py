@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthetic
+from adrtag import model as model_module
 from adrtag import training
 from adrtag.encoding import TagLabel
 from adrtag.model import AdrModel
@@ -26,6 +29,7 @@ from adrtag.training import (
     save_checkpoint,
     supervised_config,
     train_supervised,
+    write_log,
 )
 
 
@@ -107,6 +111,23 @@ class TestAdam:
             assert np.array_equal(p.adam_m, m)
             assert np.array_equal(p.adam_v, v)
             assert np.array_equal(p.value, w)
+
+    def test_non_finite_gradient_in_a_late_chunk_updates_nothing(self):
+        # every slice is checked before the first slice is updated
+        p = Parameter("w", np.ones(2 * training.ADAM_CHUNK + 5))
+        p.grad[...] = 1.0
+        p.grad[-1] = np.inf
+        with pytest.raises(NumericalError, match="non-finite gradient for parameter w"):
+            adam_step(p, AdamConfig(), t=1)
+        assert np.array_equal(p.value, np.ones(p.value.size))
+        assert not p.adam_m.any() and not p.adam_v.any()
+
+    def test_every_chunk_of_the_gradient_is_zeroed(self):
+        p = Parameter("w", np.ones((3, training.ADAM_CHUNK)))
+        p.grad[...] = 1.0
+        adam_step(p, AdamConfig(), t=1)
+        assert not p.grad.any()
+        assert np.all(p.value < 1.0)
 
     def test_bad_step_index(self):
         p = Parameter("w", np.ones(1))
@@ -272,6 +293,92 @@ class TestTrainSupervised:
         assert all(b <= a + 1e-3 for a, b in zip(half, half[1:]))
 
 
+def _buffers(param):
+    return {"grad", "adam_m", "adam_v"} & set(vars(param))
+
+
+class TestTrainingBuffers:
+    """Gradients and Adam moments exist only once training touches them."""
+
+    def test_zero_grad_on_a_fresh_model_allocates_nothing(self):
+        _, _, model = tiny_setup()
+        model.zero_grad()
+        assert all(_buffers(p) == set() for p in model.all_parameters())
+
+    def test_one_adam_step_gives_the_group_its_buffers(self):
+        vocab, _, model = tiny_setup()
+        (ids, tags, _), = synthetic.labeled_examples(vocab, 3, 1, seed=3)
+        optimizer = Adam(model.tag_parameters())
+        model.backward_tags(model.tag_loss([ids], [len(ids)], [tags])[1])
+        optimizer.step()
+        for p in model.tag_parameters():
+            assert _buffers(p) == {"grad", "adam_m", "adam_v"}, p.name
+            assert not p.grad.any() and p.adam_v.any(), p.name
+        assert all(_buffers(p) == set() for p in model.drug_head.params())
+
+    def test_new_optimizer_drops_moments_and_keeps_gradients(self):
+        _, _, model = tiny_setup()
+        params = model.tag_parameters()
+        for p in params:
+            p.adam_m += 1.0
+            p.grad += 1.0
+        Adam(params)
+        assert all(_buffers(p) == {"grad"} for p in params)
+
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        _, _, model = tiny_setup(seed=4)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+
+        def no_draws(*args):
+            raise AssertionError("load_checkpoint drew random weights")
+
+        monkeypatch.setattr(model_module, "glorot", no_draws)
+        loaded = load_checkpoint(path)
+        for a, b in zip(model.all_parameters(), loaded.all_parameters()):
+            assert np.array_equal(a.value, b.value), a.name
+            assert _buffers(b) == set(), b.name
+
+    def test_load_and_predict_peak_is_weights_and_activations(self, tmp_path):
+        vocab, _, model = tiny_setup(emb_dim=8, hidden=64)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        array_bytes = sum(a.nbytes for _, a in training._model_arrays(model))
+        idx, lengths = pad_batch([e[0] for e in synthetic.labeled_examples(vocab, 3, 8, seed=2)],
+                                 max_len=12)
+        warm = load_checkpoint(path)
+        warm.predict_tag_batch(idx, lengths)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        activations = peak(lambda: warm.predict_tag_batch(idx, lengths))
+        total = peak(lambda: load_checkpoint(path).predict_tag_batch(idx, lengths))
+        assert total < 1.5 * array_bytes + activations
+
+    def test_deep_copies_train_like_the_original(self):
+        vocab, _, model = tiny_setup()
+        data = synthetic.labeled_examples(vocab, 3, 2, seed=6)
+        cfg = supervised_config(epochs=1, max_len=12)  # two B=1 steps
+
+        def train_both(copied):
+            train_supervised(data, model, cfg)
+            train_supervised(data, copied, cfg)
+            for p, q in zip(model.all_parameters(), copied.all_parameters()):
+                assert np.array_equal(p.value, q.value), p.name
+
+        train_both(copy.deepcopy(model))  # copied before any buffer exists
+        copied = copy.deepcopy(model)  # copies the buffers training left
+        assert not any(np.shares_memory(p.grad, q.grad)
+                       for p, q in zip(model.tag_parameters(), copied.tag_parameters()))
+        train_both(copied)
+
+
 class TestNonFiniteLoss:
     """A NaN embedding row read by one tweet fails that tweet's batch right
     after the forward pass, naming the phase, epoch and tweet, before any
@@ -299,6 +406,18 @@ class TestNonFiniteLoss:
         data = synthetic.labeled_examples(vocab, 3, 12, seed=4)
         self.poison_one_tweet(model, data, 7)
         with pytest.raises(NumericalError, match=r"supervised epoch 0: .*\bl7$"):
+            train_supervised(data, model, supervised_config(epochs=1, max_len=12))
+        assert all(np.isfinite(p.value).all() for p in model.all_parameters())
+
+    def test_overflow_names_the_tweet(self):
+        # a huge but finite row overflows the input projection to inf
+        vocab, _, model = tiny_setup()
+        data = synthetic.labeled_examples(vocab, 3, 12, seed=4)
+        self.poison_one_tweet(model, data, 7)
+        model.embeddings[np.isnan(model.embeddings)] = 1.7e308
+        model.encoder.forward_cell.i.value[...] = 1.0
+        with pytest.raises(NumericalError,
+                           match=r"supervised epoch 0: encoder forward overflowed: .*\bl7$"):
             train_supervised(data, model, supervised_config(epochs=1, max_len=12))
         assert all(np.isfinite(p.value).all() for p in model.all_parameters())
 
@@ -372,6 +491,22 @@ class TestCheckpoint:
             save_checkpoint(tiny_setup(hidden=3)[2], path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_failed_log_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "train.log"
+    write_log(path, [{"epoch": 0}])
+    before = path.read_bytes()
+    with pytest.raises(TypeError):  # the second record is not JSON
+        write_log(path, [{"epoch": 1}, {"epoch": object()}])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["train.log"]
+
+
+def test_log_in_a_missing_directory_names_the_log(tmp_path):
+    path = tmp_path / "missing" / "train.log"
+    with pytest.raises(FileNotFoundError, match=re.escape(f"'{path}'")):
+        write_log(path, [{"epoch": 0}])
 
 
 @pytest.fixture(scope="module")
