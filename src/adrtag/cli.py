@@ -160,6 +160,12 @@ def _load_tagger(checkpoint, expected_hidden=None):
     return model, text.Vocabulary(model.vocab_tokens)
 
 
+def _echo_truncation(sequences, max_len):
+    """Report the tweets that batching will cut to ``max_len`` tokens."""
+    cut = sum(len(seq) > max_len for seq in sequences)
+    click.echo(f"truncated: {cut} of {len(sequences)} tweets longer than max_len {max_len}")
+
+
 @contextlib.contextmanager
 def _naming_checkpoint(checkpoint):
     """Name the checkpoint in a NumericalError raised inside the block."""
@@ -259,6 +265,7 @@ def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, config_path
             raise text.DataError(f"{corpus}: unknown drug name {drug!r}")
         examples.append((vocab_obj.indices(tokens), lex.index[drug], tweet_id))
     train_cfg = _train_config(training.pretrain_config, settings)
+    _echo_truncation([e[0] for e in examples], train_cfg.max_len)
     log = training.pretrain(examples, model, train_cfg)
     training.save_checkpoint(model, _ckpt_path(out_path))
     if log_path:
@@ -305,6 +312,7 @@ def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path,
     data = _encode_labeled(sentences, vocab_obj)
     click.echo(f"training tweets: {len(data)}")
     train_cfg = _train_config(training.supervised_config, settings)
+    _echo_truncation([d[0] for d in data], train_cfg.max_len)
     log = [{"phase": "supervised", "event": "data", "train_tweets": len(data)}]
     log += training.train_supervised(data, model, train_cfg)
     training.save_checkpoint(model, _ckpt_path(out_path))
@@ -417,7 +425,7 @@ def main():
     except click.exceptions.Abort:
         sys.exit(EXIT_USAGE)
     except (text.DataError, encoding.AnnotationError,
-            training.CheckpointError, FileNotFoundError) as exc:
+            training.CheckpointError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)
     except NumericalError as exc:

@@ -15,14 +15,12 @@ def atomic_write(path, mode: str = "w"):
     path = os.fspath(path)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
-        fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
-    except OSError as exc:  # name the output, not its temporary file
-        raise OSError(exc.errno, exc.strerror, path) from exc
-    try:
-        with fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):  # never hide the error that got here
             os.remove(tmp)
+        if isinstance(exc, OSError):  # name the output, not its temporary file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise

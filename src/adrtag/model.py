@@ -120,11 +120,13 @@ def _offsets(live: np.ndarray) -> tuple:
 
 @dataclass
 class EncodeCache:
+    # The N real positions, in the forward direction's packed order.
     indices: np.ndarray
     lengths: np.ndarray
-    mask: np.ndarray
-    pack: tuple  # (rows, fwd_cols, bwd_cols): (B, T) position of each packed position
-    h: np.ndarray  # (B, T, 2H); zero at padding positions
+    rows: np.ndarray  # (N,) batch row of each position; rows[:B] sorts the rows longest first
+    cols: np.ndarray  # (N,) its column, which is also its forward step
+    rev: np.ndarray  # (N,) the backward direction's position for the same token; self-inverse
+    h: np.ndarray  # (N, 2H) forward states, then backward states
     fwd: _DirectionCache
     bwd: _DirectionCache
 
@@ -140,9 +142,9 @@ class DrugLossCache:
 @dataclass
 class TagLossCache:
     enc: EncodeCache
-    probs: np.ndarray  # (B, T, L)
-    tags: np.ndarray  # (B, T)
-    valid: np.ndarray  # (B, T) float, 1 at scored positions
+    probs: np.ndarray  # (N, L) at the real positions
+    tags: np.ndarray  # (N,) gold tags at the real positions
+    valid: np.ndarray  # (N,) bool, True where the tag is scored (not PAD)
 
 
 def _run_direction(cell: LSTMCellParams, emb: np.ndarray, ids: np.ndarray, live: np.ndarray):
@@ -270,51 +272,48 @@ class AdrModel:
         B, T = indices.shape
         if np.any(lengths < 1) or np.any(lengths > T):
             raise ValueError("valid lengths must be in [1, T]")
-        steps = np.arange(T)
-        mask = (steps[None, :] < lengths[:, None]).astype(np.float64)
         # Longest rows first, so the rows live at step t are one prefix in both
         # directions; the backward direction reads each row from its last token.
         order = np.argsort(-lengths, kind="stable")
-        sorted_lengths = lengths[order]
-        live = (sorted_lengths[None, :] > steps[: sorted_lengths[0], None]).sum(axis=1)
-        t = np.repeat(np.arange(len(live)), live)
-        k = np.arange(len(t)) - np.repeat(np.cumsum(live) - live, live)
-        pack = (order[k], t, sorted_lengths[k] - 1 - t)
-        rows, fwd_cols, bwd_cols = pack
-        H = self.hidden
-        h = np.zeros((B, T, 2 * H))
+        live = B - np.cumsum(np.bincount(lengths))[: lengths.max()]
+        offsets, _ = _offsets(live)
+        cols = np.repeat(np.arange(len(live)), live)
+        k = np.arange(len(cols)) - offsets[cols]  # rank of the position's row in order
+        rows = order[k]
+        rev = offsets[lengths[rows] - 1 - cols] + k
+        ids = indices[rows, cols]
+        fwd_cell, bwd_cell = self.encoder.forward_cell, self.encoder.backward_cell
         # A huge but finite embedding row can overflow the gate sums to inf,
         # and then to NaN states that would tag silently.
         try:
             with np.errstate(over="raise", invalid="raise"):
-                hs, fwd = _run_direction(
-                    self.encoder.forward_cell, self.embeddings, indices[rows, fwd_cols], live
-                )
-                h[rows, fwd_cols, :H] = hs
-                hs, bwd = _run_direction(
-                    self.encoder.backward_cell, self.embeddings, indices[rows, bwd_cols], live
-                )
-                h[rows, bwd_cols, H:] = hs
+                hf, fwd = _run_direction(fwd_cell, self.embeddings, ids, live)
+                hb, bwd = _run_direction(bwd_cell, self.embeddings, ids[rev], live)
         except FloatingPointError as exc:
             raise NumericalError(f"encoder forward overflowed: {exc}") from exc
-        return EncodeCache(
-            indices=indices, lengths=lengths, mask=mask, pack=pack, h=h, fwd=fwd, bwd=bwd
-        )
+        return EncodeCache(indices=indices, lengths=lengths, rows=rows, cols=cols, rev=rev,
+                           h=np.concatenate((hf, hb[rev]), axis=1), fwd=fwd, bwd=bwd)
 
     def _backprop_encoder(self, enc: EncodeCache, dh: np.ndarray):
         H = self.hidden
-        rows, fwd_cols, bwd_cols = enc.pack
-        _backprop_direction(self.encoder.forward_cell, enc.fwd, dh[rows, fwd_cols, :H])
-        _backprop_direction(self.encoder.backward_cell, enc.bwd, dh[rows, bwd_cols, H:])
+        _backprop_direction(self.encoder.forward_cell, enc.fwd, dh[:, :H])
+        _backprop_direction(self.encoder.backward_cell, enc.bwd, dh[enc.rev, H:])
 
     # -- drug-prediction head -----------------------------------------------
 
     def _drug_logits(self, enc: EncodeCache) -> tuple:
         """Pooled encoder states (B, 2H) over real positions and the drug
         head's logits (B, D)."""
-        pooled = enc.h.sum(axis=1)  # padding states are zero
+        live = enc.fwd.live
+        # Each row's states are added left to right: step 0 of every row,
+        # then one add per step over its live rows, longest first.
+        summed = enc.h[: live[0]].copy()
+        for o, n in zip(np.cumsum(live)[:-1], live[1:]):
+            summed[:n] += enc.h[o : o + n]
+        pooled = np.empty_like(summed)
+        pooled[enc.rows[: live[0]]] = summed
         if self.pooling == "mean":
-            pooled = pooled / enc.lengths[:, None]
+            pooled /= enc.lengths[:, None]
         return pooled, pooled @ self.drug_head.w.value.T + self.drug_head.b.value
 
     def drug_loss(self, indices, lengths, labels) -> tuple:
@@ -324,7 +323,7 @@ class AdrModel:
         """
         enc = self.encode_batch(indices, lengths)
         labels = np.asarray(labels)
-        B = enc.h.shape[0]
+        B = len(enc.lengths)
         pooled, logits = self._drug_logits(enc)
         probs = softmax_rows(logits)
         picked = np.maximum(probs[np.arange(B), labels], PROB_FLOOR)
@@ -343,9 +342,7 @@ class AdrModel:
         dpooled = dlogits @ self.drug_head.w.value
         if self.pooling == "mean":
             dpooled = dpooled / cache.enc.lengths[:, None]
-        # Every real position gets its row's gradient; padding is never read.
-        dh = np.broadcast_to(dpooled[:, None, :], cache.enc.h.shape)
-        self._backprop_encoder(cache.enc, dh)
+        self._backprop_encoder(cache.enc, dpooled[cache.enc.rows])
         cache.enc = None  # spent; a second backward would double-count
 
     def predict_drug_batch(self, indices, lengths) -> np.ndarray:
@@ -355,7 +352,7 @@ class AdrModel:
     # -- tagging head ---------------------------------------------------------
 
     def _tag_logits(self, enc: EncodeCache) -> np.ndarray:
-        """Tag head logits (B, T, L) at every position, padding included."""
+        """Tag head logits (N, L) at the real positions."""
         return enc.h @ self.tag_head.w.value.T + self.tag_head.b.value
 
     def tag_loss(self, indices, lengths, tags) -> tuple:
@@ -365,38 +362,31 @@ class AdrModel:
         enc = self.encode_batch(indices, lengths)
         tags = np.asarray(tags)
         if tags.shape != enc.indices.shape:
-            raise DimensionError(
-                f"tags {tags.shape} must align with tokens {enc.indices.shape}"
-            )
+            raise DimensionError(f"tags {tags.shape} must align with tokens {enc.indices.shape}")
+        tags = tags[enc.rows, enc.cols]
         probs = softmax_rows(self._tag_logits(enc))
-        valid = enc.mask * (tags != int(TagLabel.PAD))
-        B, T = tags.shape
-        safe = np.where(valid > 0, tags, 0)
-        picked = np.maximum(
-            probs[np.arange(B)[:, None], np.arange(T)[None, :], safe], PROB_FLOOR
-        )
-        loss = float((-np.log(picked) * valid).sum() / B)
+        valid = tags != int(TagLabel.PAD)
+        picked = np.maximum(probs[np.arange(len(tags)), np.where(valid, tags, 0)], PROB_FLOOR)
+        loss = float((-np.log(picked) * valid).sum() / len(enc.lengths))
         return loss, TagLossCache(enc=enc, probs=probs, tags=tags, valid=valid)
 
     def backward_tags(self, cache: TagLossCache):
         if cache is None or cache.enc is None:
             raise RuntimeError("backward_tags requires the cache from tag_loss")
-        B, T = cache.tags.shape
         dlogits = cache.probs.copy()
-        safe = np.where(cache.valid > 0, cache.tags, 0)
-        dlogits[np.arange(B)[:, None], np.arange(T)[None, :], safe] -= 1.0
-        dlogits *= cache.valid[..., None] / B
-        flat = dlogits.reshape(-1, dlogits.shape[-1])
-        self.tag_head.w.grad += flat.T @ cache.enc.h.reshape(-1, 2 * self.hidden)
-        self.tag_head.b.grad += flat.sum(axis=0)
-        dh = dlogits @ self.tag_head.w.value
-        self._backprop_encoder(cache.enc, dh)
+        dlogits[np.arange(len(cache.tags)), np.where(cache.valid, cache.tags, 0)] -= 1.0
+        dlogits *= cache.valid[:, None] / len(cache.enc.lengths)
+        self.tag_head.w.grad += dlogits.T @ cache.enc.h
+        self.tag_head.b.grad += dlogits.sum(axis=0)
+        self._backprop_encoder(cache.enc, dlogits @ self.tag_head.w.value)
         cache.enc = None
 
     def predict_tag_batch(self, indices, lengths) -> np.ndarray:
-        """Greedy tag ids (B, T) for a padded batch; entries past a row's
-        length are meaningless."""
-        return self._tag_logits(self.encode_batch(indices, lengths)).argmax(axis=2)
+        """Greedy tag ids (B, T) for a padded batch; PAD past a row's length."""
+        enc = self.encode_batch(indices, lengths)
+        out = np.full(enc.indices.shape, int(TagLabel.PAD))
+        out[enc.rows, enc.cols] = self._tag_logits(enc).argmax(axis=1)
+        return out
 
     def predict_tags(self, token_indices: Sequence[int]) -> List[TagLabel]:
         """Greedy per-position tags for one unpadded sequence."""

@@ -242,7 +242,7 @@ def load_embeddings(path, vocab: Vocabulary, seed: int = 0) -> EmbeddingTable:
         if len(header) != 2:
             raise DataError(f"{path}: header must be 'V D'")
         try:
-            _, dim = int(header[0]), int(header[1])
+            count, dim = int(header[0]), int(header[1])
         except ValueError as exc:
             raise DataError(f"{path}: header must be two integers") from exc
         for lineno, line in enumerate(fh, start=2):
@@ -257,7 +257,11 @@ def load_embeddings(path, vocab: Vocabulary, seed: int = 0) -> EmbeddingTable:
                 raise DataError(f"{path}: line {lineno}: bad float") from exc
             if not np.isfinite(vec).all():
                 raise DataError(f"{path}: line {lineno}: non-finite value (nan or inf)")
+            if parts[0] in rows:
+                raise DataError(f"{path}: line {lineno}: duplicate token {parts[0]!r}")
             rows[parts[0]] = vec
+    if len(rows) != count:
+        raise DataError(f"{path}: header says {count} rows, file has {len(rows)}")
 
     rng = np.random.default_rng(seed)
     vectors = np.zeros((len(vocab), dim), dtype=np.float64)

@@ -126,7 +126,7 @@ def pad_batch(
     examples: Sequence[Sequence[int]], max_len: int, pad_index: int = 0
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Right-pad index sequences into a (B, T) matrix, T = min(max_len, longest
-    sequence); longer sequences are truncated. Masked steps contribute zeros."""
+    sequence); longer sequences are truncated."""
     if any(len(e) == 0 for e in examples):
         raise ValueError("cannot pad an empty example")
     B = len(examples)
@@ -263,9 +263,7 @@ def train_supervised(
             )
             loss, cache = _forward(model.tag_loss, "supervised", epoch, chosen,
                                    idx, lengths, tags)
-            pred = cache.probs.argmax(axis=2)
-            hit = (pred == tags) * (cache.valid > 0)
-            correct += int(hit.sum())
+            correct += int(((cache.probs.argmax(axis=1) == cache.tags) & cache.valid).sum())
             scored += int(cache.valid.sum())
             model.backward_tags(cache)
             optimizer.step()

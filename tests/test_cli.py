@@ -457,10 +457,22 @@ def test_failed_output_write_keeps_previous_file(workspace, monkeypatch, capsys,
     }[command]
     listing = sorted(p.name for p in tmp_path.iterdir())
     disk_fills_up(20)
-    with pytest.raises(OSError, match="No space left"):
-        run_cli(monkeypatch, capsys, command, *args)
+    code, _, err = run_cli(monkeypatch, capsys, command, *args)
+    assert code == EXIT_DATA
+    assert "No space left" in err and str(out) in err and "Traceback" not in err
     assert out.read_text() == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+
+def test_output_under_a_regular_file_is_data_error(workspace, monkeypatch, capsys, tmp_path):
+    out = tmp_path / "afile" / "out.tsv"
+    (tmp_path / "afile").write_text("not a directory\n")
+    code, _, err = run_cli(monkeypatch, capsys, "preprocess",
+                           "--input", str(workspace / "raw.tsv"),
+                           "--lexicon", str(workspace / "drugs.txt"), "--out", str(out))
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+    assert (tmp_path / "afile").read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("hidden, expected", [(2, 0), (3, EXIT_DATA)])
@@ -597,6 +609,36 @@ def test_mistyped_config_value_is_usage_error(workspace, monkeypatch, capsys, tm
     assert code == EXIT_USAGE
     assert f"cfg.yaml: {line.split(':')[0]}:" in err and "Traceback" not in err
     assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_embeddings_with_a_duplicate_token_is_data_error(workspace, monkeypatch, capsys,
+                                                         tmp_path):
+    inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, "train")
+    emb = workspace / "emb.txt"
+    lines = emb.read_text().splitlines()
+    count, dim = lines[0].split()
+    emb.write_text("\n".join([f"{int(count) + 1} {dim}", *lines[1:], lines[1]]) + "\n")
+    code, _, err = run_cli(monkeypatch, capsys, "train", *inputs, "--epochs", "0",
+                           "--out", str(tmp_path / "x.ckpt"))
+    assert code == EXIT_DATA
+    assert f"emb.txt: line {len(lines) + 1}: duplicate token" in err and "Traceback" not in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train"])
+def test_truncation_at_max_len_is_reported(workspace, monkeypatch, capsys, tmp_path, command):
+    inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, command)
+    if command == "train":
+        lengths = [5] * 8  # every labeled tweet has 5 tokens
+    else:
+        lengths = [len(line.split("\t")[2].split())
+                   for line in (tmp_path / "p.tsv").read_text().splitlines()]
+    code, out, err = run_cli(monkeypatch, capsys, command, *inputs, "--hidden", "3",
+                             "--epochs", "1", "--max-len", "4", "--out", str(tmp_path / "x.ckpt"))
+    assert code == 0, err
+    cut = sum(n > 4 for n in lengths)
+    assert cut > 0
+    assert f"truncated: {cut} of {len(lengths)} tweets longer than max_len 4\n" in out
 
 
 @pytest.mark.parametrize("text", ["hidden: [3", "- hidden\n- 3"], ids=["not-yaml", "list"])

@@ -88,6 +88,14 @@ class TestCellStep:
             lstm_cell_step(cell, np.zeros(4), np.zeros(3), np.zeros(2))
 
 
+def padded_states(enc):
+    """The packed encoder states ``enc.h`` scattered to (B, T, 2H) by
+    position; zero where a row has no token."""
+    h = np.zeros(enc.indices.shape + enc.h.shape[1:])
+    h[enc.rows, enc.cols] = enc.h
+    return h
+
+
 def make_encoder(hidden, emb, seed=0):
     rng = np.random.default_rng(seed)
     return BiLSTMParams(
@@ -133,12 +141,12 @@ class TestBiLSTM:
         )
         indices = np.array([[1, 2, 3, 4], [5, 6, 0, 0]])
         lengths = np.array([4, 2])
-        enc = model.encode_batch(indices, lengths)
+        h = padded_states(model.encode_batch(indices, lengths))
         for b in range(2):
             seq = [model.embeddings[i] for i in indices[b, : lengths[b]]]
             ref = bilstm_forward(model.encoder, seq)
             for t in range(lengths[b]):
-                np.testing.assert_allclose(enc.h[b, t], ref[t], atol=1e-12)
+                np.testing.assert_allclose(h[b, t], ref[t], atol=1e-12)
 
 
 class TestPoolingAndHeads:
@@ -326,7 +334,7 @@ class TestSharing:
         _, dc = model.drug_loss(idx, lengths, np.array([0, 1]))
         np.testing.assert_allclose(dc.probs.sum(axis=1), 1.0, atol=1e-9)
         _, tc = model.tag_loss(idx, lengths, np.array([[2, 2, 0], [2, 1, 3]]))
-        np.testing.assert_allclose(tc.probs.sum(axis=2), 1.0, atol=1e-9)
+        np.testing.assert_allclose(tc.probs.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_drug_count_must_be_at_least_two(self):
         with pytest.raises(ValueError):
@@ -378,8 +386,10 @@ def _pad_to(rows, width, fill):
     seed=st.integers(0, 2**16),
 )
 def test_extra_padding_changes_nothing(lengths, extra, seed):
-    """Losses, real-position states and every gradient of an over-padded
-    batch equal those of the batch trimmed to its longest sequence."""
+    """Losses, states and every gradient of an over-padded batch equal those
+    of the batch trimmed to its longest sequence, bit for bit: no product
+    reads a padded position. The padded tag cells hold scoreable labels, so
+    a tag read past a row's length would change the loss."""
     rng = np.random.default_rng(seed)
     model = AdrModel(rng.normal(size=(10, 4)), hidden=3, drug_count=3, seed=seed)
     lengths = np.array(lengths)
@@ -389,25 +399,23 @@ def test_extra_padding_changes_nothing(lengths, extra, seed):
 
     def run(width):
         idx = _pad_to(ids, width, 0)
+        gold = rng.integers(0, int(TagLabel.PAD), size=idx.shape)
+        for b, row in enumerate(tags):
+            gold[b, : len(row)] = row
         model.zero_grad()
         drug, dc = model.drug_loss(idx, lengths, labels)
         h = dc.enc.h.copy()
         model.backward_drug(dc)
-        tag, tc = model.tag_loss(idx, lengths, _pad_to(tags, width, int(TagLabel.PAD)))
+        tag, tc = model.tag_loss(idx, lengths, gold)
         model.backward_tags(tc)
         return drug, tag, h, [p.grad.copy() for p in model.all_parameters()]
 
     T = int(lengths.max())
     trimmed, padded = run(T), run(T + extra)
-    # Zero-padded rows can move the summation order inside a product, so a
-    # gradient entry that cancels to near zero may differ by ~1e-17 absolute.
-    close = dict(rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(padded[0], trimmed[0], **close)
-    np.testing.assert_allclose(padded[1], trimmed[1], **close)
-    for b, n in enumerate(lengths):
-        np.testing.assert_allclose(padded[2][b, :n], trimmed[2][b, :n], **close)
+    assert padded[0] == trimmed[0] and padded[1] == trimmed[1]
+    assert np.array_equal(padded[2], trimmed[2])
     for g_pad, g_trim in zip(padded[3], trimmed[3]):
-        np.testing.assert_allclose(g_pad, g_trim, **close)
+        assert np.array_equal(g_pad, g_trim)
 
 
 def _per_tweet_counts(model, data):
@@ -486,26 +494,25 @@ class TestPacking:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_each_row_matches_itself_alone(self, seed):
         model, ids, idx, n = self.setup_batch(seed)
-        h = model.encode_batch(idx, n).h
+        h = padded_states(model.encode_batch(idx, n))
         pred = model.predict_tag_batch(idx, n)
         for b, row in enumerate(ids):
-            alone = model.encode_batch([row], [len(row)]).h[0]
+            alone = padded_states(model.encode_batch([row], [len(row)]))[0]
             np.testing.assert_allclose(h[b, : len(row)], alone, rtol=0, atol=1e-13)
             alone_pred = model.predict_tag_batch([row], [len(row)])[0]
             assert np.array_equal(pred[b, : len(row)], alone_pred)
+            assert np.all(pred[b, len(row) :] == int(TagLabel.PAD))
 
     def test_permuting_rows_permutes_states(self):
         model, _, idx, n = self.setup_batch()
         perm = np.random.default_rng(5).permutation(len(n))
-        h = model.encode_batch(idx, n).h
-        np.testing.assert_allclose(model.encode_batch(idx[perm], n[perm]).h, h[perm],
-                                   rtol=0, atol=1e-13)
+        h = padded_states(model.encode_batch(idx, n))
+        np.testing.assert_allclose(padded_states(model.encode_batch(idx[perm], n[perm])),
+                                   h[perm], rtol=0, atol=1e-13)
 
-    def test_states_are_zero_at_padding(self):
+    def test_states_are_kept_at_real_positions_only(self):
         model, _, idx, n = self.setup_batch()
-        h = model.encode_batch(idx, n).h
-        padding = np.arange(idx.shape[1])[None, :] >= n[:, None]
-        assert padding.sum() > 0 and not h[padding].any()
+        assert model.encode_batch(idx, n).h.shape == (n.sum(), 2 * model.hidden)
 
 
 def test_evaluate_tagging_batches_by_length(monkeypatch):

@@ -239,6 +239,21 @@ class TestLoadEmbeddings:
         with pytest.raises(DataError, match=rf"emb\.txt: line 3: non-finite"):
             load_embeddings(path, v)
 
+    @pytest.mark.parametrize("count", [3, 1])
+    def test_header_row_count_must_match(self, tmp_path, count):
+        v = Vocabulary.build([["alpha", "beta", "gamma"]], cap=5)
+        path = tmp_path / "emb.txt"
+        path.write_text(f"{count} 2\nalpha 1.0 2.0\nbeta 3.0 4.0\n")
+        with pytest.raises(DataError, match=rf"emb\.txt: header says {count} rows, file has 2"):
+            load_embeddings(path, v)
+
+    def test_duplicate_token_names_line_and_token(self, tmp_path):
+        v = Vocabulary.build([["alpha", "beta"]], cap=5)
+        path = tmp_path / "emb.txt"
+        path.write_text("3 2\nalpha 1.0 2.0\nbeta 3.0 4.0\nalpha 5.0 6.0\n")
+        with pytest.raises(DataError, match=r"emb\.txt: line 4: duplicate token 'alpha'"):
+            load_embeddings(path, v)
+
     def test_bad_header(self, tmp_path):
         v = Vocabulary.build([["alpha"]], cap=5)
         path = tmp_path / "emb.txt"
