@@ -72,6 +72,9 @@ class BiLSTMParams:
     forward_cell: LSTMCellParams
     backward_cell: LSTMCellParams
 
+    def cells(self) -> tuple:
+        return self.forward_cell, self.backward_cell
+
     def params(self) -> List[Parameter]:
         return self.forward_cell.params() + self.backward_cell.params()
 
@@ -98,16 +101,17 @@ class LinearHead:
 
 
 @dataclass
-class _DirectionCache:
-    # Packed time-major, in processing order: step t holds the live prefix of
-    # the length-sorted rows at positions offsets[t]:offsets[t]+live[t].
+class _Recurrence:
+    # Packed time-major, in processing order, the two directions side by side
+    # on axis 1 (forward, backward): step t holds the live prefix of the
+    # length-sorted rows at positions offsets[t]:offsets[t]+live[t].
     emb: np.ndarray  # (V, E) embedding table; inputs are gathered where used
-    ids: np.ndarray  # (N,) token ids of the N real positions
+    ids: np.ndarray  # (N, 2) token ids of the N real positions, per direction
     live: np.ndarray  # (steps,) rows live at each step, non-increasing
-    h: np.ndarray  # (live[0] + N, H): zero start states, then each position's output
-    m: np.ndarray  # (live[0] + N, H), laid out like h
-    gates: np.ndarray  # (N, 4H) activations u, f, c, o
-    tanh_m: np.ndarray  # (N, H)
+    h: np.ndarray  # (live[0] + N, 2, H): zero start states, then each position's output
+    m: np.ndarray  # (live[0] + N, 2, H), laid out like h
+    gates: np.ndarray  # (N, 2, 4H) activations u, f, c, o
+    tanh_m: np.ndarray  # (N, 2, H)
 
 
 def _offsets(live: np.ndarray) -> tuple:
@@ -127,8 +131,7 @@ class EncodeCache:
     cols: np.ndarray  # (N,) its column, which is also its forward step
     rev: np.ndarray  # (N,) the backward direction's position for the same token; self-inverse
     h: np.ndarray  # (N, 2H) forward states, then backward states
-    fwd: _DirectionCache
-    bwd: _DirectionCache
+    rec: _Recurrence
 
 
 @dataclass
@@ -147,59 +150,68 @@ class TagLossCache:
     valid: np.ndarray  # (N,) bool, True where the tag is scored (not PAD)
 
 
-def _run_direction(cell: LSTMCellParams, emb: np.ndarray, ids: np.ndarray, live: np.ndarray):
-    """Recurrence over the packed token ids of the real positions, in
-    processing order; each step computes only its ``live`` prefix of rows.
-    Returns the packed (N, H) hidden states and the cache for
-    :func:`_backprop_direction`."""
-    H = cell.hidden
-    gates = emb[ids] @ cell.i.value.T
-    gates += cell.b.value
-    h, m = np.zeros((2, live[0] + len(ids), H))
-    tanh_m = np.empty((len(ids), H))
-    for o, s, n in zip(*_offsets(live), live):
+def _run_encoder(cells: Sequence[LSTMCellParams], emb: np.ndarray, ids: np.ndarray, live):
+    """Both directions' recurrences in lockstep over the packed (N, 2) token
+    ids of the real positions, each direction in its own processing order;
+    each step computes only its ``live`` prefix of rows. Returns the packed
+    (N, 2, H) hidden states and the cache for :func:`_backprop_encoder`."""
+    H, N, B = cells[0].hidden, len(ids), int(live[0])
+    gates = np.empty((N, 2, 4 * H))
+    for d, cell in enumerate(cells):
+        np.matmul(emb[ids[:, d]], cell.i.value.T, out=gates[:, d])
+        gates[:, d] += cell.b.value
+    h, m = np.zeros((2, B + N, 2, H))
+    tanh_m = np.empty((N, 2, H))
+    for o, s, n in zip(*(x.tolist() for x in _offsets(live)), live.tolist()):
         a = gates[o : o + n]
-        a += h[s : s + n] @ cell.w.value.T
-        a[:, : 2 * H] = sigmoid(a[:, : 2 * H])
-        np.tanh(a[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
-        a[:, 3 * H :] = sigmoid(a[:, 3 * H :])
-        u, f, c, og = np.split(a, len(GATES), axis=1)
-        out = live[0] + o
-        m[out : out + n] = f * m[s : s + n] + u * c
-        np.tanh(m[out : out + n], out=tanh_m[o : o + n])
-        h[out : out + n] = og * tanh_m[o : o + n]
-    cache = _DirectionCache(emb=emb, ids=ids, live=live, h=h, m=m, gates=gates, tanh_m=tanh_m)
-    return h[live[0] :], cache
+        if o:  # step 0 reads the zero start state, whose product would only add 0.0
+            for d, cell in enumerate(cells):
+                a[:, d] += h[s : s + n, d] @ cell.w.value.T
+        a[..., : 2 * H] = sigmoid(a[..., : 2 * H])
+        np.tanh(a[..., 2 * H : 3 * H], out=a[..., 2 * H : 3 * H])
+        a[..., 3 * H :] = sigmoid(a[..., 3 * H :])
+        u, f, c, og = (a[..., k * H : (k + 1) * H] for k in range(len(GATES)))
+        m[B + o : B + o + n] = f * m[s : s + n] + u * c
+        np.tanh(m[B + o : B + o + n], out=tanh_m[o : o + n])
+        np.multiply(og, tanh_m[o : o + n], out=h[B + o : B + o + n])
+    rec = _Recurrence(emb=emb, ids=ids, live=live, h=h, m=m, gates=gates, tanh_m=tanh_m)
+    return h[B:], rec
 
 
-def _backprop_direction(cell: LSTMCellParams, cache: _DirectionCache, dhs: np.ndarray):
-    """Accumulate one direction's gradients given dLoss/dh, (N, H) in the
-    packed order of the cache. Gate gradients overwrite ``cache.gates`` step
-    by step; each weight gradient is then one product over the real positions."""
-    live = cache.live
+def _backprop_encoder(cells: Sequence[LSTMCellParams], rec: _Recurrence, dh: np.ndarray,
+                      shared_rows: bool = False):
+    """Accumulate both directions' gradients, stepping back in lockstep, given
+    dLoss/dh, (N, 2, H) with each direction's half in its packed order, or with
+    ``shared_rows`` (B, 2, H) in sorted row order, one per row for every step.
+    Gate gradients overwrite ``rec.gates`` step by step; each weight gradient
+    is then one product over the real positions."""
+    live = rec.live
     offsets, starts = _offsets(live)
-    H = cell.hidden
+    H = cells[0].hidden
     # A row joins the walk at its last step, where nothing flows back into it.
-    dh_next, dm_next = np.zeros((2, live[0], H))
-    for t in range(len(live) - 1, -1, -1):
-        o, s, n = offsets[t], starts[t], live[t]
-        g = cache.gates[o : o + n]
-        u, f, c, og = np.split(g, len(GATES), axis=1)
-        tm = cache.tanh_m[o : o + n]
-        dh_raw = dhs[o : o + n] + dh_next[:n]
+    dh_next, dm_next = np.zeros((2, live[0], 2, H))
+    dh_at = [0] * len(live) if shared_rows else offsets.tolist()
+    for o, s, n, r in reversed(list(zip(offsets.tolist(), starts.tolist(), live.tolist(), dh_at))):
+        g = rec.gates[o : o + n]
+        u, f, c, og = (g[..., k * H : (k + 1) * H] for k in range(len(GATES)))
+        tm = rec.tanh_m[o : o + n]
+        dh_raw = dh[r : r + n] + dh_next[:n]
         dm_raw = dm_next[:n] + dh_raw * og * (1.0 - tm * tm)
         dm_next[:n] = dm_raw * f
         da_u, da_c = dm_raw * c * u * (1.0 - u), dm_raw * u * (1.0 - c * c)
-        da_f, da_o = dm_raw * cache.m[s : s + n] * f * (1.0 - f), dh_raw * tm * og * (1.0 - og)
-        np.concatenate((da_u, da_f, da_c, da_o), axis=1, out=g)
-        np.matmul(g, cell.w.value, out=dh_next[:n])
-    da = cache.gates
+        da_f, da_o = dm_raw * rec.m[s : s + n] * f * (1.0 - f), dh_raw * tm * og * (1.0 - og)
+        np.concatenate((da_u, da_f, da_c, da_o), axis=2, out=g)
+        if o:  # step 0's state is the zero start state: nothing flows into it
+            for d, cell in enumerate(cells):
+                np.matmul(g[:, d], cell.w.value, out=dh_next[:n, d])
     # Position offsets[t] + k entered step t with the state in row starts[t] + k.
-    h_in = cache.h[np.arange(len(da)) + np.repeat(starts - offsets, live)]
-    cell.w.grad += da.T @ h_in
-    cell.i.grad += da.T @ cache.emb[cache.ids]
-    if cell.gate_biases:
-        cell.b.grad += da.sum(axis=0)
+    h_in = np.arange(len(rec.ids)) + np.repeat(starts - offsets, live)
+    for d, cell in enumerate(cells):
+        da = rec.gates[:, d]
+        cell.w.grad += da.T @ rec.h[h_in, d]
+        cell.i.grad += da.T @ rec.emb[rec.ids[:, d]]
+        if cell.gate_biases:
+            cell.b.grad += da.sum(axis=0)
 
 
 class AdrModel:
@@ -282,29 +294,23 @@ class AdrModel:
         rows = order[k]
         rev = offsets[lengths[rows] - 1 - cols] + k
         ids = indices[rows, cols]
-        fwd_cell, bwd_cell = self.encoder.forward_cell, self.encoder.backward_cell
         # A huge but finite embedding row can overflow the gate sums to inf,
         # and then to NaN states that would tag silently.
         try:
             with np.errstate(over="raise", invalid="raise"):
-                hf, fwd = _run_direction(fwd_cell, self.embeddings, ids, live)
-                hb, bwd = _run_direction(bwd_cell, self.embeddings, ids[rev], live)
+                hs, rec = _run_encoder(self.encoder.cells(), self.embeddings,
+                                       np.stack((ids, ids[rev]), axis=1), live)
         except FloatingPointError as exc:
             raise NumericalError(f"encoder forward overflowed: {exc}") from exc
         return EncodeCache(indices=indices, lengths=lengths, rows=rows, cols=cols, rev=rev,
-                           h=np.concatenate((hf, hb[rev]), axis=1), fwd=fwd, bwd=bwd)
-
-    def _backprop_encoder(self, enc: EncodeCache, dh: np.ndarray):
-        H = self.hidden
-        _backprop_direction(self.encoder.forward_cell, enc.fwd, dh[:, :H])
-        _backprop_direction(self.encoder.backward_cell, enc.bwd, dh[enc.rev, H:])
+                           h=np.concatenate((hs[:, 0], hs[rev, 1]), axis=1), rec=rec)
 
     # -- drug-prediction head -----------------------------------------------
 
     def _drug_logits(self, enc: EncodeCache) -> tuple:
         """Pooled encoder states (B, 2H) over real positions and the drug
         head's logits (B, D)."""
-        live = enc.fwd.live
+        live = enc.rec.live
         # Each row's states are added left to right: step 0 of every row,
         # then one add per step over its live rows, longest first.
         summed = enc.h[: live[0]].copy()
@@ -342,7 +348,9 @@ class AdrModel:
         dpooled = dlogits @ self.drug_head.w.value
         if self.pooling == "mean":
             dpooled = dpooled / cache.enc.lengths[:, None]
-        self._backprop_encoder(cache.enc, dpooled[cache.enc.rows])
+        # Step t's live rows are the sorted prefix rows[:n] in both directions.
+        dh = dpooled[cache.enc.rows[:B]].reshape(B, 2, self.hidden)
+        _backprop_encoder(self.encoder.cells(), cache.enc.rec, dh, shared_rows=True)
         cache.enc = None  # spent; a second backward would double-count
 
     def predict_drug_batch(self, indices, lengths) -> np.ndarray:
@@ -378,7 +386,9 @@ class AdrModel:
         dlogits *= cache.valid[:, None] / len(cache.enc.lengths)
         self.tag_head.w.grad += dlogits.T @ cache.enc.h
         self.tag_head.b.grad += dlogits.sum(axis=0)
-        self._backprop_encoder(cache.enc, dlogits @ self.tag_head.w.value)
+        dh = (dlogits @ self.tag_head.w.value).reshape(-1, 2, self.hidden)
+        dh[:, 1] = dh[cache.enc.rev, 1]  # into the backward direction's order
+        _backprop_encoder(self.encoder.cells(), cache.enc.rec, dh)
         cache.enc = None
 
     def predict_tag_batch(self, indices, lengths) -> np.ndarray:

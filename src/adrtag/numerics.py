@@ -64,10 +64,11 @@ class Parameter:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function; ``exp`` only sees ``-|x|``, so it never
-    overflows."""
+    overflows. Its numerator, 1 where ``x >= 0`` and ``e`` elsewhere, is
+    ``max(e, x >= 0)`` as ``e <= 1``: no per-element branch on the sign."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -4,15 +4,21 @@ One tweet at a time, no batching, no caching, no padding: the oracle that
 ``AdrModel``'s batched path (``encode_batch``, the loss and predict methods)
 must match. It reads the model's parameter objects directly, so it follows
 any trained weights.
+
+Below it, a packed oracle: each direction in its own step loop
+(``_run_direction`` and ``_backprop_direction``, kept as they were before the
+model ran both directions in one lockstep loop), driven by the batch packing,
+heads and losses of ``AdrModel``, for bit-for-bit comparison with the model.
 """
 
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
 from adrtag.encoding import TagLabel
-from adrtag.model import GATES, BiLSTMParams, LinearHead, LSTMCellParams
-from adrtag.numerics import PROB_FLOOR, DimensionError
+from adrtag.model import GATES, AdrModel, BiLSTMParams, LinearHead, LSTMCellParams
+from adrtag.numerics import PROB_FLOOR, DimensionError, softmax_rows
 
 
 def sigmoid(x) -> np.ndarray:
@@ -119,3 +125,156 @@ def sequence_loss(predictions: Sequence[np.ndarray], gold: Sequence[TagLabel]) -
             continue
         total += cross_entropy(dist, int(tag))
     return total
+
+
+# ---------------------------------------------------------------------------
+# Packed oracle: one step loop per direction.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _DirectionCache:
+    # Packed time-major, in processing order: step t holds the live prefix of
+    # the length-sorted rows at positions offsets[t]:offsets[t]+live[t].
+    emb: np.ndarray  # (V, E) embedding table; inputs are gathered where used
+    ids: np.ndarray  # (N,) token ids of the N real positions
+    live: np.ndarray  # (steps,) rows live at each step, non-increasing
+    h: np.ndarray  # (live[0] + N, H): zero start states, then each position's output
+    m: np.ndarray  # (live[0] + N, H), laid out like h
+    gates: np.ndarray  # (N, 4H) activations u, f, c, o
+    tanh_m: np.ndarray  # (N, H)
+
+
+def _offsets(live: np.ndarray) -> tuple:
+    """Where each step's rows begin: among the packed positions, and in the
+    state arrays, whose first live[0] rows are the zero start states and whose
+    row live[0] + p is position p's output (so step t reads step t - 1's)."""
+    offsets = np.cumsum(live) - live
+    return offsets, np.concatenate(([0], live[0] + offsets[:-1]))
+
+
+def _run_direction(cell: LSTMCellParams, emb: np.ndarray, ids: np.ndarray, live: np.ndarray):
+    """Recurrence over the packed token ids of the real positions, in
+    processing order; each step computes only its ``live`` prefix of rows.
+    Returns the packed (N, H) hidden states and the cache for
+    :func:`_backprop_direction`."""
+    H = cell.hidden
+    gates = emb[ids] @ cell.i.value.T
+    gates += cell.b.value
+    h, m = np.zeros((2, live[0] + len(ids), H))
+    tanh_m = np.empty((len(ids), H))
+    for o, s, n in zip(*_offsets(live), live):
+        a = gates[o : o + n]
+        a += h[s : s + n] @ cell.w.value.T
+        a[:, : 2 * H] = sigmoid(a[:, : 2 * H])
+        np.tanh(a[:, 2 * H : 3 * H], out=a[:, 2 * H : 3 * H])
+        a[:, 3 * H :] = sigmoid(a[:, 3 * H :])
+        u, f, c, og = np.split(a, len(GATES), axis=1)
+        out = live[0] + o
+        m[out : out + n] = f * m[s : s + n] + u * c
+        np.tanh(m[out : out + n], out=tanh_m[o : o + n])
+        h[out : out + n] = og * tanh_m[o : o + n]
+    cache = _DirectionCache(emb=emb, ids=ids, live=live, h=h, m=m, gates=gates, tanh_m=tanh_m)
+    return h[live[0] :], cache
+
+
+def _backprop_direction(cell: LSTMCellParams, cache: _DirectionCache, dhs: np.ndarray):
+    """Accumulate one direction's gradients given dLoss/dh, (N, H) in the
+    packed order of the cache. Gate gradients overwrite ``cache.gates`` step
+    by step; each weight gradient is then one product over the real positions."""
+    live = cache.live
+    offsets, starts = _offsets(live)
+    H = cell.hidden
+    # A row joins the walk at its last step, where nothing flows back into it.
+    dh_next, dm_next = np.zeros((2, live[0], H))
+    for t in range(len(live) - 1, -1, -1):
+        o, s, n = offsets[t], starts[t], live[t]
+        g = cache.gates[o : o + n]
+        u, f, c, og = np.split(g, len(GATES), axis=1)
+        tm = cache.tanh_m[o : o + n]
+        dh_raw = dhs[o : o + n] + dh_next[:n]
+        dm_raw = dm_next[:n] + dh_raw * og * (1.0 - tm * tm)
+        dm_next[:n] = dm_raw * f
+        da_u, da_c = dm_raw * c * u * (1.0 - u), dm_raw * u * (1.0 - c * c)
+        da_f, da_o = dm_raw * cache.m[s : s + n] * f * (1.0 - f), dh_raw * tm * og * (1.0 - og)
+        np.concatenate((da_u, da_f, da_c, da_o), axis=1, out=g)
+        np.matmul(g, cell.w.value, out=dh_next[:n])
+    da = cache.gates
+    # Position offsets[t] + k entered step t with the state in row starts[t] + k.
+    h_in = cache.h[np.arange(len(da)) + np.repeat(starts - offsets, live)]
+    cell.w.grad += da.T @ h_in
+    cell.i.grad += da.T @ cache.emb[cache.ids]
+    if cell.gate_biases:
+        cell.b.grad += da.sum(axis=0)
+
+
+def packed_oracle(model: AdrModel, indices, lengths, labels, tags) -> dict:
+    """The encoder states ``h`` (N, 2H) in the model's packed order, the
+    drug and tag losses, and every gradient of each head (``"drug"`` and
+    ``"tag"``, by parameter name), through the per-direction loops above.
+    Gradients accumulate into ``model``'s parameters, so pass a copy."""
+    indices, lengths = np.asarray(indices), np.asarray(lengths)
+    B = len(lengths)
+    H = model.hidden
+    enc = model.encoder
+    order = np.argsort(-lengths, kind="stable")
+    live = B - np.cumsum(np.bincount(lengths))[: lengths.max()]
+    offsets, _ = _offsets(live)
+    cols = np.repeat(np.arange(len(live)), live)
+    k = np.arange(len(cols)) - offsets[cols]
+    rows = order[k]
+    rev = offsets[lengths[rows] - 1 - cols] + k
+    ids = indices[rows, cols]
+    out = {}
+
+    def encode():
+        hf, fwd = _run_direction(enc.forward_cell, model.embeddings, ids, live)
+        hb, bwd = _run_direction(enc.backward_cell, model.embeddings, ids[rev], live)
+        return np.concatenate((hf, hb[rev]), axis=1), fwd, bwd
+
+    def backprop(fwd, bwd, dh):
+        _backprop_direction(enc.forward_cell, fwd, dh[:, :H])
+        _backprop_direction(enc.backward_cell, bwd, dh[rev, H:])
+
+    # Drug head: pooled left to right, one add per step over its live rows.
+    model.zero_grad()
+    h, fwd, bwd = encode()
+    out["h"] = h
+    summed = h[: live[0]].copy()
+    for o, n in zip(np.cumsum(live)[:-1], live[1:]):
+        summed[:n] += h[o : o + n]
+    pooled = np.empty_like(summed)
+    pooled[rows[: live[0]]] = summed
+    if model.pooling == "mean":
+        pooled /= lengths[:, None]
+    head = model.drug_head
+    probs = softmax_rows(pooled @ head.w.value.T + head.b.value)
+    out["drug_loss"] = float(-np.log(np.maximum(probs[np.arange(B), labels], PROB_FLOOR)).mean())
+    dlogits = probs.copy()
+    dlogits[np.arange(B), labels] -= 1.0
+    dlogits /= B
+    head.w.grad += dlogits.T @ pooled
+    head.b.grad += dlogits.sum(axis=0)
+    dpooled = dlogits @ head.w.value
+    if model.pooling == "mean":
+        dpooled = dpooled / lengths[:, None]
+    backprop(fwd, bwd, dpooled[rows])
+    out["drug"] = {p.name: p.grad.copy() for p in model.drug_parameters()}
+
+    # Tag head, on the real positions.
+    model.zero_grad()
+    h, fwd, bwd = encode()
+    head = model.tag_head
+    gold = np.asarray(tags)[rows, cols]
+    probs = softmax_rows(h @ head.w.value.T + head.b.value)
+    valid = gold != int(TagLabel.PAD)
+    picked = np.maximum(probs[np.arange(len(gold)), np.where(valid, gold, 0)], PROB_FLOOR)
+    out["tag_loss"] = float((-np.log(picked) * valid).sum() / B)
+    dlogits = probs.copy()
+    dlogits[np.arange(len(gold)), np.where(valid, gold, 0)] -= 1.0
+    dlogits *= valid[:, None] / B
+    head.w.grad += dlogits.T @ h
+    head.b.grad += dlogits.sum(axis=0)
+    backprop(fwd, bwd, dlogits @ head.w.value)
+    out["tag"] = {p.name: p.grad.copy() for p in model.tag_parameters()}
+    return out

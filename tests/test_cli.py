@@ -507,9 +507,10 @@ class TestGradcheckCommand:
     def test_injected_sign_error_fails(self, monkeypatch, capsys):
         import adrtag.model as m
 
-        original = m._backprop_direction
-        monkeypatch.setattr(m, "_backprop_direction",
-                            lambda cell, cache, dhs: original(cell, cache, -dhs))
+        original = m._backprop_encoder
+        monkeypatch.setattr(m, "_backprop_encoder",
+                            lambda cells, rec, dh, shared_rows=False:
+                            original(cells, rec, -dh, shared_rows))
         code, _, _ = run_cli(monkeypatch, capsys, "gradcheck", "--seeds", "1",
                              "--emb", "3", "--hidden", "3", "--timesteps", "3")
         assert code == EXIT_NUMERICAL

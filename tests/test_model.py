@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from reference import (
     cross_entropy,
     lstm_cell_step,
     mean_pool,
+    packed_oracle,
     predict_drug,
     sequence_loss,
     tag_forward,
@@ -305,12 +307,12 @@ class TestBackward:
     def test_gradcheck_detects_injected_sign_error(self, monkeypatch):
         import adrtag.model as m
 
-        original = m._backprop_direction
+        original = m._backprop_encoder
 
-        def corrupted(cell, cache, dhs):
-            original(cell, cache, -dhs)
+        def corrupted(cells, rec, dh, shared_rows=False):
+            original(cells, rec, -dh, shared_rows)
 
-        monkeypatch.setattr(m, "_backprop_direction", corrupted)
+        monkeypatch.setattr(m, "_backprop_encoder", corrupted)
         results = m.gradient_check(0)
         assert not all(r.ok for r in results)
 
@@ -513,6 +515,42 @@ class TestPacking:
     def test_states_are_kept_at_real_positions_only(self):
         model, _, idx, n = self.setup_batch()
         assert model.encode_batch(idx, n).h.shape == (n.sum(), 2 * model.hidden)
+
+
+class TestLockstepMatchesPerDirectionLoops:
+    """The lockstep step loops give the same bits as one step loop per
+    direction (``reference.packed_oracle``): states, losses and every
+    gradient of both heads."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("hidden", [8, 32])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_identical(self, batch, hidden, seed):
+        rng = np.random.default_rng(100 * batch + hidden + seed)
+        V, T, D = 20, 9, 4
+        model = AdrModel(rng.normal(size=(V, 6)), hidden=hidden, drug_count=D, seed=seed,
+                         pooling=("mean", "sum")[seed])
+        model.drug_head.b.value[...] = rng.normal(size=D)
+        model.tag_head.b.value[...] = rng.normal(size=len(TagLabel))
+        lengths = rng.integers(1, T + 1, size=batch)
+        if batch > 1:
+            lengths[-1] = lengths[0]  # a tie
+        idx = rng.integers(1, V, size=(batch, T))
+        labels = rng.integers(0, D, size=batch)
+        tags = rng.integers(0, int(TagLabel.PAD) + 1, size=(batch, T))
+        want = packed_oracle(copy.deepcopy(model), idx, lengths, labels, tags)
+
+        assert np.array_equal(model.encode_batch(idx, lengths).h, want["h"])
+        for head, loss, backward, args in (
+            ("drug", model.drug_loss, model.backward_drug, labels),
+            ("tag", model.tag_loss, model.backward_tags, tags),
+        ):
+            model.zero_grad()
+            value, cache = loss(idx, lengths, args)
+            backward(cache)
+            assert value == want[f"{head}_loss"]
+            for p in getattr(model, f"{head}_parameters")():
+                assert np.array_equal(p.grad, want[head][p.name]), (head, p.name)
 
 
 def test_evaluate_tagging_batches_by_length(monkeypatch):

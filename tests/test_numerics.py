@@ -46,6 +46,22 @@ class TestSigmoid:
         assert np.array_equal(sigmoid(xs), reference.sigmoid(xs))
         assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
 
+    @pytest.mark.parametrize("shape", [(5, 4), (5, 2, 4)])
+    def test_strided_gate_slices_match_reference_bit_for_bit(self, shape):
+        # The step loop applies sigmoid to the column blocks [:2H] and [3H:]
+        # of its (B, 4H) gate rows, both directions side by side.
+        H = 6
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -1e-310, 745.0, -745.0]
+        a = np.random.default_rng(1).normal(scale=20.0, size=shape[:-1] + (4 * H,))
+        a.reshape(-1)[: len(special)] = special
+        for block in (a[..., : 2 * H], a[..., 3 * H :]):
+            assert not block.flags.contiguous
+            got, want = sigmoid(block), reference.sigmoid(block.copy())
+            nan = np.isnan(block)
+            assert np.isnan(got[nan]).all()
+            # Same bit patterns (so also the sign of zero) everywhere else.
+            assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
 
 def _one_row(logits):
     """``softmax_rows`` applied to a 1-D logit list as a single row."""
