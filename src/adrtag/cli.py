@@ -157,7 +157,10 @@ def _load_tagger(checkpoint, expected_hidden=None):
     model = training.load_checkpoint(path, expected_hidden=expected_hidden)
     if model.vocab_tokens is None:
         raise training.CheckpointError(f"{path}: checkpoint carries no vocabulary")
-    return model, text.Vocabulary(model.vocab_tokens)
+    try:
+        return model, text.Vocabulary(model.vocab_tokens)
+    except text.DataError as exc:
+        raise training.CheckpointError(f"{path}: vocab_tokens: {exc}") from None
 
 
 def _echo_truncation(sequences, max_len):

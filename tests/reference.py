@@ -9,8 +9,13 @@ Below it, a packed oracle: each direction in its own step loop
 (``_run_direction`` and ``_backprop_direction``, kept as they were before the
 model ran both directions in one lockstep loop), driven by the batch packing,
 heads and losses of ``AdrModel``, for bit-for-bit comparison with the model.
+
+At the end, the text oracles: ``normalize`` with its regexes and
+``load_embeddings`` parsing every row into a dict, each kept as it was before
+``adrtag.text`` gained a plain-word fast path and a block-parsing loader.
 """
 
+import re
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -19,6 +24,7 @@ import numpy as np
 from adrtag.encoding import TagLabel
 from adrtag.model import GATES, AdrModel, BiLSTMParams, LinearHead, LSTMCellParams
 from adrtag.numerics import PROB_FLOOR, DimensionError, softmax_rows
+from adrtag.text import _PROTECTED, LINK, PAD, USER, DataError, EmbeddingTable
 
 
 def sigmoid(x) -> np.ndarray:
@@ -278,3 +284,79 @@ def packed_oracle(model: AdrModel, indices, lengths, labels, tags) -> dict:
     backprop(fwd, bwd, dlogits @ head.w.value)
     out["tag"] = {p.name: p.grad.copy() for p in model.tag_parameters()}
     return out
+
+
+_MENTION_RE = re.compile(r"@\w")
+_NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
+
+
+def normalize(raw: str) -> str:
+    """Clean one raw tweet into lowercase ASCII words."""
+    out = []
+    for tok in raw.split():
+        if tok in _PROTECTED:
+            out.append(tok)
+            continue
+        tok = tok.encode("ascii", "ignore").decode("ascii")
+        if not tok:
+            continue
+        low = tok.lower()
+        if low.startswith(("http://", "https://", "www.")):
+            out.append(LINK)
+            continue
+        if _MENTION_RE.match(tok):
+            out.append(USER)
+            continue
+        cleaned = _NON_ALNUM_RE.sub("", low)
+        if cleaned:
+            out.append(cleaned)
+    return " ".join(out)
+
+
+def load_embeddings(path, vocab, seed: int = 0) -> EmbeddingTable:
+    """Load plain-text word vectors for ``vocab``, holding every row of the
+    file in a dict before building the table."""
+    rows = {}
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise DataError(f"{path}: header must be 'V D'")
+        try:
+            count, dim = int(header[0]), int(header[1])
+        except ValueError as exc:
+            raise DataError(f"{path}: header must be two integers") from exc
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.rstrip("\n").split(" ")
+            if len(parts) != dim + 1:
+                raise DataError(
+                    f"{path}: line {lineno}: expected {dim} values, got {len(parts) - 1}"
+                )
+            try:
+                vec = np.array(parts[1:], dtype=np.float64)
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: bad float") from exc
+            if not np.isfinite(vec).all():
+                raise DataError(f"{path}: line {lineno}: non-finite value (nan or inf)")
+            if parts[0] in rows:
+                raise DataError(f"{path}: line {lineno}: duplicate token {parts[0]!r}")
+            rows[parts[0]] = vec
+    if len(rows) != count:
+        raise DataError(f"{path}: header says {count} rows, file has {len(rows)}")
+
+    rng = np.random.default_rng(seed)
+    vectors = np.zeros((len(vocab), dim), dtype=np.float64)
+    found = 0
+    vocab_words = 0
+    for i, tok in enumerate(vocab.index_to_token):
+        if tok not in _PROTECTED:
+            vocab_words += 1
+        if tok == PAD:
+            continue
+        if tok in rows:
+            vectors[i] = rows[tok]
+            if tok not in _PROTECTED:
+                found += 1
+        else:
+            vectors[i] = rng.uniform(-0.05, 0.05, size=dim)
+    coverage = found / vocab_words if vocab_words else 0.0
+    return EmbeddingTable(vectors=vectors, coverage=coverage)

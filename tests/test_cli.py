@@ -626,6 +626,29 @@ def test_embeddings_with_a_duplicate_token_is_data_error(workspace, monkeypatch,
     assert not (tmp_path / "x.ckpt").exists()
 
 
+@pytest.mark.parametrize("content", ["0 -3\n", "1 0\nugh\n"], ids=["negative-D", "zero-D"])
+def test_embeddings_header_sizes_are_data_errors(workspace, monkeypatch, capsys, tmp_path,
+                                                 content):
+    inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, "pretrain")
+    (workspace / "emb.txt").write_text(content)
+    code, _, err = run_cli(monkeypatch, capsys, "pretrain", *inputs, "--epochs", "1",
+                           "--out", str(tmp_path / "x.ckpt"))
+    assert code == EXIT_DATA
+    assert "emb.txt: header 'V D' needs V >= 0 and D >= 1" in err and "Traceback" not in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_checkpoint_vocabulary_with_a_duplicate_is_data_error(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "model.ckpt"
+    _save_tiny_checkpoint(path)
+    _rewrite_header(path, lambda header: header["vocab_tokens"].__setitem__(6, "ugh"))
+    code, _, err = run_cli(monkeypatch, capsys, "predict",
+                           "--checkpoint", str(path), "--text", "ugh so dizzy")
+    assert code == EXIT_DATA
+    assert "model.ckpt: vocab_tokens: entry 7: duplicate token 'ugh'" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["pretrain", "train"])
 def test_truncation_at_max_len_is_reported(workspace, monkeypatch, capsys, tmp_path, command):
     inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, command)
