@@ -358,6 +358,7 @@ def evaluate(checkpoint, test_path, trials, labeled, epochs, max_len, seed,
                     epochs=epochs, max_len=max_len, seed=seed + i))
             per_trial.append(evaluation.prf(
                 evaluation.evaluate_tagging(model, test_data, label)))
+        del model  # gone before the next trial's model loads
     report = evaluation.aggregate_trials(per_trial)
     out = evaluation.format_report(report)
     click.echo(out)

@@ -12,6 +12,7 @@ differences (see :func:`gradient_check`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -130,8 +131,15 @@ class EncodeCache:
     rows: np.ndarray  # (N,) batch row of each position; rows[:B] sorts the rows longest first
     cols: np.ndarray  # (N,) its column, which is also its forward step
     rev: np.ndarray  # (N,) the backward direction's position for the same token; self-inverse
-    h: np.ndarray  # (N, 2H) forward states, then backward states
     rec: _Recurrence
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """(N, 2H) forward states, then backward states, at the positions in
+        order: a copy of the outputs in ``rec.h``, built only for a reader
+        that needs every position's full state (the tag head)."""
+        hs = self.rec.h[self.rec.live[0] :]
+        return np.concatenate((hs[:, 0], hs[self.rev, 1]), axis=1)
 
 
 @dataclass
@@ -153,8 +161,8 @@ class TagLossCache:
 def _run_encoder(cells: Sequence[LSTMCellParams], emb: np.ndarray, ids: np.ndarray, live):
     """Both directions' recurrences in lockstep over the packed (N, 2) token
     ids of the real positions, each direction in its own processing order;
-    each step computes only its ``live`` prefix of rows. Returns the packed
-    (N, 2, H) hidden states and the cache for :func:`_backprop_encoder`."""
+    each step computes only its ``live`` prefix of rows. Returns the cache,
+    which holds the packed hidden states, for :func:`_backprop_encoder`."""
     H, N, B = cells[0].hidden, len(ids), int(live[0])
     gates = np.empty((N, 2, 4 * H))
     for d, cell in enumerate(cells):
@@ -174,8 +182,7 @@ def _run_encoder(cells: Sequence[LSTMCellParams], emb: np.ndarray, ids: np.ndarr
         m[B + o : B + o + n] = f * m[s : s + n] + u * c
         np.tanh(m[B + o : B + o + n], out=tanh_m[o : o + n])
         np.multiply(og, tanh_m[o : o + n], out=h[B + o : B + o + n])
-    rec = _Recurrence(emb=emb, ids=ids, live=live, h=h, m=m, gates=gates, tanh_m=tanh_m)
-    return h[B:], rec
+    return _Recurrence(emb=emb, ids=ids, live=live, h=h, m=m, gates=gates, tanh_m=tanh_m)
 
 
 def _backprop_encoder(cells: Sequence[LSTMCellParams], rec: _Recurrence, dh: np.ndarray,
@@ -208,10 +215,10 @@ def _backprop_encoder(cells: Sequence[LSTMCellParams], rec: _Recurrence, dh: np.
     h_in = np.arange(len(rec.ids)) + np.repeat(starts - offsets, live)
     for d, cell in enumerate(cells):
         da = rec.gates[:, d]
-        cell.w.grad += da.T @ rec.h[h_in, d]
-        cell.i.grad += da.T @ rec.emb[rec.ids[:, d]]
+        cell.w.accumulate(da.T @ rec.h[h_in, d])
+        cell.i.accumulate(da.T @ rec.emb[rec.ids[:, d]])
         if cell.gate_biases:
-            cell.b.grad += da.sum(axis=0)
+            cell.b.accumulate(da.sum(axis=0))
 
 
 class AdrModel:
@@ -276,6 +283,11 @@ class AdrModel:
         for p in self.all_parameters():
             p.zero_grad()
 
+    def release_training_state(self):
+        """Drop every gradient and Adam moment, keeping only the weights."""
+        for p in self.all_parameters():
+            p.release()
+
     # -- shared encoder -----------------------------------------------------
 
     def encode_batch(self, indices: np.ndarray, lengths: np.ndarray) -> EncodeCache:
@@ -298,12 +310,12 @@ class AdrModel:
         # and then to NaN states that would tag silently.
         try:
             with np.errstate(over="raise", invalid="raise"):
-                hs, rec = _run_encoder(self.encoder.cells(), self.embeddings,
-                                       np.stack((ids, ids[rev]), axis=1), live)
+                rec = _run_encoder(self.encoder.cells(), self.embeddings,
+                                   np.stack((ids, ids[rev]), axis=1), live)
         except FloatingPointError as exc:
             raise NumericalError(f"encoder forward overflowed: {exc}") from exc
         return EncodeCache(indices=indices, lengths=lengths, rows=rows, cols=cols, rev=rev,
-                           h=np.concatenate((hs[:, 0], hs[rev, 1]), axis=1), rec=rec)
+                           rec=rec)
 
     # -- drug-prediction head -----------------------------------------------
 
@@ -311,13 +323,20 @@ class AdrModel:
         """Pooled encoder states (B, 2H) over real positions and the drug
         head's logits (B, D)."""
         live = enc.rec.live
+        B = live[0]
         # Each row's states are added left to right: step 0 of every row,
-        # then one add per step over its live rows, longest first.
-        summed = enc.h[: live[0]].copy()
-        for o, n in zip(np.cumsum(live)[:-1], live[1:]):
-            summed[:n] += enc.h[o : o + n]
-        pooled = np.empty_like(summed)
-        pooled[enc.rows[: live[0]]] = summed
+        # then one add per step over its live rows, longest first. The
+        # forward half is read in place; the backward half of the same
+        # tokens is gathered step by step through ``rev``.
+        hs = enc.rec.h[B:]
+        summed = np.empty((B, 2, self.hidden))
+        summed[:, 0] = hs[:B, 0]
+        summed[:, 1] = hs[enc.rev[:B], 1]
+        for o, n in zip(np.cumsum(live)[:-1].tolist(), live[1:].tolist()):
+            summed[:n, 0] += hs[o : o + n, 0]
+            summed[:n, 1] += hs[enc.rev[o : o + n], 1]
+        pooled = np.empty((B, 2 * self.hidden))
+        pooled[enc.rows[:B]] = summed.reshape(B, -1)
         if self.pooling == "mean":
             pooled /= enc.lengths[:, None]
         return pooled, pooled @ self.drug_head.w.value.T + self.drug_head.b.value
@@ -343,8 +362,8 @@ class AdrModel:
         dlogits = cache.probs.copy()
         dlogits[np.arange(B), cache.labels] -= 1.0
         dlogits /= B
-        self.drug_head.w.grad += dlogits.T @ cache.pooled
-        self.drug_head.b.grad += dlogits.sum(axis=0)
+        self.drug_head.w.accumulate(dlogits.T @ cache.pooled)
+        self.drug_head.b.accumulate(dlogits.sum(axis=0))
         dpooled = dlogits @ self.drug_head.w.value
         if self.pooling == "mean":
             dpooled = dpooled / cache.enc.lengths[:, None]
@@ -384,8 +403,8 @@ class AdrModel:
         dlogits = cache.probs.copy()
         dlogits[np.arange(len(cache.tags)), np.where(cache.valid, cache.tags, 0)] -= 1.0
         dlogits *= cache.valid[:, None] / len(cache.enc.lengths)
-        self.tag_head.w.grad += dlogits.T @ cache.enc.h
-        self.tag_head.b.grad += dlogits.sum(axis=0)
+        self.tag_head.w.accumulate(dlogits.T @ cache.enc.h)
+        self.tag_head.b.accumulate(dlogits.sum(axis=0))
         dh = (dlogits @ self.tag_head.w.value).reshape(-1, 2, self.hidden)
         dh[:, 1] = dh[cache.enc.rev, 1]  # into the backward direction's order
         _backprop_encoder(self.encoder.cells(), cache.enc.rec, dh)

@@ -1,8 +1,8 @@
 """Float64 activations and a finite-difference gradient oracle.
 
 Everything here operates on plain numpy float64 arrays. Trainable arrays are
-wrapped in :class:`Parameter`, which allocates the gradient buffer and the
-Adam moment buffers beside the weights on first use.
+wrapped in :class:`Parameter`, which holds its gradient and Adam moment
+buffers only while training uses them.
 """
 
 from __future__ import annotations
@@ -29,12 +29,14 @@ _TRAINING_BUFFERS = ("grad", "adam_m", "adam_v")
 @dataclass
 class Parameter:
     """A trainable array. Its gradient ``grad`` and Adam moments ``adam_m``
-    and ``adam_v`` are allocated, zero-filled, the first time they are read,
-    so a model that only predicts holds only its weights.
+    and ``adam_v`` exist only while training uses them, so a model that only
+    predicts, or has finished training, holds only its weights. Reading one
+    that does not exist allocates it zero-filled.
 
-    Gradients accumulate additively into ``grad``; callers must zero it
-    between optimizer steps (shared encoder weights receive gradients from
-    both task heads).
+    Backward passes hand each gradient term to :meth:`accumulate` (shared
+    encoder weights receive terms from both task heads); the optimizer step
+    and :meth:`zero_grad` drop the gradient, and :meth:`release` drops all
+    three buffers.
     """
 
     name: str
@@ -52,14 +54,32 @@ class Parameter:
         setattr(self, attr, buffer)
         return buffer
 
+    def accumulate(self, g: np.ndarray):
+        """Add the gradient term ``g``: a fresh float64 array of the value's
+        shape that the caller does not keep. With no gradient pending, ``g``
+        itself becomes the gradient, with no zero buffer to add it to."""
+        if g.shape != self.value.shape or g.dtype != np.float64:
+            raise DimensionError(
+                f"gradient {g.dtype}{g.shape} does not match {self.name} {self.value.shape}"
+            )
+        grad = vars(self).get("grad")
+        if grad is None:
+            self.grad = g
+        else:
+            grad += g
+
     def zero_grad(self):
-        if "grad" in vars(self):
-            self.grad[...] = 0.0
+        vars(self).pop("grad", None)
 
     def drop_moments(self):
         """Forget the Adam moments; the next read allocates fresh zeros."""
         vars(self).pop("adam_m", None)
         vars(self).pop("adam_v", None)
+
+    def release(self):
+        """Drop the gradient and the Adam moments, keeping only the weights."""
+        self.zero_grad()
+        self.drop_moments()
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -191,11 +191,9 @@ class Vocabulary:
         """Keep the ``cap`` most frequent tokens; ties break lexicographically."""
         if cap < 1:
             raise ValueError("vocabulary cap must be >= 1")
-        counts: Counter = Counter()
-        for stream in corpora:
-            for tok in stream:
-                if tok not in _PROTECTED:
-                    counts[tok] += 1
+        counts = Counter(itertools.chain.from_iterable(corpora))
+        for sentinel in SENTINELS:
+            counts.pop(sentinel, None)
         if not counts:
             raise ValueError("cannot build a vocabulary from an empty corpus")
         kept = sorted(counts, key=lambda t: (-counts[t], t))[:cap]
@@ -220,7 +218,8 @@ class Vocabulary:
         return self.token_to_index.get(token, self.unk_index)
 
     def indices(self, tokens: Sequence[str]) -> List[int]:
-        return [self.index(t) for t in tokens]
+        get, unk = self.token_to_index.get, self.unk_index
+        return [get(t, unk) for t in tokens]
 
     def save(self, path):
         with atomic_write(path) as fh:

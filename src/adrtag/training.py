@@ -70,7 +70,9 @@ ADAM_CHUNK = 32768  # elements per slice of the update, so its operands stay in 
 
 
 def adam_step(param: Parameter, config: AdamConfig, t: int) -> None:
-    """One bias-corrected Adam update; zeroes the gradient as it goes."""
+    """One bias-corrected Adam update, which spends the gradient: it is
+    dropped after the update, and kept only when a non-finite entry stops
+    the step before any weight changes."""
     if t < 1:
         raise ValueError("step index must be >= 1")
     w, m, v, grad = (
@@ -81,7 +83,7 @@ def adam_step(param: Parameter, config: AdamConfig, t: int) -> None:
         raise NumericalError(f"non-finite gradient for parameter {param.name}")
     # In place, in the textbook order: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
     # w -= (lr*m_hat) / (sqrt(v_hat) + eps); the spent gradient is the second
-    # scratch, zeroed for the next step while it is still in cache.
+    # scratch.
     # Every operation is element-wise, so slicing changes no result.
     scratch = np.empty(min(ADAM_CHUNK, grad.size))
     for chunk in chunks:
@@ -98,7 +100,7 @@ def adam_step(param: Parameter, config: AdamConfig, t: int) -> None:
         np.sqrt(g, out=g)
         g += config.epsilon
         w[chunk] -= np.divide(s, g, out=s)
-        g.fill(0.0)
+    param.zero_grad()
 
 
 class Adam:
@@ -181,7 +183,8 @@ def pretrain(
     """Phase 1: minimize masked-drug prediction cross-entropy.
 
     Trains the encoder and the drug head; the tag head is untouched. Returns
-    one log record per epoch with the held-out drug accuracy.
+    one log record per epoch with the held-out drug accuracy. On every exit
+    the model is left holding only its weights.
     """
     if not examples:
         raise ValueError("pretraining corpus is empty")
@@ -193,29 +196,32 @@ def pretrain(
         train_idx, held_idx = list(range(len(examples))), []
     optimizer = Adam(model.drug_parameters(), config.adam)
     log = []
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        order = rng.permutation(len(train_idx))
-        total_loss = 0.0
-        total_n = 0
-        for batch in _batches(order, config.batch_size):
-            chosen = [examples[train_idx[i]] for i in batch]
-            idx, lengths = pad_batch([c[0] for c in chosen], config.max_len)
-            labels = np.array([c[1] for c in chosen])
-            loss, cache = _forward(model.drug_loss, "pretrain", epoch, chosen,
-                                   idx, lengths, labels)
-            model.backward_drug(cache)
-            optimizer.step()
-            total_loss += loss * len(chosen)
-            total_n += len(chosen)
-        record = {
-            "phase": "pretrain",
-            "epoch": epoch,
-            "mean_loss": total_loss / max(total_n, 1),
-            "accuracy": _drug_accuracy(model, examples, held_idx, config.max_len),
-            "wall_time": time.perf_counter() - t0,
-        }
-        log.append(record)
+    try:
+        for epoch in range(config.epochs):
+            t0 = time.perf_counter()
+            order = rng.permutation(len(train_idx))
+            total_loss = 0.0
+            total_n = 0
+            for batch in _batches(order, config.batch_size):
+                chosen = [examples[train_idx[i]] for i in batch]
+                idx, lengths = pad_batch([c[0] for c in chosen], config.max_len)
+                labels = np.array([c[1] for c in chosen])
+                loss, cache = _forward(model.drug_loss, "pretrain", epoch, chosen,
+                                       idx, lengths, labels)
+                model.backward_drug(cache)
+                optimizer.step()
+                total_loss += loss * len(chosen)
+                total_n += len(chosen)
+            record = {
+                "phase": "pretrain",
+                "epoch": epoch,
+                "mean_loss": total_loss / max(total_n, 1),
+                "accuracy": _drug_accuracy(model, examples, held_idx, config.max_len),
+                "wall_time": time.perf_counter() - t0,
+            }
+            log.append(record)
+    finally:
+        model.release_training_state()
     return log
 
 
@@ -239,7 +245,8 @@ def train_supervised(
     """Phase 2: minimize the summed per-token tagging cross-entropy.
 
     Reuses (and mutates) the same encoder parameter objects phase 1 trained;
-    the drug head is untouched. Optimizer moments start fresh.
+    the drug head is untouched. Optimizer moments start fresh, and on every
+    exit the model is left holding only its weights.
     """
     if not data:
         raise ValueError("labeled training set is empty")
@@ -249,34 +256,38 @@ def train_supervised(
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(model.tag_parameters(), config.adam)
     log = []
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        order = rng.permutation(len(data))
-        total_loss = 0.0
-        correct = 0
-        scored = 0
-        for batch in _batches(order, config.batch_size):
-            chosen = [data[i] for i in batch]
-            idx, lengths = pad_batch([c[0] for c in chosen], config.max_len)
-            tags, _ = pad_batch(
-                [c[1] for c in chosen], config.max_len, pad_index=int(TagLabel.PAD)
+    try:
+        for epoch in range(config.epochs):
+            t0 = time.perf_counter()
+            order = rng.permutation(len(data))
+            total_loss = 0.0
+            correct = 0
+            scored = 0
+            for batch in _batches(order, config.batch_size):
+                chosen = [data[i] for i in batch]
+                idx, lengths = pad_batch([c[0] for c in chosen], config.max_len)
+                tags, _ = pad_batch(
+                    [c[1] for c in chosen], config.max_len, pad_index=int(TagLabel.PAD)
+                )
+                loss, cache = _forward(model.tag_loss, "supervised", epoch, chosen,
+                                       idx, lengths, tags)
+                correct += int(((cache.probs.argmax(axis=1) == cache.tags)
+                                & cache.valid).sum())
+                scored += int(cache.valid.sum())
+                model.backward_tags(cache)
+                optimizer.step()
+                total_loss += loss * len(chosen)
+            log.append(
+                {
+                    "phase": "supervised",
+                    "epoch": epoch,
+                    "mean_loss": total_loss / len(data),
+                    "accuracy": correct / max(scored, 1),
+                    "wall_time": time.perf_counter() - t0,
+                }
             )
-            loss, cache = _forward(model.tag_loss, "supervised", epoch, chosen,
-                                   idx, lengths, tags)
-            correct += int(((cache.probs.argmax(axis=1) == cache.tags) & cache.valid).sum())
-            scored += int(cache.valid.sum())
-            model.backward_tags(cache)
-            optimizer.step()
-            total_loss += loss * len(chosen)
-        log.append(
-            {
-                "phase": "supervised",
-                "epoch": epoch,
-                "mean_loss": total_loss / len(data),
-                "accuracy": correct / max(scored, 1),
-                "wall_time": time.perf_counter() - t0,
-            }
-        )
+    finally:
+        model.release_training_state()
     return log
 
 
@@ -327,8 +338,8 @@ def save_checkpoint(model: AdrModel, path) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+        for _, a in arrays:  # from the array's own buffer, with no bytes copy
+            fh.write(memoryview(np.ascontiguousarray(a, dtype=np.float64)))
 
 
 def _is_int(value) -> bool:

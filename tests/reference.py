@@ -12,10 +12,13 @@ heads and losses of ``AdrModel``, for bit-for-bit comparison with the model.
 
 At the end, the text oracles: ``normalize`` with its regexes and
 ``load_embeddings`` parsing every row into a dict, each kept as it was before
-``adrtag.text`` gained a plain-word fast path and a block-parsing loader.
+``adrtag.text`` gained a plain-word fast path and a block-parsing loader; and
+the vocabulary's token counting and lookup, one token at a time, as they were
+before ``Vocabulary`` counted through one ``Counter`` call.
 """
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -24,7 +27,9 @@ import numpy as np
 from adrtag.encoding import TagLabel
 from adrtag.model import GATES, AdrModel, BiLSTMParams, LinearHead, LSTMCellParams
 from adrtag.numerics import PROB_FLOOR, DimensionError, softmax_rows
-from adrtag.text import _PROTECTED, LINK, PAD, USER, DataError, EmbeddingTable
+from adrtag.text import (
+    _PROTECTED, LINK, PAD, SENTINELS, USER, DataError, EmbeddingTable, Vocabulary,
+)
 
 
 def sigmoid(x) -> np.ndarray:
@@ -360,3 +365,24 @@ def load_embeddings(path, vocab, seed: int = 0) -> EmbeddingTable:
             vectors[i] = rng.uniform(-0.05, 0.05, size=dim)
     coverage = found / vocab_words if vocab_words else 0.0
     return EmbeddingTable(vectors=vectors, coverage=coverage)
+
+
+def build_vocabulary(corpora, cap: int = 15000) -> List[str]:
+    """The tokens of ``Vocabulary.build``: the sentinels, then the ``cap``
+    most frequent other tokens, ties broken lexicographically."""
+    if cap < 1:
+        raise ValueError("vocabulary cap must be >= 1")
+    counts: Counter = Counter()
+    for stream in corpora:
+        for tok in stream:
+            if tok not in _PROTECTED:
+                counts[tok] += 1
+    if not counts:
+        raise ValueError("cannot build a vocabulary from an empty corpus")
+    kept = sorted(counts, key=lambda t: (-counts[t], t))[:cap]
+    return list(SENTINELS) + kept
+
+
+def vocabulary_indices(vocab: Vocabulary, tokens: Sequence[str]) -> List[int]:
+    """``Vocabulary.indices``, one ``index`` call per token."""
+    return [vocab.index(t) for t in tokens]

@@ -1,5 +1,6 @@
 import json
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -207,6 +208,34 @@ class TestPipeline:
         assert code == 0
         assert len(out.strip().splitlines()) == 5  # header + 3 trials + summary
         assert (tmp_path / "report.txt").exists()
+
+    def test_trials_never_hold_two_models(self, workspace, monkeypatch, capsys, tmp_path):
+        vocab = tmp_path / "vocab.txt"
+        ckpt = tmp_path / "fresh.ckpt"
+        run_cli(monkeypatch, capsys, "build-vocab",
+                "--labeled", str(workspace / "train.tsv"),
+                "--cap", "100", "--out", str(vocab))
+        run_cli(monkeypatch, capsys, "train",
+                "--labeled", str(workspace / "train.tsv"),
+                "--vocab", str(vocab), "--embeddings", str(workspace / "emb.txt"),
+                "--hidden", "5", "--epochs", "0", "--max-len", "12",
+                "--out", str(ckpt))
+        load, loaded = cli_module._load_tagger, []
+
+        def checked_load(*args, **kwargs):
+            assert all(ref() is None for ref in loaded), "the previous trial's model is alive"
+            model, vocab_obj = load(*args, **kwargs)
+            loaded.append(weakref.ref(model))
+            return model, vocab_obj
+
+        monkeypatch.setattr(cli_module, "_load_tagger", checked_load)
+        code, _, err = run_cli(monkeypatch, capsys, "evaluate",
+                               "--checkpoint", str(ckpt),
+                               "--test", str(workspace / "test.tsv"),
+                               "--trials", "3", "--labeled", str(workspace / "train.tsv"),
+                               "--epochs", "1", "--max-len", "12")
+        assert (code, err) == (0, "")
+        assert len(loaded) == 3
 
     def test_seed_repeat_identical_checkpoint(self, workspace, monkeypatch, capsys, tmp_path):
         processed = tmp_path / "p.tsv"

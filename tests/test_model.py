@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -515,6 +516,35 @@ class TestPacking:
     def test_states_are_kept_at_real_positions_only(self):
         model, _, idx, n = self.setup_batch()
         assert model.encode_batch(idx, n).h.shape == (n.sum(), 2 * model.hidden)
+
+
+def test_drug_head_builds_no_copy_of_the_states():
+    """The drug head pools straight from the recurrence's own state array,
+    so its loss cache holds no (N, 2H) ``EncodeCache.h``: building that copy
+    before the backward pass raises the peak by at least the copy's size."""
+    rng = np.random.default_rng(8)
+    V, E, H, B = 30, 8, 64, 32
+    model = AdrModel(rng.normal(scale=0.5, size=(V, E)), hidden=H, drug_count=4, seed=8)
+    lengths = rng.integers(5, 20, size=B)
+    idx = rng.integers(1, V, size=(B, int(lengths.max())))
+    labels = rng.integers(0, 4, size=B)
+
+    def peak(read_h):
+        model.zero_grad()
+        _, cache = model.drug_loss(idx, lengths, labels)
+        assert "h" not in vars(cache.enc)
+        tracemalloc.start()
+        try:
+            h = cache.enc.h if read_h else None
+            model.backward_drug(cache)
+            return tracemalloc.get_traced_memory()[1], h
+        finally:
+            tracemalloc.stop()
+
+    peak(False)  # warm up one-time allocations
+    without, _ = peak(False)
+    with_h, h = peak(True)
+    assert with_h - without >= h.nbytes == lengths.sum() * 2 * H * 8
 
 
 class TestLockstepMatchesPerDirectionLoops:

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adrtag.numerics import (
+    DimensionError,
     NumericalError,
     Parameter,
     finite_difference_gradient,
@@ -169,6 +170,29 @@ def test_parameter_buffers_start_zeroed():
     p.grad += 1.0
     p.zero_grad()
     assert np.array_equal(p.grad, np.zeros((2, 2)))
+
+
+def test_accumulate_adopts_the_first_term_and_adds_the_next():
+    p = Parameter("w", np.ones((2, 2)))
+    first = np.full((2, 2), 1.5)
+    p.accumulate(first)
+    assert p.grad is first
+    p.accumulate(np.full((2, 2), 2.0))
+    assert p.grad is first
+    assert np.array_equal(first, np.full((2, 2), 3.5))
+    p.zero_grad()
+    assert set(vars(p)) == {"name", "value"}
+    with pytest.raises(DimensionError, match="w"):
+        p.accumulate(np.ones(4))
+
+
+def test_release_keeps_only_the_weights():
+    p = Parameter("w", np.ones(2))
+    p.accumulate(np.ones(2))
+    p.adam_m += 1.0
+    p.adam_v += 1.0
+    p.release()
+    assert set(vars(p)) == {"name", "value"}
 
 
 def test_parameter_allocates_training_buffers_on_first_use():

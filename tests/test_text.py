@@ -234,6 +234,28 @@ class TestVocabulary:
         assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
 
 
+_VOCAB_TOKENS = st.one_of(st.sampled_from([*SENTINELS, "a", "b", "ab", "A", ""]),
+                          st.text(max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_VOCAB_TOKENS, max_size=12), max_size=4), st.integers(1, 8),
+       st.lists(_VOCAB_TOKENS, max_size=12))
+def test_vocabulary_matches_reference(corpora, cap, tokens):
+    def outcome(build):
+        try:
+            return build(iter(corpora), cap)  # the corpora are read once
+        except ValueError as exc:
+            return str(exc)
+
+    want = outcome(reference.build_vocabulary)
+    got = outcome(lambda c, k: Vocabulary.build((iter(s) for s in c), k).index_to_token)
+    assert got == want
+    if isinstance(want, list):
+        v = Vocabulary(want)
+        assert v.indices(tokens) == reference.vocabulary_indices(v, tokens)
+
+
 def test_normalize_token_alignment():
     assert normalize_token("@BLENDOS") == USER
     assert normalize_token("Weight") == "weight"

@@ -73,6 +73,17 @@ class TestAdam:
         adam_step(p, AdamConfig(), t=1)
         assert np.array_equal(p.grad, np.zeros(2))
 
+    def test_step_drops_the_gradient_and_a_failed_step_keeps_it(self):
+        p = Parameter("w", np.ones(3))
+        p.accumulate(np.array([1.0, -2.0, 0.5]))
+        adam_step(p, AdamConfig(), t=1)
+        assert _buffers(p) == {"adam_m", "adam_v"}
+        bad = np.array([1.0, np.nan, 0.5])
+        p.accumulate(bad)
+        with pytest.raises(NumericalError):
+            adam_step(p, AdamConfig(), t=2)
+        assert vars(p)["grad"] is bad
+
     def test_non_finite_gradient_names_parameter(self):
         p = Parameter("fwd.w_u", np.ones(2))
         p.grad[...] = np.array([1.0, np.nan])
@@ -311,9 +322,9 @@ class TestTrainingBuffers:
         optimizer = Adam(model.tag_parameters())
         model.backward_tags(model.tag_loss([ids], [len(ids)], [tags])[1])
         optimizer.step()
-        for p in model.tag_parameters():
-            assert _buffers(p) == {"grad", "adam_m", "adam_v"}, p.name
-            assert not p.grad.any() and p.adam_v.any(), p.name
+        for p in model.tag_parameters():  # the step spent the gradient
+            assert _buffers(p) == {"adam_m", "adam_v"}, p.name
+            assert p.adam_v.any(), p.name
         assert all(_buffers(p) == set() for p in model.drug_head.params())
 
     def test_new_optimizer_drops_moments_and_keeps_gradients(self):
@@ -324,6 +335,65 @@ class TestTrainingBuffers:
             p.grad += 1.0
         Adam(params)
         assert all(_buffers(p) == {"grad"} for p in params)
+
+    @staticmethod
+    def train_phase(phase, model, vocab):
+        if phase == "pretrain":
+            examples = synthetic.unlabeled_examples(vocab, 3, 20, seed=1)
+            return pretrain(examples, model, pretrain_config(epochs=2, batch_size=4, max_len=12))
+        data = synthetic.labeled_examples(vocab, 3, 4, seed=4)
+        return train_supervised(data, model, supervised_config(epochs=2, max_len=12))
+
+    @pytest.mark.parametrize("phase", ["pretrain", "supervised"])
+    def test_training_returns_a_model_holding_only_weights(self, phase):
+        vocab, _, model = tiny_setup()
+        before = [p.value.copy() for p in model.all_parameters()]
+        self.train_phase(phase, model, vocab)
+        assert any(not np.array_equal(p.value, w) for p, w in zip(model.all_parameters(), before))
+        assert all(_buffers(p) == set() for p in model.all_parameters())
+
+    @pytest.mark.parametrize("phase", ["pretrain", "supervised"])
+    def test_a_failed_step_still_releases_every_buffer(self, phase):
+        # the third backward writes a NaN into one gradient, after two steps
+        # have given the group its moments; Adam then stops with NumericalError
+        vocab, _, model = tiny_setup()
+        name = "backward_drug" if phase == "pretrain" else "backward_tags"
+        backward, calls = getattr(model, name), []
+
+        def poisoned(cache):
+            backward(cache)
+            calls.append(1)
+            if len(calls) == 3:
+                model.encoder.forward_cell.w.grad[0, 0] = np.nan
+
+        setattr(model, name, poisoned)
+        with pytest.raises(NumericalError, match="non-finite gradient for parameter fwd.w"):
+            self.train_phase(phase, model, vocab)
+        assert all(_buffers(p) == set() for p in model.all_parameters())
+
+    def test_a_trained_model_adds_only_its_weights_to_the_next_training_peak(self):
+        vocab, _, model_a = tiny_setup(emb_dim=8, hidden=64)
+        data = synthetic.labeled_examples(vocab, 3, 4, seed=4)
+        cfg = supervised_config(epochs=1, max_len=12)
+        weights = sum(p.value.nbytes for p in model_a.tag_parameters())
+
+        def train_b():
+            train_supervised(data, tiny_setup(emb_dim=8, hidden=64, seed=1)[2], cfg)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        train_b()  # warm up numpy's and the test's one-time allocations
+        alone = peak(train_b)
+        # A is trained inside the traced region and kept alive while B trains;
+        # a gradient and two moments left on A would add 3x its weights.
+        both = peak(lambda: (train_supervised(data, model_a, cfg), train_b()))
+        assert both < weights + alone + weights // 2
 
     def test_load_draws_no_weights(self, tmp_path, monkeypatch):
         _, _, model = tiny_setup(seed=4)
@@ -373,7 +443,7 @@ class TestTrainingBuffers:
                 assert np.array_equal(p.value, q.value), p.name
 
         train_both(copy.deepcopy(model))  # copied before any buffer exists
-        copied = copy.deepcopy(model)  # copies the buffers training left
+        copied = copy.deepcopy(model)  # training left only the weights to copy
         assert not any(np.shares_memory(p.grad, q.grad)
                        for p, q in zip(model.tag_parameters(), copied.tag_parameters()))
         train_both(copied)
