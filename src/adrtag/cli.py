@@ -349,11 +349,12 @@ def evaluate(checkpoint, test_path, trials, labeled, epochs, max_len, seed,
     per_trial = []
     for i in range(trials):
         model, vocab_obj = _load_tagger(checkpoint)
-        if i == 0:
+        if i == 0:  # every trial loads the same checkpoint, so the same vocabulary
             test_data = _encode_labeled(encoding.read_conll(test_path), vocab_obj)
-        with _naming_checkpoint(checkpoint):
             if trials > 1:
                 data = _encode_labeled(encoding.read_conll(labeled), vocab_obj)
+        with _naming_checkpoint(checkpoint):
+            if trials > 1:
                 training.train_supervised(data, model, training.supervised_config(
                     epochs=epochs, max_len=max_len, seed=seed + i))
             per_trial.append(evaluation.prf(

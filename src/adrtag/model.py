@@ -215,10 +215,10 @@ def _backprop_encoder(cells: Sequence[LSTMCellParams], rec: _Recurrence, dh: np.
     h_in = np.arange(len(rec.ids)) + np.repeat(starts - offsets, live)
     for d, cell in enumerate(cells):
         da = rec.gates[:, d]
-        cell.w.accumulate(da.T @ rec.h[h_in, d])
-        cell.i.accumulate(da.T @ rec.emb[rec.ids[:, d]])
+        cell.w.accumulate(np.matmul(da.T, rec.h[h_in, d], out=cell.w.buffer()))
+        cell.i.accumulate(np.matmul(da.T, rec.emb[rec.ids[:, d]], out=cell.i.buffer()))
         if cell.gate_biases:
-            cell.b.accumulate(da.sum(axis=0))
+            cell.b.accumulate(np.sum(da, axis=0, out=cell.b.buffer()))
 
 
 class AdrModel:
@@ -362,9 +362,10 @@ class AdrModel:
         dlogits = cache.probs.copy()
         dlogits[np.arange(B), cache.labels] -= 1.0
         dlogits /= B
-        self.drug_head.w.accumulate(dlogits.T @ cache.pooled)
-        self.drug_head.b.accumulate(dlogits.sum(axis=0))
-        dpooled = dlogits @ self.drug_head.w.value
+        head = self.drug_head
+        head.w.accumulate(np.matmul(dlogits.T, cache.pooled, out=head.w.buffer()))
+        head.b.accumulate(np.sum(dlogits, axis=0, out=head.b.buffer()))
+        dpooled = dlogits @ head.w.value
         if self.pooling == "mean":
             dpooled = dpooled / cache.enc.lengths[:, None]
         # Step t's live rows are the sorted prefix rows[:n] in both directions.
@@ -403,9 +404,10 @@ class AdrModel:
         dlogits = cache.probs.copy()
         dlogits[np.arange(len(cache.tags)), np.where(cache.valid, cache.tags, 0)] -= 1.0
         dlogits *= cache.valid[:, None] / len(cache.enc.lengths)
-        self.tag_head.w.accumulate(dlogits.T @ cache.enc.h)
-        self.tag_head.b.accumulate(dlogits.sum(axis=0))
-        dh = (dlogits @ self.tag_head.w.value).reshape(-1, 2, self.hidden)
+        head = self.tag_head
+        head.w.accumulate(np.matmul(dlogits.T, cache.enc.h, out=head.w.buffer()))
+        head.b.accumulate(np.sum(dlogits, axis=0, out=head.b.buffer()))
+        dh = (dlogits @ head.w.value).reshape(-1, 2, self.hidden)
         dh[:, 1] = dh[cache.enc.rev, 1]  # into the backward direction's order
         _backprop_encoder(self.encoder.cells(), cache.enc.rec, dh)
         cache.enc = None

@@ -33,10 +33,13 @@ class Parameter:
     predicts, or has finished training, holds only its weights. Reading one
     that does not exist allocates it zero-filled.
 
-    Backward passes hand each gradient term to :meth:`accumulate` (shared
-    encoder weights receive terms from both task heads); the optimizer step
-    and :meth:`zero_grad` drop the gradient, and :meth:`release` drops all
-    three buffers.
+    Backward passes write each gradient term into :meth:`buffer` and hand it
+    to :meth:`accumulate` (shared encoder weights receive terms from both
+    task heads). The optimizer step and :meth:`zero_grad` drop the gradient
+    and keep its memory as the ``spare``, which the next :meth:`buffer`
+    returns, so a training run writes every step's gradient into the memory
+    the last step spent. Nothing reads a spare's contents. :meth:`release`
+    drops the gradient, the spare and both moments.
     """
 
     name: str
@@ -54,10 +57,17 @@ class Parameter:
         setattr(self, attr, buffer)
         return buffer
 
+    def buffer(self) -> np.ndarray:
+        """An array of the value's shape for the caller to write a gradient
+        term into: the spare, which the caller now owns, or a fresh one."""
+        spare = vars(self).pop("spare", None)
+        return np.empty_like(self.value) if spare is None else spare
+
     def accumulate(self, g: np.ndarray):
-        """Add the gradient term ``g``: a fresh float64 array of the value's
-        shape that the caller does not keep. With no gradient pending, ``g``
-        itself becomes the gradient, with no zero buffer to add it to."""
+        """Add the gradient term ``g``: a float64 array of the value's shape
+        that the caller does not keep, such as one from :meth:`buffer`. With
+        no gradient pending, ``g`` itself becomes the gradient, with no zero
+        buffer to add it to; otherwise it is added and kept as the spare."""
         if g.shape != self.value.shape or g.dtype != np.float64:
             raise DimensionError(
                 f"gradient {g.dtype}{g.shape} does not match {self.name} {self.value.shape}"
@@ -67,9 +77,13 @@ class Parameter:
             self.grad = g
         else:
             grad += g
+            self.spare = g
 
     def zero_grad(self):
-        vars(self).pop("grad", None)
+        """Drop the gradient, keeping its memory as the spare."""
+        grad = vars(self).pop("grad", None)
+        if grad is not None:
+            self.spare = grad
 
     def drop_moments(self):
         """Forget the Adam moments; the next read allocates fresh zeros."""
@@ -77,8 +91,10 @@ class Parameter:
         vars(self).pop("adam_v", None)
 
     def release(self):
-        """Drop the gradient and the Adam moments, keeping only the weights."""
-        self.zero_grad()
+        """Drop the gradient, the spare and the Adam moments, keeping only
+        the weights."""
+        vars(self).pop("grad", None)
+        vars(self).pop("spare", None)
         self.drop_moments()
 
 

@@ -71,22 +71,29 @@ ADAM_CHUNK = 32768  # elements per slice of the update, so its operands stay in 
 
 def adam_step(param: Parameter, config: AdamConfig, t: int) -> None:
     """One bias-corrected Adam update, which spends the gradient: it is
-    dropped after the update, and kept only when a non-finite entry stops
-    the step before any weight changes."""
+    dropped after the update, and kept only when the finite check stops the
+    step before any weight changes.
+
+    The check is one dot product, the squared norm: a NaN or an infinity
+    makes it non-finite, and so does a norm above about 1.3e154, whose
+    square overflows. An entry that large would overflow the bias-corrected
+    ``v``, which is ``g*g`` at the first step, and silently zero its update."""
     if t < 1:
         raise ValueError("step index must be >= 1")
     w, m, v, grad = (
         a.reshape(-1) for a in (param.value, param.adam_m, param.adam_v, param.grad)
     )
-    chunks = [slice(start, start + ADAM_CHUNK) for start in range(0, grad.size, ADAM_CHUNK)]
-    if not all(np.isfinite(grad[chunk]).all() for chunk in chunks):
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(np.dot(grad, grad))
+    if not finite:
         raise NumericalError(f"non-finite gradient for parameter {param.name}")
     # In place, in the textbook order: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
     # w -= (lr*m_hat) / (sqrt(v_hat) + eps); the spent gradient is the second
     # scratch.
     # Every operation is element-wise, so slicing changes no result.
     scratch = np.empty(min(ADAM_CHUNK, grad.size))
-    for chunk in chunks:
+    for start in range(0, grad.size, ADAM_CHUNK):
+        chunk = slice(start, start + ADAM_CHUNK)
         g, mc, vc = grad[chunk], m[chunk], v[chunk]
         s = scratch[: len(g)]
         mc *= config.beta1

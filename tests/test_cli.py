@@ -1,6 +1,7 @@
 import json
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +237,33 @@ class TestPipeline:
                                "--epochs", "1", "--max-len", "12")
         assert (code, err) == (0, "")
         assert len(loaded) == 3
+
+    def test_trials_read_each_file_once(self, workspace, monkeypatch, capsys, tmp_path):
+        vocab = tmp_path / "vocab.txt"
+        ckpt = tmp_path / "fresh.ckpt"
+        run_cli(monkeypatch, capsys, "build-vocab",
+                "--labeled", str(workspace / "train.tsv"),
+                "--cap", "100", "--out", str(vocab))
+        run_cli(monkeypatch, capsys, "train",
+                "--labeled", str(workspace / "train.tsv"),
+                "--vocab", str(vocab), "--embeddings", str(workspace / "emb.txt"),
+                "--hidden", "5", "--epochs", "0", "--max-len", "12",
+                "--out", str(ckpt))
+        read, reads = cli_module.encoding.read_conll, []
+
+        def counted_read(path, *args, **kwargs):
+            reads.append(Path(path).name)
+            return read(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module.encoding, "read_conll", counted_read)
+        code, out, err = run_cli(monkeypatch, capsys, "evaluate",
+                                 "--checkpoint", str(ckpt),
+                                 "--test", str(workspace / "test.tsv"),
+                                 "--trials", "3", "--labeled", str(workspace / "train.tsv"),
+                                 "--epochs", "1", "--max-len", "12")
+        assert (code, err) == (0, "")
+        assert len(out.strip().splitlines()) == 5  # header + 3 trials + summary
+        assert sorted(reads) == ["test.tsv", "train.tsv"]
 
     def test_seed_repeat_identical_checkpoint(self, workspace, monkeypatch, capsys, tmp_path):
         processed = tmp_path / "p.tsv"

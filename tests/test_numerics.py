@@ -177,18 +177,34 @@ def test_accumulate_adopts_the_first_term_and_adds_the_next():
     first = np.full((2, 2), 1.5)
     p.accumulate(first)
     assert p.grad is first
-    p.accumulate(np.full((2, 2), 2.0))
+    second = np.full((2, 2), 2.0)
+    p.accumulate(second)
     assert p.grad is first
     assert np.array_equal(first, np.full((2, 2), 3.5))
+    assert vars(p)["spare"] is second  # the added term's memory is kept
     p.zero_grad()
-    assert set(vars(p)) == {"name", "value"}
+    assert set(vars(p)) == {"name", "value", "spare"}
+    assert vars(p)["spare"] is first  # the dropped gradient's memory is kept
     with pytest.raises(DimensionError, match="w"):
         p.accumulate(np.ones(4))
+
+
+def test_buffer_hands_out_the_spare_once_then_fresh_memory():
+    p = Parameter("w", np.ones((2, 3)))
+    fresh = p.buffer()
+    assert fresh.shape == (2, 3) and fresh.dtype == np.float64
+    assert fresh.flags.c_contiguous
+    p.accumulate(fresh)
+    p.zero_grad()
+    assert p.buffer() is fresh
+    assert "spare" not in vars(p)  # the caller owns it now
+    assert p.buffer() is not fresh
 
 
 def test_release_keeps_only_the_weights():
     p = Parameter("w", np.ones(2))
     p.accumulate(np.ones(2))
+    p.accumulate(np.ones(2))  # leaves a spare
     p.adam_m += 1.0
     p.adam_v += 1.0
     p.release()

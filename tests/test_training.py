@@ -77,7 +77,7 @@ class TestAdam:
         p = Parameter("w", np.ones(3))
         p.accumulate(np.array([1.0, -2.0, 0.5]))
         adam_step(p, AdamConfig(), t=1)
-        assert _buffers(p) == {"adam_m", "adam_v"}
+        assert _buffers(p) == {"adam_m", "adam_v", "spare"}
         bad = np.array([1.0, np.nan, 0.5])
         p.accumulate(bad)
         with pytest.raises(NumericalError):
@@ -123,8 +123,29 @@ class TestAdam:
             assert np.array_equal(p.adam_v, v)
             assert np.array_equal(p.value, w)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e155])
+    def test_a_non_finite_or_overflowing_entry_changes_nothing(self, entry):
+        # 1e155 is finite, but its square overflows the squared norm, as it
+        # would overflow the bias-corrected v
+        p = Parameter("tag.w", np.ones(5))
+        p.accumulate(np.linspace(-1.0, 1.0, 5))
+        adam_step(p, AdamConfig(), t=1)  # the moments are non-zero from here on
+        w, m, v = p.value.copy(), p.adam_m.copy(), p.adam_v.copy()
+        p.grad[...] = 0.5
+        p.grad[2] = entry
+        with pytest.raises(NumericalError, match=r"non-finite gradient for parameter tag\.w"):
+            adam_step(p, AdamConfig(), t=2)
+        assert np.array_equal(p.value, w)
+        assert np.array_equal(p.adam_m, m) and np.array_equal(p.adam_v, v)
+
+    def test_an_entry_below_the_overflow_bound_updates(self):
+        p = Parameter("w", np.zeros(2))
+        p.grad[...] = [1e150, -1.0]
+        adam_step(p, AdamConfig(learning_rate=0.01), t=1)
+        np.testing.assert_allclose(p.value, [-0.01, 0.01])
+
     def test_non_finite_gradient_in_a_late_chunk_updates_nothing(self):
-        # every slice is checked before the first slice is updated
+        # the whole gradient is checked before the first slice is updated
         p = Parameter("w", np.ones(2 * training.ADAM_CHUNK + 5))
         p.grad[...] = 1.0
         p.grad[-1] = np.inf
@@ -305,7 +326,7 @@ class TestTrainSupervised:
 
 
 def _buffers(param):
-    return {"grad", "adam_m", "adam_v"} & set(vars(param))
+    return {"grad", "spare", "adam_m", "adam_v"} & set(vars(param))
 
 
 class TestTrainingBuffers:
@@ -322,8 +343,8 @@ class TestTrainingBuffers:
         optimizer = Adam(model.tag_parameters())
         model.backward_tags(model.tag_loss([ids], [len(ids)], [tags])[1])
         optimizer.step()
-        for p in model.tag_parameters():  # the step spent the gradient
-            assert _buffers(p) == {"adam_m", "adam_v"}, p.name
+        for p in model.tag_parameters():  # the step spent the gradient into the spare
+            assert _buffers(p) == {"adam_m", "adam_v", "spare"}, p.name
             assert p.adam_v.any(), p.name
         assert all(_buffers(p) == set() for p in model.drug_head.params())
 
@@ -370,6 +391,25 @@ class TestTrainingBuffers:
         with pytest.raises(NumericalError, match="non-finite gradient for parameter fwd.w"):
             self.train_phase(phase, model, vocab)
         assert all(_buffers(p) == set() for p in model.all_parameters())
+
+    @pytest.mark.parametrize("phase", ["pretrain", "supervised"])
+    def test_each_step_writes_its_gradients_into_the_memory_the_last_step_spent(
+            self, phase, monkeypatch):
+        vocab, _, model = tiny_setup()
+        params = (model.drug_parameters() if phase == "pretrain"
+                  else model.tag_parameters())
+        spent, step = [], Adam.step
+
+        def recording_step(optimizer):
+            spent.append([vars(p)["grad"] for p in params])
+            step(optimizer)
+
+        monkeypatch.setattr(Adam, "step", recording_step)
+        self.train_phase(phase, model, vocab)
+        assert len(spent) >= 4
+        for earlier, later in zip(spent, spent[1:]):
+            for p, a, b in zip(params, earlier, later):
+                assert b is a, p.name
 
     def test_a_trained_model_adds_only_its_weights_to_the_next_training_peak(self):
         vocab, _, model_a = tiny_setup(emb_dim=8, hidden=64)
