@@ -256,6 +256,7 @@ def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, config_path
              **flags):
     """Phase 1: train the encoder to predict the masked drug from context."""
     settings = _resolve_settings(config_path, flags)
+    train_cfg = _train_config(training.pretrain_config, settings)
     lex = text.DrugLexicon.load(lexicon)
     if len(lex) < 2:
         raise click.UsageError("drug lexicon must contain at least 2 names")
@@ -267,7 +268,6 @@ def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, config_path
         if drug not in lex.index:
             raise text.DataError(f"{corpus}: unknown drug name {drug!r}")
         examples.append((vocab_obj.indices(tokens), lex.index[drug], tweet_id))
-    train_cfg = _train_config(training.pretrain_config, settings)
     _echo_truncation([e[0] for e in examples], train_cfg.max_len)
     log = training.pretrain(examples, model, train_cfg)
     training.save_checkpoint(model, _ckpt_path(out_path))
@@ -294,6 +294,7 @@ def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path,
           config_path, **flags):
     """Phase 2: supervised tagging, fresh or from a pretraining checkpoint."""
     settings = _resolve_settings(config_path, flags)
+    train_cfg = _train_config(training.supervised_config, settings)
     if init_checkpoint:
         fixed = [flag for flag, given in (("--pooling", flags["pooling"] is not None),
                                           ("--gate-biases", flags["gate_biases"] is True),
@@ -314,7 +315,6 @@ def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path,
     sentences = encoding.read_conll(labeled)
     data = _encode_labeled(sentences, vocab_obj)
     click.echo(f"training tweets: {len(data)}")
-    train_cfg = _train_config(training.supervised_config, settings)
     _echo_truncation([d[0] for d in data], train_cfg.max_len)
     log = [{"phase": "supervised", "event": "data", "train_tweets": len(data)}]
     log += training.train_supervised(data, model, train_cfg)
@@ -346,6 +346,11 @@ def evaluate(checkpoint, test_path, trials, labeled, epochs, max_len, seed,
         raise click.UsageError("--trials must be >= 1")
     if trials > 1 and not labeled:
         raise click.UsageError("--labeled is required when --trials > 1")
+    source = click.get_current_context().get_parameter_source
+    unused = [f"--{name.replace('_', '-')}" for name in ("labeled", "epochs", "max_len", "seed")
+              if source(name) is not click.core.ParameterSource.DEFAULT]
+    if trials == 1 and unused:
+        raise click.UsageError(f"{', '.join(unused)}: only used to retrain when --trials > 1")
     per_trial = []
     for i in range(trials):
         model, vocab_obj = _load_tagger(checkpoint)

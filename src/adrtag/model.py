@@ -240,6 +240,8 @@ class AdrModel:
         *,
         _draw_weights: bool = True,
     ):
+        if hidden < 1:
+            raise ValueError("hidden must be >= 1")
         if drug_count < 2:
             raise ValueError("drug catalog must contain at least 2 names")
         if pooling not in ("mean", "sum"):
@@ -282,11 +284,6 @@ class AdrModel:
     def zero_grad(self):
         for p in self.all_parameters():
             p.zero_grad()
-
-    def release_training_state(self):
-        """Drop every gradient and Adam moment, keeping only the weights."""
-        for p in self.all_parameters():
-            p.release()
 
     # -- shared encoder -----------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Float64 activations and a finite-difference gradient oracle.
 
 Everything here operates on plain numpy float64 arrays. Trainable arrays are
-wrapped in :class:`Parameter`, which holds its gradient and Adam moment
-buffers only while training uses them.
+wrapped in :class:`Parameter`, which holds its gradient only while training
+uses it.
 """
 
 from __future__ import annotations
@@ -23,15 +23,13 @@ class NumericalError(RuntimeError):
     """A non-finite value appeared where finite math was required."""
 
 
-_TRAINING_BUFFERS = ("grad", "adam_m", "adam_v")
-
-
 @dataclass
 class Parameter:
-    """A trainable array. Its gradient ``grad`` and Adam moments ``adam_m``
-    and ``adam_v`` exist only while training uses them, so a model that only
-    predicts, or has finished training, holds only its weights. Reading one
-    that does not exist allocates it zero-filled.
+    """A trainable array and its gradient. The gradient ``grad`` exists only
+    while training uses it, so a model that only predicts, or has finished
+    training, holds only its weights. Reading it when it does not exist
+    allocates it zero-filled. Optimizer state, such as Adam's moments, is
+    held by the optimizer.
 
     Backward passes write each gradient term into :meth:`buffer` and hand it
     to :meth:`accumulate` (shared encoder weights receive terms from both
@@ -39,7 +37,7 @@ class Parameter:
     and keep its memory as the ``spare``, which the next :meth:`buffer`
     returns, so a training run writes every step's gradient into the memory
     the last step spent. Nothing reads a spare's contents. :meth:`release`
-    drops the gradient, the spare and both moments.
+    drops the gradient and the spare.
     """
 
     name: str
@@ -51,11 +49,10 @@ class Parameter:
 
     def __getattr__(self, attr):
         # Reached only when ``attr`` is not yet an instance attribute.
-        if attr not in _TRAINING_BUFFERS:
+        if attr != "grad":
             raise AttributeError(attr)
-        buffer = np.zeros_like(self.value)
-        setattr(self, attr, buffer)
-        return buffer
+        self.grad = np.zeros_like(self.value)
+        return self.grad
 
     def buffer(self) -> np.ndarray:
         """An array of the value's shape for the caller to write a gradient
@@ -85,17 +82,10 @@ class Parameter:
         if grad is not None:
             self.spare = grad
 
-    def drop_moments(self):
-        """Forget the Adam moments; the next read allocates fresh zeros."""
-        vars(self).pop("adam_m", None)
-        vars(self).pop("adam_v", None)
-
     def release(self):
-        """Drop the gradient, the spare and the Adam moments, keeping only
-        the weights."""
+        """Drop the gradient and the spare, keeping only the weights."""
         vars(self).pop("grad", None)
         vars(self).pop("spare", None)
-        self.drop_moments()
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

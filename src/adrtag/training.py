@@ -9,6 +9,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,8 +34,8 @@ class AdamConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
 
@@ -50,10 +51,9 @@ class TrainConfig:
     adam: AdamConfig = field(default_factory=AdamConfig)
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name, low in (("batch_size", 1), ("epochs", 0), ("max_len", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
 
 def pretrain_config(**kw) -> TrainConfig:
@@ -69,62 +69,69 @@ def supervised_config(**kw) -> TrainConfig:
 ADAM_CHUNK = 32768  # elements per slice of the update, so its operands stay in cache
 
 
-def adam_step(param: Parameter, config: AdamConfig, t: int) -> None:
-    """One bias-corrected Adam update, which spends the gradient: it is
-    dropped after the update, and kept only when the finite check stops the
-    step before any weight changes.
-
-    The check is one dot product, the squared norm: a NaN or an infinity
-    makes it non-finite, and so does a norm above about 1.3e154, whose
-    square overflows. An entry that large would overflow the bias-corrected
-    ``v``, which is ``g*g`` at the first step, and silently zero its update."""
-    if t < 1:
-        raise ValueError("step index must be >= 1")
-    w, m, v, grad = (
-        a.reshape(-1) for a in (param.value, param.adam_m, param.adam_v, param.grad)
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(np.dot(grad, grad))
-    if not finite:
-        raise NumericalError(f"non-finite gradient for parameter {param.name}")
-    # In place, in the textbook order: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
-    # w -= (lr*m_hat) / (sqrt(v_hat) + eps); the spent gradient is the second
-    # scratch.
-    # Every operation is element-wise, so slicing changes no result.
-    scratch = np.empty(min(ADAM_CHUNK, grad.size))
-    for start in range(0, grad.size, ADAM_CHUNK):
-        chunk = slice(start, start + ADAM_CHUNK)
-        g, mc, vc = grad[chunk], m[chunk], v[chunk]
-        s = scratch[: len(g)]
-        mc *= config.beta1
-        mc += np.multiply(1.0 - config.beta1, g, out=s)
-        vc *= config.beta2
-        np.multiply(1.0 - config.beta2, g, out=s)
-        vc += np.multiply(s, g, out=s)
-        np.divide(mc, 1.0 - config.beta1**t, out=s)
-        s *= config.learning_rate
-        np.divide(vc, 1.0 - config.beta2**t, out=g)
-        np.sqrt(g, out=g)
-        g += config.epsilon
-        w[chunk] -= np.divide(s, g, out=s)
-    param.zero_grad()
-
-
 class Adam:
-    """Tracks the shared step counter for a fixed parameter group, whose
-    moments start from zero."""
+    """Bias-corrected Adam (Kingma & Ba 2015) over a fixed parameter group.
+
+    The optimizer owns the step counter ``t`` and the moments ``m`` and
+    ``v``, one array per parameter. The first :meth:`step` allocates the
+    moments as zeros, so every optimizer starts from zero moments, and
+    :meth:`release` drops them together with the group's gradients."""
 
     def __init__(self, params: Sequence[Parameter], config: AdamConfig = None):
         self.params = list(params)
         self.config = config or AdamConfig()
         self.t = 0
-        for p in self.params:  # the first step allocates fresh zero moments
-            p.drop_moments()
+        self.m: List[np.ndarray] = []
+        self.v: List[np.ndarray] = []
 
     def step(self):
+        """Update every parameter in the group, spending its gradient: it is
+        dropped after the update, and kept only when the finite check stops
+        the update before the parameter's weights change.
+
+        The check is one dot product, the squared norm: a NaN or an infinity
+        makes it non-finite, and so does a norm above about 1.3e154, whose
+        square overflows. An entry that large would overflow the
+        bias-corrected ``v``, which is ``g*g`` at the first step, and
+        silently zero its update."""
+        if not self.m:
+            self.m = [np.zeros_like(p.value) for p in self.params]
+            self.v = [np.zeros_like(p.value) for p in self.params]
         self.t += 1
+        config, t = self.config, self.t
+        for param, m, v in zip(self.params, self.m, self.v):
+            w, m, v, grad = (a.reshape(-1) for a in (param.value, m, v, param.grad))
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(np.dot(grad, grad))
+            if not finite:
+                raise NumericalError(f"non-finite gradient for parameter {param.name}")
+            # In place, in the textbook order: m = b1*m + (1-b1)*g,
+            # v = b2*v + ((1-b2)*g)*g, w -= (lr*m_hat) / (sqrt(v_hat) + eps);
+            # the spent gradient is the second scratch.
+            # Every operation is element-wise, so slicing changes no result.
+            scratch = np.empty(min(ADAM_CHUNK, grad.size))
+            for start in range(0, grad.size, ADAM_CHUNK):
+                chunk = slice(start, start + ADAM_CHUNK)
+                g, mc, vc = grad[chunk], m[chunk], v[chunk]
+                s = scratch[: len(g)]
+                mc *= config.beta1
+                mc += np.multiply(1.0 - config.beta1, g, out=s)
+                vc *= config.beta2
+                np.multiply(1.0 - config.beta2, g, out=s)
+                vc += np.multiply(s, g, out=s)
+                np.divide(mc, 1.0 - config.beta1**t, out=s)
+                s *= config.learning_rate
+                np.divide(vc, 1.0 - config.beta2**t, out=g)
+                np.sqrt(g, out=g)
+                g += config.epsilon
+                w[chunk] -= np.divide(s, g, out=s)
+            param.zero_grad()
+
+    def release(self):
+        """Drop the moments and the group's gradients, leaving only weights."""
+        self.m, self.v = [], []
         for p in self.params:
-            adam_step(p, self.config, self.t)
+            p.release()
 
 
 INFERENCE_BATCH = 64  # sequences per forward when scoring held-out or test data
@@ -168,18 +175,45 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start : start + batch_size]
 
 
-def _forward(loss_fn, phase: str, epoch: int, chosen, *args) -> tuple:
-    """``loss_fn(*args)``, failing before the backward pass when the forward
-    pass overflowed or lost finiteness, with the phase, epoch and tweets."""
+def _train(phase: str, params: Sequence[Parameter], config: TrainConfig,
+           items: Sequence[tuple], step, accuracy) -> List[dict]:
+    """The loop both phases share. Each epoch visits ``items`` in a fresh
+    permutation from ``config.seed``, one Adam step over ``params`` a batch.
+    ``step(chosen)`` runs a batch's forward pass and returns its loss and the
+    backward pass to run; a forward pass that overflows or loses finiteness
+    stops training first, naming the phase, the epoch and the tweets. On
+    every exit the optimizer releases the training state."""
+    rng = np.random.default_rng(config.seed)
+    optimizer = Adam(params, config.adam)
+    log = []
     try:
-        loss, cache = loss_fn(*args)
-        problem = None if math.isfinite(loss) else "non-finite loss"
-    except NumericalError as exc:
-        problem = str(exc)
-    if problem is not None:
-        ids = ", ".join(str(c[2]) for c in chosen)
-        raise NumericalError(f"{phase} epoch {epoch}: {problem} on the batch of tweets {ids}")
-    return loss, cache
+        for epoch in range(config.epochs):
+            t0 = time.perf_counter()
+            total_loss = 0.0
+            for batch in _batches(rng.permutation(len(items)), config.batch_size):
+                chosen = [items[i] for i in batch]
+                try:
+                    loss, backward = step(chosen)
+                    problem = None if math.isfinite(loss) else "non-finite loss"
+                except NumericalError as exc:
+                    problem = str(exc)
+                if problem is not None:
+                    ids = ", ".join(str(c[2]) for c in chosen)
+                    raise NumericalError(
+                        f"{phase} epoch {epoch}: {problem} on the batch of tweets {ids}")
+                backward()
+                optimizer.step()
+                total_loss += loss * len(chosen)
+            log.append({
+                "phase": phase,
+                "epoch": epoch,
+                "mean_loss": total_loss / len(items),
+                "accuracy": accuracy(),
+                "wall_time": time.perf_counter() - t0,
+            })
+    finally:
+        optimizer.release()
+    return log
 
 
 def pretrain(
@@ -197,39 +231,18 @@ def pretrain(
         raise ValueError("pretraining corpus is empty")
     if model.drug_count < 2:
         raise ValueError("drug catalog must contain at least 2 names")
-    rng = np.random.default_rng(config.seed)
     train_idx, held_idx = heldout_split([e[2] for e in examples])
     if not train_idx:
         train_idx, held_idx = list(range(len(examples))), []
-    optimizer = Adam(model.drug_parameters(), config.adam)
-    log = []
-    try:
-        for epoch in range(config.epochs):
-            t0 = time.perf_counter()
-            order = rng.permutation(len(train_idx))
-            total_loss = 0.0
-            total_n = 0
-            for batch in _batches(order, config.batch_size):
-                chosen = [examples[train_idx[i]] for i in batch]
-                idx, lengths = pad_batch([c[0] for c in chosen], config.max_len)
-                labels = np.array([c[1] for c in chosen])
-                loss, cache = _forward(model.drug_loss, "pretrain", epoch, chosen,
-                                       idx, lengths, labels)
-                model.backward_drug(cache)
-                optimizer.step()
-                total_loss += loss * len(chosen)
-                total_n += len(chosen)
-            record = {
-                "phase": "pretrain",
-                "epoch": epoch,
-                "mean_loss": total_loss / max(total_n, 1),
-                "accuracy": _drug_accuracy(model, examples, held_idx, config.max_len),
-                "wall_time": time.perf_counter() - t0,
-            }
-            log.append(record)
-    finally:
-        model.release_training_state()
-    return log
+
+    def step(chosen):
+        idx, lengths = pad_batch([c[0] for c in chosen], config.max_len)
+        loss, cache = model.drug_loss(idx, lengths, np.array([c[1] for c in chosen]))
+        return loss, partial(model.backward_drug, cache)
+
+    return _train("pretrain", model.drug_parameters(), config,
+                  [examples[i] for i in train_idx], step,
+                  lambda: _drug_accuracy(model, examples, held_idx, config.max_len))
 
 
 def _drug_accuracy(model, examples, indices, max_len) -> Optional[float]:
@@ -252,7 +265,8 @@ def train_supervised(
     """Phase 2: minimize the summed per-token tagging cross-entropy.
 
     Reuses (and mutates) the same encoder parameter objects phase 1 trained;
-    the drug head is untouched. Optimizer moments start fresh, and on every
+    the drug head is untouched. Returns one log record per epoch with the
+    training token accuracy. Optimizer moments start fresh, and on every
     exit the model is left holding only its weights.
     """
     if not data:
@@ -260,42 +274,22 @@ def train_supervised(
     for ids, tags, sid in data:
         if len(ids) != len(tags):
             raise ValueError(f"token/tag misalignment in record {sid!r}")
-    rng = np.random.default_rng(config.seed)
-    optimizer = Adam(model.tag_parameters(), config.adam)
-    log = []
-    try:
-        for epoch in range(config.epochs):
-            t0 = time.perf_counter()
-            order = rng.permutation(len(data))
-            total_loss = 0.0
-            correct = 0
-            scored = 0
-            for batch in _batches(order, config.batch_size):
-                chosen = [data[i] for i in batch]
-                idx, lengths = pad_batch([c[0] for c in chosen], config.max_len)
-                tags, _ = pad_batch(
-                    [c[1] for c in chosen], config.max_len, pad_index=int(TagLabel.PAD)
-                )
-                loss, cache = _forward(model.tag_loss, "supervised", epoch, chosen,
-                                       idx, lengths, tags)
-                correct += int(((cache.probs.argmax(axis=1) == cache.tags)
-                                & cache.valid).sum())
-                scored += int(cache.valid.sum())
-                model.backward_tags(cache)
-                optimizer.step()
-                total_loss += loss * len(chosen)
-            log.append(
-                {
-                    "phase": "supervised",
-                    "epoch": epoch,
-                    "mean_loss": total_loss / len(data),
-                    "accuracy": correct / max(scored, 1),
-                    "wall_time": time.perf_counter() - t0,
-                }
-            )
-    finally:
-        model.release_training_state()
-    return log
+    counts = [0, 0]  # correct and scored tokens so far this epoch
+
+    def step(chosen):
+        idx, lengths = pad_batch([c[0] for c in chosen], config.max_len)
+        tags, _ = pad_batch([c[1] for c in chosen], config.max_len, pad_index=int(TagLabel.PAD))
+        loss, cache = model.tag_loss(idx, lengths, tags)
+        counts[0] += int(((cache.probs.argmax(axis=1) == cache.tags) & cache.valid).sum())
+        counts[1] += int(cache.valid.sum())
+        return loss, partial(model.backward_tags, cache)
+
+    def accuracy():  # read at the end of an epoch; the next one counts from zero
+        correct, scored = counts
+        counts[:] = [0, 0]
+        return correct / max(scored, 1)
+
+    return _train("supervised", model.tag_parameters(), config, data, step, accuracy)
 
 
 def write_log(path, records: Sequence[dict]) -> None:

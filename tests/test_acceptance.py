@@ -20,8 +20,8 @@ from adrtag.model import AdrModel, gradient_check
 from adrtag.numerics import Parameter
 from adrtag.text import DrugLexicon, TokenizedTweet, mask_drug
 from adrtag.training import (
+    Adam,
     AdamConfig,
-    adam_step,
     load_checkpoint,
     pretrain,
     pretrain_config,
@@ -220,7 +220,7 @@ def test_criterion_8_adam_first_step():
     p = Parameter("w", rng.normal(size=(6, 5)))
     before = p.value.copy()
     p.grad[...] = g
-    adam_step(p, cfg, t=1)
+    Adam([p], cfg).step()
     delta = p.value - before
     expected = -cfg.learning_rate * g / (np.abs(g) + cfg.epsilon)
     err = float(np.max(np.abs(delta - expected)))

@@ -803,3 +803,37 @@ def test_non_finite_loss_is_numerical_error(workspace, monkeypatch, capsys, tmp_
     assert "Traceback" not in err
     assert ("t4" if command == "pretrain" else "sent-4") in err and "epoch 0" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train"])
+@pytest.mark.parametrize("flag, value", [
+    ("--hidden", "0"), ("--hidden", "-1"), ("--max-len", "0"), ("--max-len", "-2"),
+    ("--seed", "-1"), ("--learning-rate", "nan"), ("--learning-rate", "inf"),
+])
+def test_out_of_range_setting_is_usage_error(workspace, monkeypatch, capsys, tmp_path,
+                                             command, flag, value):
+    inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, command)
+    ckpt = tmp_path / "x.ckpt"
+    code, _, err = run_cli(monkeypatch, capsys, command, *inputs, flag, value,
+                           "--epochs", "1", "--out", str(ckpt))
+    assert code == EXIT_USAGE, err
+    assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+    assert "Traceback" not in err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--labeled", "train.tsv"], ["--epochs", "5"], ["--epochs", "-3", "--seed", "-1",
+                                                     "--max-len", "0"],
+], ids=["labeled", "default-epochs", "out-of-range"])
+def test_evaluate_rejects_retraining_flags_with_one_trial(workspace, monkeypatch, capsys,
+                                                          tmp_path, flags):
+    """Given with --trials 1, a flag that only retraining reads is a usage
+    error naming it, even at its default value."""
+    args = [str(workspace / f) if f.endswith(".tsv") else f for f in flags]
+    code, _, err = run_cli(monkeypatch, capsys, "evaluate",
+                           "--checkpoint", str(tmp_path / "none.ckpt"),
+                           "--test", str(workspace / "test.tsv"), *args)
+    assert code == EXIT_USAGE
+    assert all(f in err for f in flags[::2]) and "--trials > 1" in err
+    assert "Traceback" not in err

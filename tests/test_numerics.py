@@ -165,8 +165,6 @@ class TestFiniteDifference:
 def test_parameter_buffers_start_zeroed():
     p = Parameter("w", np.ones((2, 2)))
     assert np.array_equal(p.grad, np.zeros((2, 2)))
-    assert np.array_equal(p.adam_m, np.zeros((2, 2)))
-    assert np.array_equal(p.adam_v, np.zeros((2, 2)))
     p.grad += 1.0
     p.zero_grad()
     assert np.array_equal(p.grad, np.zeros((2, 2)))
@@ -205,8 +203,6 @@ def test_release_keeps_only_the_weights():
     p = Parameter("w", np.ones(2))
     p.accumulate(np.ones(2))
     p.accumulate(np.ones(2))  # leaves a spare
-    p.adam_m += 1.0
-    p.adam_v += 1.0
     p.release()
     assert set(vars(p)) == {"name", "value"}
 
@@ -215,10 +211,12 @@ def test_parameter_allocates_training_buffers_on_first_use():
     p = Parameter("w", np.ones((2, 2)))
     p.zero_grad()
     assert set(vars(p)) == {"name", "value"}
-    p.adam_m += 1.0
-    assert set(vars(p)) == {"name", "value", "adam_m"}
-    p.drop_moments()
+    p.grad += 1.0
+    assert set(vars(p)) == {"name", "value", "grad"}
+    p.zero_grad()
+    assert set(vars(p)) == {"name", "value", "spare"}
+    p.release()
+    for attr in ("spare", "adam_m", "adam_v"):  # only reading grad allocates
+        with pytest.raises(AttributeError):
+            getattr(p, attr)
     assert set(vars(p)) == {"name", "value"}
-    assert np.array_equal(p.adam_m, np.zeros((2, 2)))
-    with pytest.raises(AttributeError):
-        p.momentum

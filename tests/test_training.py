@@ -20,7 +20,6 @@ from adrtag.training import (
     AdamConfig,
     CheckpointError,
     TrainConfig,
-    adam_step,
     heldout_split,
     load_checkpoint,
     pad_batch,
@@ -46,7 +45,7 @@ class TestAdam:
         g = np.array([3.0, -0.25, 1e-4])
         p.grad[...] = g
         before = p.value.copy()
-        adam_step(p, cfg, t=1)
+        Adam([p], cfg).step()
         expected = before - cfg.learning_rate * g / (np.abs(g) + cfg.epsilon)
         np.testing.assert_allclose(p.value, expected, atol=1e-15)
 
@@ -54,41 +53,43 @@ class TestAdam:
         cfg = AdamConfig()
         p = Parameter("w", np.array([1.0, 2.0]))
         before = p.value.copy()
-        adam_step(p, cfg, t=1)
+        Adam([p], cfg).step()
         assert np.array_equal(p.value, before)
 
     def test_zero_gradient_decays_moments(self):
         cfg = AdamConfig()
         p = Parameter("w", np.array([1.0]))
         p.grad[...] = 4.0
-        adam_step(p, cfg, t=1)
-        m1, v1 = p.adam_m.copy(), p.adam_v.copy()
-        adam_step(p, cfg, t=2)  # grad was zeroed by the previous step
-        np.testing.assert_allclose(p.adam_m, cfg.beta1 * m1)
-        np.testing.assert_allclose(p.adam_v, cfg.beta2 * v1)
+        opt = Adam([p], cfg)
+        opt.step()
+        m1, v1 = opt.m[0].copy(), opt.v[0].copy()
+        opt.step()  # grad was zeroed by the previous step
+        np.testing.assert_allclose(opt.m[0], cfg.beta1 * m1)
+        np.testing.assert_allclose(opt.v[0], cfg.beta2 * v1)
 
     def test_gradient_zeroed_after_step(self):
         p = Parameter("w", np.ones(2))
         p.grad[...] = 1.0
-        adam_step(p, AdamConfig(), t=1)
+        Adam([p], AdamConfig()).step()
         assert np.array_equal(p.grad, np.zeros(2))
 
     def test_step_drops_the_gradient_and_a_failed_step_keeps_it(self):
         p = Parameter("w", np.ones(3))
         p.accumulate(np.array([1.0, -2.0, 0.5]))
-        adam_step(p, AdamConfig(), t=1)
-        assert _buffers(p) == {"adam_m", "adam_v", "spare"}
+        opt = Adam([p], AdamConfig())
+        opt.step()
+        assert _buffers(p) == {"spare"}
         bad = np.array([1.0, np.nan, 0.5])
         p.accumulate(bad)
         with pytest.raises(NumericalError):
-            adam_step(p, AdamConfig(), t=2)
+            opt.step()
         assert vars(p)["grad"] is bad
 
     def test_non_finite_gradient_names_parameter(self):
         p = Parameter("fwd.w_u", np.ones(2))
         p.grad[...] = np.array([1.0, np.nan])
         with pytest.raises(NumericalError, match="fwd.w_u"):
-            adam_step(p, AdamConfig(), t=1)
+            Adam([p], AdamConfig()).step()
 
     def test_descends_quadratic(self):
         # scalar simulation of 100 steps on f(w) = w^2 from w = 1
@@ -110,17 +111,18 @@ class TestAdam:
         rng = np.random.default_rng(4)
         p = Parameter("w", rng.normal(size=(3, 4)))
         w, m, v = p.value.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+        opt = Adam([p], cfg)
         for t in range(1, 6):
             g = rng.normal(size=(3, 4))
             p.grad[...] = g
-            adam_step(p, cfg, t)
+            opt.step()
             m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
             v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
             m_hat = m / (1.0 - cfg.beta1**t)
             v_hat = v / (1.0 - cfg.beta2**t)
             w = w - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-            assert np.array_equal(p.adam_m, m)
-            assert np.array_equal(p.adam_v, v)
+            assert np.array_equal(opt.m[0], m)
+            assert np.array_equal(opt.v[0], v)
             assert np.array_equal(p.value, w)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e155])
@@ -129,19 +131,20 @@ class TestAdam:
         # would overflow the bias-corrected v
         p = Parameter("tag.w", np.ones(5))
         p.accumulate(np.linspace(-1.0, 1.0, 5))
-        adam_step(p, AdamConfig(), t=1)  # the moments are non-zero from here on
-        w, m, v = p.value.copy(), p.adam_m.copy(), p.adam_v.copy()
+        opt = Adam([p], AdamConfig())
+        opt.step()  # the moments are non-zero from here on
+        w, m, v = p.value.copy(), opt.m[0].copy(), opt.v[0].copy()
         p.grad[...] = 0.5
         p.grad[2] = entry
         with pytest.raises(NumericalError, match=r"non-finite gradient for parameter tag\.w"):
-            adam_step(p, AdamConfig(), t=2)
+            opt.step()
         assert np.array_equal(p.value, w)
-        assert np.array_equal(p.adam_m, m) and np.array_equal(p.adam_v, v)
+        assert np.array_equal(opt.m[0], m) and np.array_equal(opt.v[0], v)
 
     def test_an_entry_below_the_overflow_bound_updates(self):
         p = Parameter("w", np.zeros(2))
         p.grad[...] = [1e150, -1.0]
-        adam_step(p, AdamConfig(learning_rate=0.01), t=1)
+        Adam([p], AdamConfig(learning_rate=0.01)).step()
         np.testing.assert_allclose(p.value, [-0.01, 0.01])
 
     def test_non_finite_gradient_in_a_late_chunk_updates_nothing(self):
@@ -149,22 +152,18 @@ class TestAdam:
         p = Parameter("w", np.ones(2 * training.ADAM_CHUNK + 5))
         p.grad[...] = 1.0
         p.grad[-1] = np.inf
+        opt = Adam([p], AdamConfig())
         with pytest.raises(NumericalError, match="non-finite gradient for parameter w"):
-            adam_step(p, AdamConfig(), t=1)
+            opt.step()
         assert np.array_equal(p.value, np.ones(p.value.size))
-        assert not p.adam_m.any() and not p.adam_v.any()
+        assert not opt.m[0].any() and not opt.v[0].any()
 
     def test_every_chunk_of_the_gradient_is_zeroed(self):
         p = Parameter("w", np.ones((3, training.ADAM_CHUNK)))
         p.grad[...] = 1.0
-        adam_step(p, AdamConfig(), t=1)
+        Adam([p], AdamConfig()).step()
         assert not p.grad.any()
         assert np.all(p.value < 1.0)
-
-    def test_bad_step_index(self):
-        p = Parameter("w", np.ones(1))
-        with pytest.raises(ValueError):
-            adam_step(p, AdamConfig(), t=0)
 
 
 class TestPadBatch:
@@ -326,7 +325,7 @@ class TestTrainSupervised:
 
 
 def _buffers(param):
-    return {"grad", "spare", "adam_m", "adam_v"} & set(vars(param))
+    return {"grad", "spare"} & set(vars(param))
 
 
 class TestTrainingBuffers:
@@ -343,19 +342,46 @@ class TestTrainingBuffers:
         optimizer = Adam(model.tag_parameters())
         model.backward_tags(model.tag_loss([ids], [len(ids)], [tags])[1])
         optimizer.step()
-        for p in model.tag_parameters():  # the step spent the gradient into the spare
-            assert _buffers(p) == {"adam_m", "adam_v", "spare"}, p.name
-            assert p.adam_v.any(), p.name
+        assert len(optimizer.m) == len(optimizer.v) == len(model.tag_parameters())
+        for p, v in zip(model.tag_parameters(), optimizer.v):
+            assert _buffers(p) == {"spare"}, p.name  # the step spent the gradient
+            assert v.shape == p.value.shape and v.any(), p.name
         assert all(_buffers(p) == set() for p in model.drug_head.params())
 
-    def test_new_optimizer_drops_moments_and_keeps_gradients(self):
+    def test_two_optimizers_over_one_group_have_independent_zero_moments(self):
+        p = Parameter("w", np.ones(3))
+        g = np.array([1.0, -2.0, 0.5])
+        first = Adam([p])
+        p.accumulate(g.copy())
+        first.step()
+        m, v = first.m[0].copy(), first.v[0].copy()
+        second = Adam([p])
+        assert second.m == [] and second.v == []
+        p.accumulate(g.copy())
+        second.step()  # from zero moments, as the first optimizer's first step was
+        assert np.array_equal(second.m[0], m) and np.array_equal(second.v[0], v)
+        assert np.array_equal(first.m[0], m) and np.array_equal(first.v[0], v)
+
+    def test_a_new_optimizer_leaves_a_pending_gradient_alone(self):
         _, _, model = tiny_setup()
         params = model.tag_parameters()
         for p in params:
-            p.adam_m += 1.0
             p.grad += 1.0
         Adam(params)
         assert all(_buffers(p) == {"grad"} for p in params)
+        assert all(np.all(p.grad == 1.0) for p in params)
+
+    @staticmethod
+    def record_optimizers(monkeypatch):
+        """The list every Adam built from here on is appended to."""
+        made, init = [], Adam.__init__
+
+        def recording_init(optimizer, *args, **kwargs):
+            init(optimizer, *args, **kwargs)
+            made.append(optimizer)
+
+        monkeypatch.setattr(Adam, "__init__", recording_init)
+        return made
 
     @staticmethod
     def train_phase(phase, model, vocab):
@@ -366,18 +392,22 @@ class TestTrainingBuffers:
         return train_supervised(data, model, supervised_config(epochs=2, max_len=12))
 
     @pytest.mark.parametrize("phase", ["pretrain", "supervised"])
-    def test_training_returns_a_model_holding_only_weights(self, phase):
+    def test_training_returns_a_model_holding_only_weights(self, phase, monkeypatch):
         vocab, _, model = tiny_setup()
+        optimizers = self.record_optimizers(monkeypatch)
         before = [p.value.copy() for p in model.all_parameters()]
         self.train_phase(phase, model, vocab)
         assert any(not np.array_equal(p.value, w) for p, w in zip(model.all_parameters(), before))
         assert all(_buffers(p) == set() for p in model.all_parameters())
+        (optimizer,) = optimizers
+        assert optimizer.t >= 2 and optimizer.m == [] and optimizer.v == []
 
     @pytest.mark.parametrize("phase", ["pretrain", "supervised"])
-    def test_a_failed_step_still_releases_every_buffer(self, phase):
+    def test_a_failed_step_still_releases_every_buffer(self, phase, monkeypatch):
         # the third backward writes a NaN into one gradient, after two steps
         # have given the group its moments; Adam then stops with NumericalError
         vocab, _, model = tiny_setup()
+        optimizers = self.record_optimizers(monkeypatch)
         name = "backward_drug" if phase == "pretrain" else "backward_tags"
         backward, calls = getattr(model, name), []
 
@@ -391,6 +421,8 @@ class TestTrainingBuffers:
         with pytest.raises(NumericalError, match="non-finite gradient for parameter fwd.w"):
             self.train_phase(phase, model, vocab)
         assert all(_buffers(p) == set() for p in model.all_parameters())
+        (optimizer,) = optimizers
+        assert optimizer.t == 3 and optimizer.m == [] and optimizer.v == []
 
     @pytest.mark.parametrize("phase", ["pretrain", "supervised"])
     def test_each_step_writes_its_gradients_into_the_memory_the_last_step_spent(
