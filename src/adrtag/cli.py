@@ -395,17 +395,17 @@ def predict(checkpoint, raw_text):
 
 
 @cli.command()
-@click.option("--seeds", default=10, show_default=True)
-@click.option("--emb", default=5, show_default=True)
-@click.option("--hidden", default=7, show_default=True)
-@click.option("--timesteps", default=4, show_default=True)
-@click.option("--drugs", default=3, show_default=True)
-@click.option("--epsilon", default=1e-5, show_default=True)
-@click.option("--tolerance", default=1e-4, show_default=True)
+@click.option("--seeds", default=10, show_default=True, type=click.IntRange(min=1))
+@click.option("--emb", default=5, show_default=True, type=click.IntRange(min=1))
+@click.option("--hidden", default=7, show_default=True, type=click.IntRange(min=1))
+@click.option("--timesteps", default=4, show_default=True, type=click.IntRange(min=1))
+@click.option("--drugs", default=3, show_default=True, type=click.IntRange(min=2))
+@click.option("--epsilon", default=1e-5, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
+@click.option("--tolerance", default=1e-4, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
 def gradcheck(seeds, emb, hidden, timesteps, drugs, epsilon, tolerance):
     """Verify analytic gradients of both heads against finite differences."""
-    if epsilon <= 0:
-        raise click.UsageError("--epsilon must be positive")
     failed = False
     for seed in range(seeds):
         for res in gradient_check(

@@ -110,9 +110,8 @@ class _Recurrence:
     ids: np.ndarray  # (N, 2) token ids of the N real positions, per direction
     live: np.ndarray  # (steps,) rows live at each step, non-increasing
     h: np.ndarray  # (live[0] + N, 2, H): zero start states, then each position's output
-    m: np.ndarray  # (live[0] + N, 2, H), laid out like h
+    m: Optional[np.ndarray]  # (live[0] + N, 2, H), laid out like h; dropped by BPTT
     gates: np.ndarray  # (N, 2, 4H) activations u, f, c, o
-    tanh_m: np.ndarray  # (N, 2, H)
 
 
 def _offsets(live: np.ndarray) -> tuple:
@@ -168,8 +167,9 @@ def _run_encoder(cells: Sequence[LSTMCellParams], emb: np.ndarray, ids: np.ndarr
     for d, cell in enumerate(cells):
         np.matmul(emb[ids[:, d]], cell.i.value.T, out=gates[:, d])
         gates[:, d] += cell.b.value
-    h, m = np.zeros((2, B + N, 2, H))
-    tanh_m = np.empty((N, 2, H))
+    # Separate arrays, so that BPTT can free m while h is still read.
+    h, m = np.zeros((B + N, 2, H)), np.zeros((B + N, 2, H))
+    tanh_m = np.empty((B, 2, H))  # this step's; BPTT recomputes it from m
     for o, s, n in zip(*(x.tolist() for x in _offsets(live)), live.tolist()):
         a = gates[o : o + n]
         if o:  # step 0 reads the zero start state, whose product would only add 0.0
@@ -180,9 +180,9 @@ def _run_encoder(cells: Sequence[LSTMCellParams], emb: np.ndarray, ids: np.ndarr
         a[..., 3 * H :] = sigmoid(a[..., 3 * H :])
         u, f, c, og = (a[..., k * H : (k + 1) * H] for k in range(len(GATES)))
         m[B + o : B + o + n] = f * m[s : s + n] + u * c
-        np.tanh(m[B + o : B + o + n], out=tanh_m[o : o + n])
-        np.multiply(og, tanh_m[o : o + n], out=h[B + o : B + o + n])
-    return _Recurrence(emb=emb, ids=ids, live=live, h=h, m=m, gates=gates, tanh_m=tanh_m)
+        np.tanh(m[B + o : B + o + n], out=tanh_m[:n])
+        np.multiply(og, tanh_m[:n], out=h[B + o : B + o + n])
+    return _Recurrence(emb=emb, ids=ids, live=live, h=h, m=m, gates=gates)
 
 
 def _backprop_encoder(cells: Sequence[LSTMCellParams], rec: _Recurrence, dh: np.ndarray,
@@ -190,27 +190,56 @@ def _backprop_encoder(cells: Sequence[LSTMCellParams], rec: _Recurrence, dh: np.
     """Accumulate both directions' gradients, stepping back in lockstep, given
     dLoss/dh, (N, 2, H) with each direction's half in its packed order, or with
     ``shared_rows`` (B, 2, H) in sorted row order, one per row for every step.
-    Gate gradients overwrite ``rec.gates`` step by step; each weight gradient
-    is then one product over the real positions."""
+    Gate gradients overwrite ``rec.gates`` step by step, and the cell states
+    ``rec.m`` are dropped once they are read; each weight gradient is then one
+    product over the real positions."""
     live = rec.live
     offsets, starts = _offsets(live)
-    H = cells[0].hidden
+    B, H = int(live[0]), cells[0].hidden
     # A row joins the walk at its last step, where nothing flows back into it.
-    dh_next, dm_next = np.zeros((2, live[0], 2, H))
+    dh_next, dm_next = np.zeros((2, B, 2, H))
+    # Per-step scratch: tanh(m), recomputed from m, and the two raw gradients.
+    tanh_m, dh_raw, dm_raw, tmp = np.empty((4, B, 2, H))
     dh_at = [0] * len(live) if shared_rows else offsets.tolist()
     for o, s, n, r in reversed(list(zip(offsets.tolist(), starts.tolist(), live.tolist(), dh_at))):
         g = rec.gates[o : o + n]
         u, f, c, og = (g[..., k * H : (k + 1) * H] for k in range(len(GATES)))
-        tm = rec.tanh_m[o : o + n]
-        dh_raw = dh[r : r + n] + dh_next[:n]
-        dm_raw = dm_next[:n] + dh_raw * og * (1.0 - tm * tm)
-        dm_next[:n] = dm_raw * f
-        da_u, da_c = dm_raw * c * u * (1.0 - u), dm_raw * u * (1.0 - c * c)
-        da_f, da_o = dm_raw * rec.m[s : s + n] * f * (1.0 - f), dh_raw * tm * og * (1.0 - og)
-        np.concatenate((da_u, da_f, da_c, da_o), axis=2, out=g)
+        tm, dhr, dmr, t = tanh_m[:n], dh_raw[:n], dm_raw[:n], tmp[:n]
+        np.tanh(rec.m[B + o : B + o + n], out=tm)
+        np.add(dh[r : r + n], dh_next[:n], out=dhr)
+        # dm = dm_next + dh * o * (1 - tanh(m)^2)
+        np.multiply(tm, tm, out=t)
+        np.subtract(1.0, t, out=t)
+        np.multiply(dhr, og, out=dmr)
+        dmr *= t
+        np.add(dm_next[:n], dmr, out=dmr)
+        np.multiply(dmr, f, out=dm_next[:n])
+        # Each gate's gradient overwrites its activation once nothing reads it:
+        # o: dh * tanh(m) * o * (1 - o)
+        np.multiply(dhr, tm, out=t)
+        t *= og
+        np.subtract(1.0, og, out=og)
+        np.multiply(t, og, out=og)
+        # f: dm * m_prev * f * (1 - f)
+        np.multiply(dmr, rec.m[s : s + n], out=t)
+        t *= f
+        np.subtract(1.0, f, out=f)
+        np.multiply(t, f, out=f)
+        # u: dm * c * u * (1 - u), and c: dm * u * (1 - c^2)
+        np.multiply(dmr, c, out=t)
+        t *= u
+        np.multiply(dmr, u, out=tm)
+        np.subtract(1.0, u, out=u)
+        np.multiply(t, u, out=u)
+        np.multiply(c, c, out=c)
+        np.subtract(1.0, c, out=c)
+        np.multiply(tm, c, out=c)
         if o:  # step 0's state is the zero start state: nothing flows into it
             for d, cell in enumerate(cells):
                 np.matmul(g[:, d], cell.w.value, out=dh_next[:n, d])
+    # Freed before the weight-gradient products gather their inputs.
+    del dh_next, dm_next, tanh_m, dh_raw, dm_raw, tmp
+    rec.m = None
     # Position offsets[t] + k entered step t with the state in row starts[t] + k.
     h_in = np.arange(len(rec.ids)) + np.repeat(starts - offsets, live)
     for d, cell in enumerate(cells):

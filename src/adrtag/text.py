@@ -297,15 +297,14 @@ def load_embeddings(path, vocab: Vocabulary, seed: int = 0) -> EmbeddingTable:
         # overstates D is a data error naming a line, not a failed allocation.
         vectors = None
         in_file = np.zeros(len(vocab), dtype=bool)
-        seen = np.empty(0, dtype=np.int64)  # sorted hashes of the tokens read so far
+        seen: List[np.ndarray] = []  # the hashes of the tokens read so far, in sorted runs
         first = 2  # the line number of the block's first row
         while lines := list(itertools.islice(fh, _BLOCK_LINES)):
             tokens, values = (_parse_block(lines, dim, seen)
                               or _parse_lines(path, lines, first, dim, seen))
             if vectors is None:
                 vectors = np.zeros((len(vocab), dim), dtype=np.float64)
-            hashes = _sorted_hashes(tokens)
-            seen = np.insert(seen, np.searchsorted(seen, hashes), hashes)
+            _add_run(seen, _sorted_hashes(tokens))
             index = np.fromiter((vocab.token_to_index.get(t, 0) for t in tokens),
                                 dtype=np.intp, count=len(tokens))
             keep = index > 0  # 0 is PAD, whose row stays zero, or not in the vocabulary
@@ -338,9 +337,23 @@ def _sorted_hashes(tokens: Sequence[str]) -> np.ndarray:
     return np.sort(np.fromiter(map(hash, tokens), dtype=np.int64, count=len(tokens)))
 
 
-def _hash_seen(seen: np.ndarray, hashes) -> np.ndarray:
-    """Which of ``hashes`` the sorted array ``seen`` holds."""
-    return np.searchsorted(seen, hashes, "left") != np.searchsorted(seen, hashes, "right")
+def _add_run(seen: List[np.ndarray], hashes: np.ndarray):
+    """Add the sorted ``hashes`` to the sorted runs ``seen``, merged like a
+    binary counter: a run no longer than the new one is merged into it, so
+    there are O(log n) runs, each hash is copied O(log n) times, and a merge
+    holds at most twice the hashes read so far."""
+    while seen and len(seen[-1]) <= len(hashes):
+        hashes = np.concatenate((seen.pop(), hashes))
+        hashes.sort()
+    seen.append(hashes)
+
+
+def _hash_seen(seen: List[np.ndarray], hashes) -> np.ndarray:
+    """Which of ``hashes`` the sorted runs ``seen`` hold."""
+    found = np.zeros(np.shape(hashes), dtype=bool)
+    for run in seen:  # never empty
+        found |= run[np.minimum(np.searchsorted(run, hashes), len(run) - 1)] == hashes
+    return found
 
 
 def _skip_token(field: str) -> float:
@@ -348,7 +361,7 @@ def _skip_token(field: str) -> float:
 
 
 def _parse_block(
-    lines: List[str], dim: int, seen: np.ndarray
+    lines: List[str], dim: int, seen: List[np.ndarray]
 ) -> Optional[Tuple[List[str], np.ndarray]]:
     """The tokens and (n, dim) values of a block of rows, parsed by numpy's C
     parser; None if any row might fail a check, so that the caller re-parses
@@ -378,7 +391,7 @@ def _parse_block(
 
 
 def _parse_lines(
-    path, lines: List[str], first: int, dim: int, seen: np.ndarray
+    path, lines: List[str], first: int, dim: int, seen: List[np.ndarray]
 ) -> Tuple[List[str], np.ndarray]:
     """A block of rows parsed one line at a time, raising the first bad
     line's error. ``first`` is the line number of ``lines[0]``."""
@@ -405,7 +418,7 @@ def _parse_lines(
     return tokens, np.array(rows)
 
 
-def _in_earlier_block(path, token: str, first: int, seen: np.ndarray) -> bool:
+def _in_earlier_block(path, token: str, first: int, seen: List[np.ndarray]) -> bool:
     """Whether a row before line ``first`` has ``token``. Only a token whose
     hash is in ``seen`` needs the file read again, to rule out a collision."""
     if not _hash_seen(seen, hash(token)):

@@ -561,6 +561,20 @@ class TestGradcheckCommand:
         code, _, _ = run_cli(monkeypatch, capsys, "gradcheck", "--epsilon", "0")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--seeds", "0"), ("--emb", "0"), ("--hidden", "0"), ("--timesteps", "0"),
+        ("--drugs", "1"), ("--epsilon", "-1e-5"),
+        ("--tolerance", "0"), ("--tolerance", "-1"),
+    ])
+    def test_out_of_range_setting_is_usage_error_naming_the_flag(self, monkeypatch, capsys,
+                                                                 flag, value):
+        """A setting that would check nothing, or fail inside the model, is
+        refused before any check runs."""
+        code, out, err = run_cli(monkeypatch, capsys, "gradcheck", flag, value)
+        assert code == EXIT_USAGE
+        assert flag in err and "Traceback" not in err
+        assert out == ""
+
     def test_injected_sign_error_fails(self, monkeypatch, capsys):
         import adrtag.model as m
 

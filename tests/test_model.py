@@ -547,6 +547,35 @@ def test_drug_head_builds_no_copy_of_the_states():
     assert with_h - without >= h.nbytes == lengths.sum() * 2 * H * 8
 
 
+def test_training_step_holds_only_what_bptt_reads():
+    """A pretraining step, forward plus backward, peaks at the arrays BPTT
+    reads (gates, h and m over the N positions), the gradient buffers and a
+    bounded number of (B, 2, H) per-step arrays. tanh(m) is recomputed
+    per step, not stored for every position, and m is freed before the
+    weight-gradient products gather h."""
+    rng = np.random.default_rng(9)
+    V, E, H, B, D = 50, 8, 64, 32, 5
+    model = AdrModel(rng.normal(scale=0.5, size=(V, E)), hidden=H, drug_count=D, seed=9)
+    lengths = rng.integers(20, 41, size=B)
+    idx = rng.integers(1, V, size=(B, int(lengths.max())))
+    labels = rng.integers(0, D, size=B)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model.backward_drug(model.drug_loss(idx, lengths, labels)[1])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    N = int(lengths.sum())
+    gates = N * 2 * 4 * H * 8
+    h_and_m = 2 * (B + N) * 2 * H * 8
+    grads = sum(p.value.nbytes for p in model.drug_parameters())
+    per_step = B * 2 * H * 8
+    assert peak <= gates + h_and_m + grads + 16 * per_step
+    # The bound leaves less room than one more (N, 2, H) array.
+    assert N * 2 * H * 8 > 16 * per_step
+
+
 class TestLockstepMatchesPerDirectionLoops:
     """The lockstep step loops give the same bits as one step loop per
     direction (``reference.packed_oracle``): states, losses and every

@@ -395,6 +395,18 @@ class TestLoadEmbeddings:
         with pytest.raises(DataError, match=r"emb\.txt: line 5: duplicate token 'alpha'"):
             load_embeddings(path, v)
 
+    @pytest.mark.parametrize("first_row", [0, 1, 17, 30, 37])
+    def test_duplicate_many_blocks_later_names_line(self, tmp_path, monkeypatch, first_row):
+        """The hashes read so far are kept in merged runs; a repeat of a token
+        from any earlier run is still found, and named by its line."""
+        monkeypatch.setattr(text_module, "_BLOCK_LINES", 2)
+        v = Vocabulary.build([["w0", "w1"]], cap=5)
+        path = tmp_path / "emb.txt"
+        rows = [f"w{i} {i}" for i in range(39)] + [f"w{first_row} 99"]
+        path.write_text(f"{len(rows)} 1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=rf"emb\.txt: line 41: duplicate token 'w{first_row}'$"):
+            load_embeddings(path, v)
+
     @pytest.mark.parametrize("last", ["delta 4", "beta 4"])
     def test_hash_collisions_are_confirmed_against_the_file(self, tmp_path, monkeypatch, last):
         """Every token hashes alike, so each block is re-read line by line and
