@@ -1,7 +1,7 @@
 """Command-line interface: preprocess -> build-vocab -> pretrain -> train ->
 evaluate, plus ad-hoc predict and the gradient self-check.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
+Each error family ends the command with its own exit code (see ``errors``).
 Relative checkpoint paths are resolved against $ADR_CHECKPOINT_DIR when set.
 """
 
@@ -14,13 +14,12 @@ from dataclasses import fields
 from pathlib import Path
 
 import click
-import numpy as np
 import yaml
 
 from . import encoding, evaluation, text, training
+from .errors import CheckpointError, DataError, NumericalError
 from .files import atomic_write
 from .model import AdrModel, gradient_check
-from .numerics import NumericalError
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -104,14 +103,14 @@ def _read_unlabeled(path):
                 continue
             parts = line.split("\t", 1)
             if len(parts) != 2:
-                raise text.DataError(f"{path}: line {lineno}: expected 'id<TAB>text'")
+                raise DataError(f"{path}: line {lineno}: expected 'id<TAB>text'")
             tweets.append((parts[0], parts[1]))
     return tweets
 
 
 def _read_processed(path):
     """Drug-context corpus written by `adr preprocess`:
-    'tweet_id<TAB>drug_name<TAB>space-joined tokens'."""
+    'tweet_id<TAB>drug_name<TAB>space-joined tokens', at least one record."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -120,11 +119,24 @@ def _read_processed(path):
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
-                raise text.DataError(
+                raise DataError(
                     f"{path}: line {lineno}: expected 'id<TAB>drug<TAB>tokens'"
                 )
-            out.append((parts[0], parts[1], parts[2].split()))
+            tokens = parts[2].split()
+            if not tokens:
+                raise DataError(f"{path}: line {lineno}: record has no tokens")
+            out.append((parts[0], parts[1], tokens))
+    if not out:
+        raise DataError(f"{path}: no records found")
     return out
+
+
+def _read_sentences(path):
+    """The labeled sentences of a CoNLL file, which must hold at least one."""
+    sentences = encoding.read_conll(path)
+    if not sentences:
+        raise DataError(f"{path}: no sentences found")
+    return sentences
 
 
 def _encode_labeled(sentences, vocab):
@@ -142,7 +154,7 @@ def _build_model_from_inputs(vocab_path, embeddings_path, settings, drug_names=N
     model = AdrModel(
         table.vectors,
         hidden=settings.get("hidden", 500),
-        drug_count=max(len(drug_names), 2) if drug_names is not None else 2,
+        drug_count=2 if drug_names is None else len(drug_names),
         seed=seed,
         vocab_tokens=vocab.index_to_token,
         drug_names=drug_names,
@@ -156,11 +168,11 @@ def _load_tagger(checkpoint, expected_hidden=None):
     path = _ckpt_path(checkpoint)
     model = training.load_checkpoint(path, expected_hidden=expected_hidden)
     if model.vocab_tokens is None:
-        raise training.CheckpointError(f"{path}: checkpoint carries no vocabulary")
+        raise CheckpointError(f"{path}: checkpoint carries no vocabulary")
     try:
         return model, text.Vocabulary(model.vocab_tokens)
-    except text.DataError as exc:
-        raise training.CheckpointError(f"{path}: vocab_tokens: {exc}") from None
+    except DataError as exc:
+        raise CheckpointError(f"{path}: vocab_tokens: {exc}") from None
 
 
 def _echo_truncation(sequences, max_len):
@@ -195,7 +207,7 @@ def preprocess(input_path, lexicon, stopwords, out_path, drug_mask):
     stop = text.load_stopwords(stopwords) if stopwords else text.default_stopwords()
     tweets = _read_unlabeled(input_path)
     if not tweets:
-        raise text.DataError(f"{input_path}: no tweets found")
+        raise DataError(f"{input_path}: no tweets found")
     lines = []
     no_drug = multi_drug = empty = 0
     for tweet_id, raw in tweets:
@@ -217,7 +229,7 @@ def preprocess(input_path, lexicon, stopwords, out_path, drug_mask):
         f"rejected_multi_drug={multi_drug} dropped_empty={empty}"
     )
     if not lines:
-        raise text.DataError("no tweets survived preprocessing")
+        raise DataError("no tweets survived preprocessing")
     with atomic_write(out_path) as fh:
         fh.writelines(lines)
 
@@ -225,20 +237,18 @@ def preprocess(input_path, lexicon, stopwords, out_path, drug_mask):
 @cli.command("build-vocab")
 @click.option("--unlabeled", type=click.Path(exists=True))
 @click.option("--labeled", type=click.Path(exists=True))
-@click.option("--cap", default=15000, show_default=True)
-@click.option("--source", type=click.Choice(["both", "labeled_only"]), default="both",
-              show_default=True)
+@click.option("--cap", default=15000, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", "out_path", required=True, type=click.Path())
-def build_vocab(unlabeled, labeled, cap, source, out_path):
+def build_vocab(unlabeled, labeled, cap, out_path):
     """Build the capped frequency vocabulary and write one token per line."""
+    if not (unlabeled or labeled):
+        raise click.UsageError("need --labeled and/or --unlabeled input")
     streams = []
-    if source == "both" and unlabeled:
+    if unlabeled:
         streams.extend(tokens for _, _, tokens in _read_processed(unlabeled))
     if labeled:
-        for tokens, _ in encoding.read_conll(labeled):
+        for tokens, _ in _read_sentences(labeled):
             streams.append([text.normalize_token(t) for t in tokens])
-    if not streams:
-        raise click.UsageError("need --labeled and/or --unlabeled input")
     vocab = text.Vocabulary.build(streams, cap=cap)
     vocab.save(out_path)
     click.echo(f"vocabulary size={len(vocab)} (cap {cap} + {len(text.SENTINELS)} sentinels)")
@@ -260,14 +270,15 @@ def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, config_path
     lex = text.DrugLexicon.load(lexicon)
     if len(lex) < 2:
         raise click.UsageError("drug lexicon must contain at least 2 names")
+    records = _read_processed(corpus)
+    for _, drug, _ in records:
+        if drug not in lex.index:
+            raise DataError(f"{corpus}: unknown drug name {drug!r}")
     model, vocab_obj, table = _build_model_from_inputs(vocab, embeddings, settings,
                                                        lex.names)
     click.echo(f"embedding coverage: {table.coverage:.3f}")
-    examples = []
-    for tweet_id, drug, tokens in _read_processed(corpus):
-        if drug not in lex.index:
-            raise text.DataError(f"{corpus}: unknown drug name {drug!r}")
-        examples.append((vocab_obj.indices(tokens), lex.index[drug], tweet_id))
+    examples = [(vocab_obj.indices(tokens), lex.index[drug], tweet_id)
+                for tweet_id, drug, tokens in records]
     _echo_truncation([e[0] for e in examples], train_cfg.max_len)
     log = training.pretrain(examples, model, train_cfg)
     training.save_checkpoint(model, _ckpt_path(out_path))
@@ -312,8 +323,7 @@ def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path,
                 "--vocab and --embeddings are required without --init-checkpoint"
             )
         model, vocab_obj, _ = _build_model_from_inputs(vocab, embeddings, settings)
-    sentences = encoding.read_conll(labeled)
-    data = _encode_labeled(sentences, vocab_obj)
+    data = _encode_labeled(_read_sentences(labeled), vocab_obj)
     click.echo(f"training tweets: {len(data)}")
     _echo_truncation([d[0] for d in data], train_cfg.max_len)
     log = [{"phase": "supervised", "event": "data", "train_tweets": len(data)}]
@@ -355,9 +365,9 @@ def evaluate(checkpoint, test_path, trials, labeled, epochs, max_len, seed,
     for i in range(trials):
         model, vocab_obj = _load_tagger(checkpoint)
         if i == 0:  # every trial loads the same checkpoint, so the same vocabulary
-            test_data = _encode_labeled(encoding.read_conll(test_path), vocab_obj)
+            test_data = _encode_labeled(_read_sentences(test_path), vocab_obj)
             if trials > 1:
-                data = _encode_labeled(encoding.read_conll(labeled), vocab_obj)
+                data = _encode_labeled(_read_sentences(labeled), vocab_obj)
         with _naming_checkpoint(checkpoint):
             if trials > 1:
                 training.train_supervised(data, model, training.supervised_config(
@@ -423,27 +433,22 @@ def gradcheck(seeds, emb, hidden, timesteps, drugs, epsilon, tolerance):
     click.echo("all gradients match finite differences")
 
 
+def _fail(code: int, message: str):
+    if message:  # an Abort has none, and click has already ended the line
+        click.echo(f"error: {message}", err=True)
+    sys.exit(code)
+
+
 def main():
     try:
         cli.main(standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(EXIT_USAGE)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(EXIT_USAGE)
-    except click.exceptions.Abort:
-        sys.exit(EXIT_USAGE)
-    except (text.DataError, encoding.AnnotationError,
-            training.CheckpointError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
+    except (DataError, OSError) as exc:
+        _fail(EXIT_DATA, str(exc))
     except NumericalError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+        _fail(EXIT_NUMERICAL, str(exc))
+    except (click.ClickException, click.exceptions.Abort, ValueError) as exc:
+        _fail(EXIT_USAGE,
+              exc.format_message() if isinstance(exc, click.ClickException) else str(exc))
 
 
 if __name__ == "__main__":

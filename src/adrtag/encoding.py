@@ -1,4 +1,4 @@
-"""Inside/Outside tag encoding and span decoding, plus CoNLL-style file IO."""
+"""Inside/Outside tag encoding and span decoding, plus the CoNLL-style reader."""
 
 from __future__ import annotations
 
@@ -6,15 +6,10 @@ import enum
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .files import atomic_write
-from .text import DataError
+from .errors import AnnotationError, DataError
 
 ADR = "ADR"
 IND = "IND"
-
-
-class AnnotationError(ValueError):
-    """Gold annotation violates the encoding contract."""
 
 
 class TagLabel(enum.IntEnum):
@@ -107,11 +102,3 @@ def read_conll(path) -> List[Tuple[List[str], List[TagLabel]]]:
     if tokens:
         sentences.append((tokens, tags))
     return sentences
-
-
-def write_conll(path, sentences) -> None:
-    with atomic_write(path) as fh:
-        for tokens, tags in sentences:
-            for tok, tag in zip(tokens, tags):
-                fh.write(f"{tok}\t{TAG_TO_STRING[TagLabel(tag)]}\n")
-            fh.write("\n")

@@ -18,10 +18,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .encoding import TagLabel
+from .errors import NumericalError
 from .numerics import (
     PROB_FLOOR,
     DimensionError,
-    NumericalError,
     Parameter,
     sigmoid,
     softmax_rows,
@@ -487,8 +487,6 @@ def gradient_check(
     on a randomly initialized tiny model. Returns one result per head."""
     from .numerics import finite_difference_gradient
 
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     rng = np.random.default_rng(seed)
     vocab_size = 11
     embeddings = rng.normal(scale=0.5, size=(vocab_size, emb))

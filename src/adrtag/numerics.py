@@ -12,15 +12,13 @@ from typing import Callable, Dict, Sequence
 
 import numpy as np
 
+from .errors import NumericalError
+
 PROB_FLOOR = 1e-12
 
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
-
-
-class NumericalError(RuntimeError):
-    """A non-finite value appeared where finite math was required."""
 
 
 @dataclass

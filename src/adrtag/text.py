@@ -11,6 +11,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .errors import DataError
 from .files import atomic_write
 
 PAD = "<PAD>"
@@ -26,10 +27,6 @@ _DROP_NON_ALNUM = str.maketrans(
     "", "", "".join(c for c in map(chr, range(128))
                     if c not in string.ascii_lowercase + string.digits)
 )
-
-
-class DataError(ValueError):
-    """A data file or record is malformed."""
 
 
 class TweetRejected(Exception):

@@ -15,15 +15,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .encoding import TagLabel
+from .errors import CheckpointError, NumericalError
 from .files import atomic_write
 from .model import GATES, AdrModel
-from .numerics import NumericalError, Parameter
+from .numerics import Parameter
 
 CHECKPOINT_MAGIC = b"ADRCKPT1"
-
-
-class CheckpointError(RuntimeError):
-    """A checkpoint file is unreadable or incompatible."""
 
 
 @dataclass
@@ -229,8 +226,6 @@ def pretrain(
     """
     if not examples:
         raise ValueError("pretraining corpus is empty")
-    if model.drug_count < 2:
-        raise ValueError("drug catalog must contain at least 2 names")
     train_idx, held_idx = heldout_split([e[2] for e in examples])
     if not train_idx:
         train_idx, held_idx = list(range(len(examples))), []

@@ -3,11 +3,15 @@ import sys
 import weakref
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from adrtag import cli as cli_module
 from adrtag.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_USAGE, main
+from adrtag.errors import CheckpointError, DataError, NumericalError
 from adrtag.model import AdrModel
 from adrtag.training import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 
@@ -284,8 +288,8 @@ class TestPipeline:
             blobs.append((tmp_path / name).read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_vocab_source_flag_changes_only_vocabulary(self, workspace, monkeypatch,
-                                                       capsys, tmp_path):
+    def test_vocab_without_unlabeled_lacks_corpus_only_words(self, workspace, monkeypatch,
+                                                             capsys, tmp_path):
         processed = tmp_path / "p.tsv"
         run_cli(monkeypatch, capsys, "preprocess", "--input", str(workspace / "raw.tsv"),
                 "--lexicon", str(workspace / "drugs.txt"), "--out", str(processed))
@@ -294,9 +298,9 @@ class TestPipeline:
         run_cli(monkeypatch, capsys, "build-vocab", "--unlabeled", str(processed),
                 "--labeled", str(workspace / "train.tsv"), "--cap", "100",
                 "--out", str(both))
-        run_cli(monkeypatch, capsys, "build-vocab", "--unlabeled", str(processed),
+        run_cli(monkeypatch, capsys, "build-vocab",
                 "--labeled", str(workspace / "train.tsv"), "--cap", "100",
-                "--source", "labeled_only", "--out", str(labeled_only))
+                "--out", str(labeled_only))
         v_both = set(both.read_text().split())
         v_labeled = set(labeled_only.read_text().split())
         assert v_labeled < v_both  # masked-corpus-only words are missing
@@ -371,6 +375,17 @@ def _save_tiny_checkpoint(path, vocabulary=True):
     model = AdrModel(np.random.default_rng(0).normal(size=(len(tokens), 3)),
                      hidden=2, drug_count=2, seed=0,
                      vocab_tokens=tokens if vocabulary else None, drug_names=["a", "b"])
+    save_checkpoint(model, path)
+
+
+def _huge_embeddings_checkpoint(path):
+    """Finite embeddings so large that the encoder's gate sums overflow."""
+    tokens = ["<PAD>", "<UNK>", "<LINK>", "<USER>", "<DRUG>", "ugh", "dizzy"]
+    embeddings = np.full((len(tokens), 3), 1.7e308)
+    embeddings[0] = 0.0
+    model = AdrModel(embeddings, hidden=2, drug_count=2, seed=0, vocab_tokens=tokens,
+                     drug_names=["a", "b"])
+    model.encoder.forward_cell.i.value[...] = 1.0
     save_checkpoint(model, path)
 
 
@@ -479,13 +494,7 @@ def test_overflow_in_inference_is_numerical_error(workspace, monkeypatch, capsys
     """Finite but huge embedding rows overflow the encoder: exit 3 naming the
     checkpoint, no traceback, no tags and no report."""
     ckpt = tmp_path / "huge.ckpt"
-    tokens = ["<PAD>", "<UNK>", "<LINK>", "<USER>", "<DRUG>", "ugh", "dizzy"]
-    embeddings = np.full((len(tokens), 3), 1.7e308)
-    embeddings[0] = 0.0
-    model = AdrModel(embeddings, hidden=2, drug_count=2, seed=0, vocab_tokens=tokens,
-                     drug_names=["a", "b"])
-    model.encoder.forward_cell.i.value[...] = 1.0
-    save_checkpoint(model, ckpt)
+    _huge_embeddings_checkpoint(ckpt)
     report = tmp_path / "report.txt"
     args = {
         "predict": ["--checkpoint", str(ckpt), "--text", "ugh so dizzy"],
@@ -851,3 +860,239 @@ def test_evaluate_rejects_retraining_flags_with_one_trial(workspace, monkeypatch
     assert code == EXIT_USAGE
     assert all(f in err for f in flags[::2]) and "--trials > 1" in err
     assert "Traceback" not in err
+
+
+_VOCAB = "<PAD>\n<UNK>\n<LINK>\n<USER>\n<DRUG>\nugh\ndizzy\n"
+
+
+@pytest.mark.parametrize("command", ["pretrain", "build-vocab"])
+def test_corpus_record_without_tokens_is_data_error(workspace, monkeypatch, capsys, tmp_path,
+                                                    command):
+    """A record `adr preprocess` never writes is refused, naming its file and
+    line, before any embeddings load or vocabulary is built."""
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("1\teffexor\tugh <DRUG>\n2\tibuprofen\t\n")
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(_VOCAB)
+    monkeypatch.setattr(cli_module.text, "load_embeddings",
+                        lambda *a, **kw: pytest.fail("embeddings loaded"))
+    monkeypatch.setattr(cli_module.text.Vocabulary, "build",
+                        lambda *a, **kw: pytest.fail("vocabulary built"))
+    out = tmp_path / "out"
+    args = {
+        "pretrain": ["--corpus", str(corpus), "--vocab", str(vocab),
+                     "--embeddings", str(workspace / "emb.txt"),
+                     "--lexicon", str(workspace / "drugs.txt")],
+        "build-vocab": ["--unlabeled", str(corpus)],
+    }[command]
+    code, _, err = run_cli(monkeypatch, capsys, command, *args, "--out", str(out))
+    assert code == EXIT_DATA
+    assert f"{corpus}: line 2: record has no tokens" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# Each command line reads "{empty}", a file of blank lines, as one of its inputs.
+EMPTY_INPUT_RUNS = {
+    "pretrain-corpus": "pretrain --corpus {empty} --vocab {ws}/vocab.txt"
+                       " --embeddings {ws}/emb.txt --lexicon {ws}/drugs.txt --out {ws}/out",
+    "train-labeled": "train --labeled {empty} --vocab {ws}/vocab.txt --embeddings {ws}/emb.txt"
+                     " --out {ws}/out",
+    "evaluate-labeled": "evaluate --checkpoint {ws}/model.ckpt --test {ws}/test.tsv --trials 2"
+                        " --labeled {empty} --report {ws}/out",
+    "evaluate-test": "evaluate --checkpoint {ws}/model.ckpt --test {empty} --report {ws}/out",
+    "build-vocab-labeled": "build-vocab --labeled {empty} --out {ws}/out",
+    "build-vocab-unlabeled": "build-vocab --unlabeled {empty} --out {ws}/out",
+}
+
+
+@pytest.mark.parametrize("run", sorted(EMPTY_INPUT_RUNS))
+def test_input_without_records_is_data_error(workspace, monkeypatch, capsys, run):
+    """Every command refuses an input that holds only blank lines, naming it
+    and writing nothing, as `preprocess` does."""
+    empty = workspace / "empty.tsv"
+    empty.write_text("\n  \n\n")
+    (workspace / "vocab.txt").write_text(_VOCAB)
+    _save_tiny_checkpoint(workspace / "model.ckpt")
+    argv = EMPTY_INPUT_RUNS[run].format(ws=workspace, empty=empty).split()
+    code, _, err = run_cli(monkeypatch, capsys, *argv)
+    assert code == EXIT_DATA, err
+    assert f"error: {empty}: no " in err and "Traceback" not in err
+    assert not (workspace / "out").exists()
+
+
+def _exit_code_of(cls) -> int:
+    """The exit code each error family ends `adr` with."""
+    if issubclass(cls, (DataError, OSError)):
+        return EXIT_DATA
+    if issubclass(cls, NumericalError):
+        return EXIT_NUMERICAL
+    return EXIT_USAGE  # click's errors and any other ValueError
+
+
+_TRAIN = "train --labeled {ws}/train.tsv --vocab {ws}/vocab.txt --embeddings {ws}/emb.txt"
+_PRETRAIN = ("pretrain --corpus {ws}/corpus.tsv --vocab {ws}/vocab.txt --embeddings {ws}/emb.txt"
+             " --lexicon {ws}/drugs.txt")
+_PREPROCESS = "preprocess --input {ws}/raw.tsv --lexicon {ws}/drugs.txt"
+_PREDICT = "predict --text ugh_so_dizzy --checkpoint"
+
+
+# Every documented failure: id -> (files to write into the workspace first,
+# the command line, the error class it raises, texts its message must hold).
+# "{ws}" is the workspace; "{ws}/out" is the output, which must not appear.
+# Inputs without records, and corpus records without tokens, are the two
+# tests above.
+FAILURES = {
+    "missing-required-flag": ({}, "train --out {ws}/out", click.UsageError, ["--labeled"]),
+    "missing-input-file": ({}, "train --labeled {ws}/nope.tsv --out {ws}/out",
+                           click.UsageError, ["nope.tsv"]),
+    "unknown-config-key": ({"cfg.yaml": "hiden: 3\n"}, _TRAIN + " --config {ws}/cfg.yaml",
+                           click.UsageError, ["cfg.yaml", "hiden"]),
+    "mistyped-config-value": ({"cfg.yaml": "batch_size: 2.5\n"},
+                              _TRAIN + " --config {ws}/cfg.yaml", click.UsageError,
+                              ["cfg.yaml: batch_size:"]),
+    "config-not-yaml": ({"cfg.yaml": "hidden: [3\n"}, _TRAIN + " --config {ws}/cfg.yaml",
+                        click.UsageError, ["cfg.yaml: not valid YAML"]),
+    "config-not-a-mapping": ({"cfg.yaml": "- 3\n"}, _TRAIN + " --config {ws}/cfg.yaml",
+                             click.UsageError, ["cfg.yaml: config must be a mapping"]),
+    "setting-out-of-range": ({}, _TRAIN + " --max-len 0", ValueError, ["max_len"]),
+    "learning-rate-not-finite": ({}, _PRETRAIN + " --learning-rate nan", ValueError,
+                                 ["learning_rate"]),
+    "architecture-flag-with-init-checkpoint": (
+        {}, "train --labeled {ws}/train.tsv --init-checkpoint {ws}/model.ckpt --pooling sum",
+        click.UsageError, ["--pooling"]),
+    "retraining-flag-with-one-trial": (
+        {}, "evaluate --checkpoint {ws}/model.ckpt --test {ws}/test.tsv --seed 3"
+        " --report {ws}/out", click.UsageError, ["--seed"]),
+    "trials-without-labeled": (
+        {}, "evaluate --checkpoint {ws}/model.ckpt --test {ws}/test.tsv --trials 2"
+        " --report {ws}/out", click.UsageError, ["--labeled"]),
+    "vocab-cap-below-one": ({}, "build-vocab --labeled {ws}/train.tsv --cap 0 --out {ws}/out",
+                            click.UsageError, ["--cap"]),
+    "gradcheck-tolerance-not-positive": ({}, "gradcheck --tolerance 0", click.UsageError,
+                                         ["--tolerance"]),
+    "output-under-a-regular-file": ({}, _PREPROCESS + " --out {ws}/raw.tsv/out", OSError,
+                                    ["raw.tsv/out"]),
+    "raw-line-without-tab": ({"raw.tsv": "t1\tugh\nno tab here\n"}, _PREPROCESS,
+                             DataError, ["raw.tsv: line 2: expected 'id<TAB>text'"]),
+    "raw-input-empty": ({"raw.tsv": ""}, _PREPROCESS, DataError, ["raw.tsv: no tweets found"]),
+    "no-tweet-survives": ({"raw.tsv": "t1\tfeeling fine\n"}, _PREPROCESS, DataError,
+                          ["no tweets survived preprocessing"]),
+    "lexicon-duplicate-name": ({"drugs.txt": "effexor\nEffexor\n"}, _PREPROCESS, DataError,
+                               ["drugs.txt: line 2: duplicate drug name"]),
+    "vocab-duplicate-token": ({"vocab.txt": _VOCAB + "ugh\n"}, _TRAIN, DataError,
+                              ["vocab.txt: line 8: duplicate token 'ugh'"]),
+    "vocab-missing-sentinel": ({"vocab.txt": "<PAD>\n<UNK>\n"}, _TRAIN, DataError,
+                               ["vocab.txt: end of file: missing sentinel '<LINK>'"]),
+    "embeddings-header": ({"emb.txt": "x y\n"}, _TRAIN, DataError,
+                          ["emb.txt: header must be two integers"]),
+    "embeddings-header-sizes": ({"emb.txt": "1 0\nugh\n"}, _TRAIN, DataError,
+                                ["emb.txt: header 'V D' needs V >= 0 and D >= 1"]),
+    "embeddings-row-width": ({"emb.txt": "1 3\nugh 0.1 0.2\n"}, _TRAIN, DataError,
+                             ["emb.txt: line 2: expected 3 values, got 2"]),
+    "embeddings-bad-float": ({"emb.txt": "1 2\nugh 0.1 x\n"}, _TRAIN, DataError,
+                             ["emb.txt: line 2: bad float"]),
+    "embeddings-non-finite": ({"emb.txt": "1 2\nugh 0.1 nan\n"}, _TRAIN, DataError,
+                              ["emb.txt: line 2: non-finite value"]),
+    "embeddings-duplicate-token": ({"emb.txt": "2 1\nugh 0.1\nugh 0.2\n"}, _TRAIN, DataError,
+                                   ["emb.txt: line 3: duplicate token 'ugh'"]),
+    "embeddings-row-count": ({"emb.txt": "3 1\nugh 0.1\n"}, _TRAIN, DataError,
+                             ["emb.txt: header says 3 rows, file has 1"]),
+    "labeled-unknown-tag": ({"train.tsv": "ugh\tO\ndizzy\tB-ADR\n"}, _TRAIN, DataError,
+                            ["train.tsv: line 2: unknown tag 'B-ADR'"]),
+    "labeled-line-without-tab": ({"train.tsv": "ugh\n"}, _TRAIN, DataError,
+                                 ["train.tsv: line 1: expected 'token<TAB>tag'"]),
+    "corpus-line-without-tokens-field": ({"corpus.tsv": "t1\teffexor\n"}, _PRETRAIN, DataError,
+                                         ["corpus.tsv: line 1: expected 'id<TAB>drug<TAB>"]),
+    "corpus-unknown-drug": ({"corpus.tsv": "t1\taspirin\tugh <DRUG>\n"}, _PRETRAIN, DataError,
+                            ["corpus.tsv: unknown drug name 'aspirin'"]),
+    "checkpoint-missing": ({}, _PREDICT + " {ws}/missing.ckpt", OSError, ["missing.ckpt"]),
+    "checkpoint-not-a-checkpoint": ({"bad.ckpt": "hello"}, _PREDICT + " {ws}/bad.ckpt",
+                                    CheckpointError, ["bad.ckpt: not a checkpoint file"]),
+    "checkpoint-truncated": ({"bad.ckpt": lambda p: p.write_bytes(
+                                  (p.parent / "model.ckpt").read_bytes()[:-5])},
+                             _PREDICT + " {ws}/bad.ckpt", CheckpointError, ["bad.ckpt: "]),
+    "checkpoint-without-vocabulary": ({"bad.ckpt": lambda p: _save_tiny_checkpoint(p, False)},
+                                      _PREDICT + " {ws}/bad.ckpt", CheckpointError,
+                                      ["bad.ckpt: checkpoint carries no vocabulary"]),
+    "checkpoint-hidden-mismatch": (
+        {}, "train --labeled {ws}/train.tsv --init-checkpoint {ws}/model.ckpt --hidden 3",
+        CheckpointError, ["model.ckpt: checkpoint hidden size 2 != expected 3"]),
+    "overflow-in-predict": ({"huge.ckpt": _huge_embeddings_checkpoint},
+                            _PREDICT + " {ws}/huge.ckpt", NumericalError,
+                            ["huge.ckpt: encoder forward overflowed"]),
+    "overflow-in-training": ({"emb.txt": "2 2\nugh 1.7e308 1.7e308\ndizzy 1.7e308 -1.7e308\n"},
+                             _TRAIN + " --hidden 2 --epochs 1", NumericalError,
+                             ["supervised epoch 0", "on the batch of tweets sent-"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_every_documented_failure_exits_by_its_error_class(workspace, monkeypatch, capsys,
+                                                           case):
+    """Each documented failure raises its error class, which alone decides the
+    exit code; its message names the file, line, record or flag; there is no
+    traceback and no output file."""
+    (workspace / "vocab.txt").write_text(_VOCAB)
+    (workspace / "corpus.tsv").write_text("t1\teffexor\tugh <DRUG> dizzy\n")
+    _save_tiny_checkpoint(workspace / "model.ckpt")
+    files, command, error, needles = FAILURES[case]
+    for name, content in files.items():
+        if callable(content):
+            content(workspace / name)
+        else:
+            (workspace / name).write_text(content)
+    argv = command.format(ws=workspace).split()
+    if "--out" not in argv and argv[0] in ("train", "pretrain", "preprocess"):
+        argv += ["--out", f"{workspace}/out"]
+    with pytest.raises(error):
+        cli_module.cli.main(argv, standalone_mode=False)
+    code, out, err = run_cli(monkeypatch, capsys, *argv)
+    assert code == _exit_code_of(error), err
+    assert err.startswith("error: "), err
+    assert all(needle in err for needle in needles), err
+    assert "Traceback" not in err
+    assert not (workspace / "out").exists()
+
+
+_PROPERTY = settings(max_examples=100, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_PROPERTY
+@given(damage=st.data())
+def test_damaged_checkpoint_never_ends_in_a_traceback(monkeypatch, capsys, tmp_path, damage):
+    """A checkpoint cut at any byte, or with any one byte changed, is read
+    and used, or refused naming it: exit 2 for the file, or 3 when a changed
+    weight is finite but so large that the forward overflows."""
+    path = tmp_path / "model.ckpt"
+    _save_tiny_checkpoint(path)
+    blob = path.read_bytes()
+    offset = damage.draw(st.integers(0, len(blob) - 1), label="offset")
+    byte = damage.draw(st.none() | st.integers(0, 255), label="new byte (None: cut)")
+    path.write_bytes(blob[:offset] if byte is None
+                     else blob[:offset] + bytes([byte]) + blob[offset + 1:])
+    code, _, err = run_cli(monkeypatch, capsys, "predict", "--checkpoint", str(path),
+                           "--text", "ugh so dizzy")
+    assert code in (0, EXIT_DATA, EXIT_NUMERICAL), err
+    assert code == 0 or err.startswith(f"error: {path}: "), err
+
+
+@_PROPERTY
+@given(damage=st.data())
+def test_truncated_embeddings_never_end_in_a_traceback(workspace, monkeypatch, capsys,
+                                                       tmp_path, damage):
+    """An embeddings file cut at any byte trains, or is refused with exit 2
+    naming it and no checkpoint written."""
+    blob = (workspace / "emb.txt").read_bytes()
+    emb = tmp_path / "cut.txt"
+    emb.write_bytes(blob[: damage.draw(st.integers(0, len(blob)), label="cut")])
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(_VOCAB)
+    ckpt = tmp_path / "out.ckpt"
+    ckpt.unlink(missing_ok=True)
+    code, _, err = run_cli(monkeypatch, capsys, "train", "--labeled", str(workspace / "train.tsv"),
+                           "--vocab", str(vocab), "--embeddings", str(emb), "--hidden", "2",
+                           "--epochs", "0", "--out", str(ckpt))
+    assert code in (0, EXIT_DATA), err
+    assert ckpt.exists() == (code == 0)
+    assert code == 0 or err.startswith(f"error: {emb}: "), err
