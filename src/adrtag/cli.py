@@ -18,7 +18,7 @@ import yaml
 
 from . import encoding, evaluation, text, training
 from .errors import CheckpointError, DataError, NumericalError
-from .files import atomic_write
+from .files import atomic_write, reading
 from .model import AdrModel, gradient_check
 
 EXIT_USAGE = 1
@@ -63,7 +63,7 @@ def _resolve_settings(config_path, flags) -> dict:
     config value must parse as the text of its flag would."""
     settings = {}
     if config_path is not None:
-        with open(config_path, encoding="utf-8") as fh:
+        with reading(config_path) as fh:
             try:
                 cfg = yaml.safe_load(fh) or {}
             except yaml.YAMLError as exc:
@@ -96,7 +96,7 @@ def _train_config(factory, settings) -> training.TrainConfig:
 def _read_unlabeled(path):
     """Unlabeled corpus: one tweet per line, 'tweet_id<TAB>raw_text'."""
     tweets = []
-    with open(path, encoding="utf-8") as fh:
+    with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -112,7 +112,7 @@ def _read_processed(path):
     """Drug-context corpus written by `adr preprocess`:
     'tweet_id<TAB>drug_name<TAB>space-joined tokens', at least one record."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -269,7 +269,7 @@ def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, config_path
     train_cfg = _train_config(training.pretrain_config, settings)
     lex = text.DrugLexicon.load(lexicon)
     if len(lex) < 2:
-        raise click.UsageError("drug lexicon must contain at least 2 names")
+        raise DataError(f"{lexicon}: drug lexicon must contain at least 2 names, has {len(lex)}")
     records = _read_processed(corpus)
     for _, drug, _ in records:
         if drug not in lex.index:
@@ -339,7 +339,7 @@ def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path,
 @cli.command()
 @click.option("--checkpoint", required=True, type=click.Path())
 @click.option("--test", "test_path", required=True, type=click.Path(exists=True))
-@click.option("--trials", default=1, show_default=True)
+@click.option("--trials", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--labeled", type=click.Path(exists=True),
               help="training TSV, required when --trials > 1")
 @click.option("--epochs", type=int, default=training.TrainConfig.epochs, show_default=True)
@@ -352,8 +352,6 @@ def evaluate(checkpoint, test_path, trials, labeled, epochs, max_len, seed,
              label, report_path):
     """Approximate-match P/R/F1 on ADR spans; with --trials > 1, retrain from
     the checkpoint with per-trial seeds (seed+i) and report mean ± std."""
-    if trials < 1:
-        raise click.UsageError("--trials must be >= 1")
     if trials > 1 and not labeled:
         raise click.UsageError("--labeled is required when --trials > 1")
     source = click.get_current_context().get_parameter_source

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import AnnotationError, DataError
+from .files import reading
 
 ADR = "ADR"
 IND = "IND"
@@ -83,7 +84,7 @@ def read_conll(path) -> List[Tuple[List[str], List[TagLabel]]]:
     sentences = []
     tokens: List[str] = []
     tags: List[TagLabel] = []
-    with open(path, encoding="utf-8") as fh:
+    with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

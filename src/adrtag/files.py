@@ -1,9 +1,27 @@
-"""Output files that are never left half-written."""
+"""Input files read as UTF-8 text, and output files that are never left
+half-written."""
 
 from __future__ import annotations
 
 import contextlib
 import os
+
+from .errors import DataError
+
+
+@contextlib.contextmanager
+def reading(path):
+    """Yield ``path`` opened as UTF-8 text. Bytes that are not UTF-8 end the
+    block with a :class:`DataError` naming the file and the first such line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:  # read again, only to name the line
+            # A line is UTF-8 exactly when decoding it replaces nothing.
+            lineno = next((n for n, line in enumerate(fh, start=1)
+                           if line.decode("utf-8", "replace").encode("utf-8") != line), None)
+        raise DataError(f"{path}: line {lineno}: not UTF-8 text ({exc.reason})") from None
 
 
 @contextlib.contextmanager

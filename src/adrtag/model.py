@@ -186,13 +186,15 @@ def _run_encoder(cells: Sequence[LSTMCellParams], emb: np.ndarray, ids: np.ndarr
 
 
 def _backprop_encoder(cells: Sequence[LSTMCellParams], rec: _Recurrence, dh: np.ndarray,
-                      shared_rows: bool = False):
-    """Accumulate both directions' gradients, stepping back in lockstep, given
-    dLoss/dh, (N, 2, H) with each direction's half in its packed order, or with
-    ``shared_rows`` (B, 2, H) in sorted row order, one per row for every step.
-    Gate gradients overwrite ``rec.gates`` step by step, and the cell states
-    ``rec.m`` are dropped once they are read; each weight gradient is then one
-    product over the real positions."""
+                      sink, shared_rows: bool = False):
+    """Hand both directions' gradients to ``sink``, stepping back in lockstep,
+    given dLoss/dh, (N, 2, H) with each direction's half in its packed order, or
+    with ``shared_rows`` (B, 2, H) in sorted row order, one per row for every
+    step. Gate gradients overwrite ``rec.gates`` step by step, and the cell
+    states ``rec.m`` are dropped once they are read; each weight gradient is
+    then one product over the real positions, written into ``sink.buffer(p)``
+    and passed to ``sink.step(p, g)`` after the step loop's last read of the
+    weights."""
     live = rec.live
     offsets, starts = _offsets(live)
     B, H = int(live[0]), cells[0].hidden
@@ -244,10 +246,10 @@ def _backprop_encoder(cells: Sequence[LSTMCellParams], rec: _Recurrence, dh: np.
     h_in = np.arange(len(rec.ids)) + np.repeat(starts - offsets, live)
     for d, cell in enumerate(cells):
         da = rec.gates[:, d]
-        cell.w.accumulate(np.matmul(da.T, rec.h[h_in, d], out=cell.w.buffer()))
-        cell.i.accumulate(np.matmul(da.T, rec.emb[rec.ids[:, d]], out=cell.i.buffer()))
+        sink.step(cell.w, np.matmul(da.T, rec.h[h_in, d], out=sink.buffer(cell.w)))
+        sink.step(cell.i, np.matmul(da.T, rec.emb[rec.ids[:, d]], out=sink.buffer(cell.i)))
         if cell.gate_biases:
-            cell.b.accumulate(np.sum(da, axis=0, out=cell.b.buffer()))
+            sink.step(cell.b, np.sum(da, axis=0, out=sink.buffer(cell.b)))
 
 
 class AdrModel:
@@ -309,10 +311,6 @@ class AdrModel:
             + self.drug_head.params()
             + self.tag_head.params()
         )
-
-    def zero_grad(self):
-        for p in self.all_parameters():
-            p.zero_grad()
 
     # -- shared encoder -----------------------------------------------------
 
@@ -381,7 +379,9 @@ class AdrModel:
         loss = float(-np.log(picked).mean())
         return loss, DrugLossCache(enc=enc, pooled=pooled, probs=probs, labels=labels)
 
-    def backward_drug(self, cache: DrugLossCache):
+    def backward_drug(self, cache: DrugLossCache, sink):
+        """Hand every gradient of the drug group to ``sink`` (see
+        :func:`_backprop_encoder`), the head's first."""
         if cache is None or cache.enc is None:
             raise RuntimeError("backward_drug requires the cache from drug_loss")
         B = cache.probs.shape[0]
@@ -389,14 +389,14 @@ class AdrModel:
         dlogits[np.arange(B), cache.labels] -= 1.0
         dlogits /= B
         head = self.drug_head
-        head.w.accumulate(np.matmul(dlogits.T, cache.pooled, out=head.w.buffer()))
-        head.b.accumulate(np.sum(dlogits, axis=0, out=head.b.buffer()))
-        dpooled = dlogits @ head.w.value
+        dpooled = dlogits @ head.w.value  # read before the sink may update the head
+        sink.step(head.w, np.matmul(dlogits.T, cache.pooled, out=sink.buffer(head.w)))
+        sink.step(head.b, np.sum(dlogits, axis=0, out=sink.buffer(head.b)))
         if self.pooling == "mean":
             dpooled = dpooled / cache.enc.lengths[:, None]
         # Step t's live rows are the sorted prefix rows[:n] in both directions.
         dh = dpooled[cache.enc.rows[:B]].reshape(B, 2, self.hidden)
-        _backprop_encoder(self.encoder.cells(), cache.enc.rec, dh, shared_rows=True)
+        _backprop_encoder(self.encoder.cells(), cache.enc.rec, dh, sink, shared_rows=True)
         cache.enc = None  # spent; a second backward would double-count
 
     def predict_drug_batch(self, indices, lengths) -> np.ndarray:
@@ -424,18 +424,20 @@ class AdrModel:
         loss = float((-np.log(picked) * valid).sum() / len(enc.lengths))
         return loss, TagLossCache(enc=enc, probs=probs, tags=tags, valid=valid)
 
-    def backward_tags(self, cache: TagLossCache):
+    def backward_tags(self, cache: TagLossCache, sink):
+        """Hand every gradient of the tag group to ``sink``, as
+        :meth:`backward_drug` does."""
         if cache is None or cache.enc is None:
             raise RuntimeError("backward_tags requires the cache from tag_loss")
         dlogits = cache.probs.copy()
         dlogits[np.arange(len(cache.tags)), np.where(cache.valid, cache.tags, 0)] -= 1.0
         dlogits *= cache.valid[:, None] / len(cache.enc.lengths)
         head = self.tag_head
-        head.w.accumulate(np.matmul(dlogits.T, cache.enc.h, out=head.w.buffer()))
-        head.b.accumulate(np.sum(dlogits, axis=0, out=head.b.buffer()))
         dh = (dlogits @ head.w.value).reshape(-1, 2, self.hidden)
+        sink.step(head.w, np.matmul(dlogits.T, cache.enc.h, out=sink.buffer(head.w)))
+        sink.step(head.b, np.sum(dlogits, axis=0, out=sink.buffer(head.b)))
         dh[:, 1] = dh[cache.enc.rev, 1]  # into the backward direction's order
-        _backprop_encoder(self.encoder.cells(), cache.enc.rec, dh)
+        _backprop_encoder(self.encoder.cells(), cache.enc.rec, dh, sink)
         cache.enc = None
 
     def predict_tag_batch(self, indices, lengths) -> np.ndarray:
@@ -485,7 +487,7 @@ def gradient_check(
 ) -> List[GradCheckResult]:
     """Compare analytic gradients of both heads against finite differences
     on a randomly initialized tiny model. Returns one result per head."""
-    from .numerics import finite_difference_gradient
+    from .numerics import Gradients, finite_difference_gradient
 
     rng = np.random.default_rng(seed)
     vocab_size = 11
@@ -505,21 +507,21 @@ def gradient_check(
             "drug",
             model.drug_parameters(),
             lambda: model.drug_loss(indices, lengths, labels)[0],
-            lambda: model.backward_drug(model.drug_loss(indices, lengths, labels)[1]),
+            lambda grads: model.backward_drug(model.drug_loss(indices, lengths, labels)[1], grads),
         ),
         (
             "tag",
             model.tag_parameters(),
             lambda: model.tag_loss(indices, lengths, tags)[0],
-            lambda: model.backward_tags(model.tag_loss(indices, lengths, tags)[1]),
+            lambda grads: model.backward_tags(model.tag_loss(indices, lengths, tags)[1], grads),
         ),
     ):
-        model.zero_grad()
-        backward()
+        analytic = Gradients()
+        backward(analytic)
         numeric = finite_difference_gradient(loss_fn, params, epsilon)
         worst = ("", 0.0)
         for p in params:
-            rel = _relative_errors(p.grad, numeric[p.name])
+            rel = _relative_errors(analytic[p.name], numeric[p.name])
             m = float(rel.max()) if rel.size else 0.0
             if m >= worst[1]:
                 worst = (p.name, m)

@@ -1,8 +1,7 @@
 """Float64 activations and a finite-difference gradient oracle.
 
 Everything here operates on plain numpy float64 arrays. Trainable arrays are
-wrapped in :class:`Parameter`, which holds its gradient only while training
-uses it.
+wrapped in :class:`Parameter`, which holds only its weights.
 """
 
 from __future__ import annotations
@@ -23,20 +22,10 @@ class DimensionError(ValueError):
 
 @dataclass
 class Parameter:
-    """A trainable array and its gradient. The gradient ``grad`` exists only
-    while training uses it, so a model that only predicts, or has finished
-    training, holds only its weights. Reading it when it does not exist
-    allocates it zero-filled. Optimizer state, such as Adam's moments, is
-    held by the optimizer.
-
-    Backward passes write each gradient term into :meth:`buffer` and hand it
-    to :meth:`accumulate` (shared encoder weights receive terms from both
-    task heads). The optimizer step and :meth:`zero_grad` drop the gradient
-    and keep its memory as the ``spare``, which the next :meth:`buffer`
-    returns, so a training run writes every step's gradient into the memory
-    the last step spent. Nothing reads a spare's contents. :meth:`release`
-    drops the gradient and the spare.
-    """
+    """A trainable array. It holds no gradient: a backward pass hands each
+    gradient to a sink (:class:`Gradients`, or the optimizer, which applies
+    it at once), so a model holds only its weights. Optimizer state, such as
+    Adam's moments, is held by the optimizer."""
 
     name: str
     value: np.ndarray
@@ -45,45 +34,20 @@ class Parameter:
         # C-contiguous, so the flattened arrays the optimizer slices are views.
         self.value = np.ascontiguousarray(self.value, dtype=np.float64)
 
-    def __getattr__(self, attr):
-        # Reached only when ``attr`` is not yet an instance attribute.
-        if attr != "grad":
-            raise AttributeError(attr)
-        self.grad = np.zeros_like(self.value)
-        return self.grad
 
-    def buffer(self) -> np.ndarray:
-        """An array of the value's shape for the caller to write a gradient
-        term into: the spare, which the caller now owns, or a fresh one."""
-        spare = vars(self).pop("spare", None)
-        return np.empty_like(self.value) if spare is None else spare
+class Gradients(dict):
+    """A gradient sink that keeps each gradient by parameter name, for
+    checking a backward pass. A backward pass writes each parameter's
+    gradient into :meth:`buffer` and hands it to :meth:`step`, once per
+    parameter of its group."""
 
-    def accumulate(self, g: np.ndarray):
-        """Add the gradient term ``g``: a float64 array of the value's shape
-        that the caller does not keep, such as one from :meth:`buffer`. With
-        no gradient pending, ``g`` itself becomes the gradient, with no zero
-        buffer to add it to; otherwise it is added and kept as the spare."""
-        if g.shape != self.value.shape or g.dtype != np.float64:
-            raise DimensionError(
-                f"gradient {g.dtype}{g.shape} does not match {self.name} {self.value.shape}"
-            )
-        grad = vars(self).get("grad")
-        if grad is None:
-            self.grad = g
-        else:
-            grad += g
-            self.spare = g
+    def buffer(self, p: Parameter) -> np.ndarray:
+        return np.empty_like(p.value)
 
-    def zero_grad(self):
-        """Drop the gradient, keeping its memory as the spare."""
-        grad = vars(self).pop("grad", None)
-        if grad is not None:
-            self.spare = grad
-
-    def release(self):
-        """Drop the gradient and the spare, keeping only the weights."""
-        vars(self).pop("grad", None)
-        vars(self).pop("spare", None)
+    def step(self, p: Parameter, g: np.ndarray):
+        if p.name in self:
+            raise ValueError(f"a second gradient for {p.name}")
+        self[p.name] = g
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DataError
-from .files import atomic_write
+from .files import atomic_write, reading
 
 PAD = "<PAD>"
 UNK = "<UNK>"
@@ -116,7 +116,7 @@ def default_stopwords() -> frozenset:
 
 
 def load_stopwords(path) -> frozenset:
-    with open(path, encoding="utf-8") as fh:
+    with reading(path) as fh:
         return frozenset(line.strip() for line in fh if line.strip())
 
 
@@ -137,7 +137,7 @@ class DrugLexicon:
 
     @classmethod
     def load(cls, path) -> "DrugLexicon":
-        with open(path, encoding="utf-8") as fh:
+        with reading(path) as fh:
             lines = fh.read().splitlines()
         first = {}
         for lineno, line in enumerate(lines, start=1):
@@ -225,7 +225,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
+        with reading(path) as fh:
             numbered = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1)
                         if line.rstrip("\n")]
         tokens = [tok for _, tok in numbered]
@@ -280,7 +280,7 @@ def load_embeddings(path, vocab: Vocabulary, seed: int = 0) -> EmbeddingTable:
     all zeros. Coverage is the fraction of non-sentinel vocabulary tokens found
     in the file.
     """
-    with open(path, encoding="utf-8") as fh:
+    with reading(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise DataError(f"{path}: header must be 'V D'")

@@ -67,12 +67,15 @@ ADAM_CHUNK = 32768  # elements per slice of the update, so its operands stay in 
 
 
 class Adam:
-    """Bias-corrected Adam (Kingma & Ba 2015) over a fixed parameter group.
+    """Bias-corrected Adam (Kingma & Ba 2015) over a fixed parameter group,
+    applied to each parameter as soon as a backward pass hands over its
+    gradient, so a step never holds the group's whole gradient.
 
-    The optimizer owns the step counter ``t`` and the moments ``m`` and
-    ``v``, one array per parameter. The first :meth:`step` allocates the
-    moments as zeros, so every optimizer starts from zero moments, and
-    :meth:`release` drops them together with the group's gradients."""
+    The optimizer owns the step counter ``t``, the moments ``m`` and ``v``,
+    one array per parameter, and one gradient workspace the size of the
+    group's largest parameter. :meth:`update` allocates the moments as zeros
+    on the first step, so every optimizer starts from zero moments, and
+    :meth:`release` drops the moments and the workspace."""
 
     def __init__(self, params: Sequence[Parameter], config: AdamConfig = None):
         self.params = list(params)
@@ -80,55 +83,66 @@ class Adam:
         self.t = 0
         self.m: List[np.ndarray] = []
         self.v: List[np.ndarray] = []
+        self.workspace: Optional[np.ndarray] = None
+        self._slot = {id(p): k for k, p in enumerate(self.params)}
 
-    def step(self):
-        """Update every parameter in the group, spending its gradient: it is
-        dropped after the update, and kept only when the finite check stops
-        the update before the parameter's weights change.
+    def update(self, backward):
+        """One step over the group: ``backward(self)`` hands each
+        parameter's gradient to :meth:`step`."""
+        if not self.m:
+            self.m = [np.zeros_like(p.value) for p in self.params]
+            self.v = [np.zeros_like(p.value) for p in self.params]
+        self.t += 1
+        backward(self)
+
+    def buffer(self, p: Parameter) -> np.ndarray:
+        """A view of the workspace, shaped like ``p``, to write its gradient
+        into; it is valid until the next call."""
+        if self.workspace is None:
+            self.workspace = np.empty(max(q.value.size for q in self.params))
+        return self.workspace[: p.value.size].reshape(p.value.shape)
+
+    def step(self, param: Parameter, grad: np.ndarray):
+        """Update ``param`` with its gradient ``grad``, which the update
+        spends as scratch. No weight of ``param`` changes when the finite
+        check fails.
 
         The check is one dot product, the squared norm: a NaN or an infinity
         makes it non-finite, and so does a norm above about 1.3e154, whose
         square overflows. An entry that large would overflow the
         bias-corrected ``v``, which is ``g*g`` at the first step, and
         silently zero its update."""
-        if not self.m:
-            self.m = [np.zeros_like(p.value) for p in self.params]
-            self.v = [np.zeros_like(p.value) for p in self.params]
-        self.t += 1
+        k = self._slot[id(param)]
         config, t = self.config, self.t
-        for param, m, v in zip(self.params, self.m, self.v):
-            w, m, v, grad = (a.reshape(-1) for a in (param.value, m, v, param.grad))
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = np.isfinite(np.dot(grad, grad))
-            if not finite:
-                raise NumericalError(f"non-finite gradient for parameter {param.name}")
-            # In place, in the textbook order: m = b1*m + (1-b1)*g,
-            # v = b2*v + ((1-b2)*g)*g, w -= (lr*m_hat) / (sqrt(v_hat) + eps);
-            # the spent gradient is the second scratch.
-            # Every operation is element-wise, so slicing changes no result.
-            scratch = np.empty(min(ADAM_CHUNK, grad.size))
-            for start in range(0, grad.size, ADAM_CHUNK):
-                chunk = slice(start, start + ADAM_CHUNK)
-                g, mc, vc = grad[chunk], m[chunk], v[chunk]
-                s = scratch[: len(g)]
-                mc *= config.beta1
-                mc += np.multiply(1.0 - config.beta1, g, out=s)
-                vc *= config.beta2
-                np.multiply(1.0 - config.beta2, g, out=s)
-                vc += np.multiply(s, g, out=s)
-                np.divide(mc, 1.0 - config.beta1**t, out=s)
-                s *= config.learning_rate
-                np.divide(vc, 1.0 - config.beta2**t, out=g)
-                np.sqrt(g, out=g)
-                g += config.epsilon
-                w[chunk] -= np.divide(s, g, out=s)
-            param.zero_grad()
+        w, m, v, grad = (a.reshape(-1) for a in (param.value, self.m[k], self.v[k], grad))
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(np.dot(grad, grad))
+        if not finite:
+            raise NumericalError(f"non-finite gradient for parameter {param.name}")
+        # In place, in the textbook order: m = b1*m + (1-b1)*g,
+        # v = b2*v + ((1-b2)*g)*g, w -= (lr*m_hat) / (sqrt(v_hat) + eps);
+        # the spent gradient is the second scratch.
+        # Every operation is element-wise, so slicing changes no result.
+        scratch = np.empty(min(ADAM_CHUNK, grad.size))
+        for start in range(0, grad.size, ADAM_CHUNK):
+            chunk = slice(start, start + ADAM_CHUNK)
+            g, mc, vc = grad[chunk], m[chunk], v[chunk]
+            s = scratch[: len(g)]
+            mc *= config.beta1
+            mc += np.multiply(1.0 - config.beta1, g, out=s)
+            vc *= config.beta2
+            np.multiply(1.0 - config.beta2, g, out=s)
+            vc += np.multiply(s, g, out=s)
+            np.divide(mc, 1.0 - config.beta1**t, out=s)
+            s *= config.learning_rate
+            np.divide(vc, 1.0 - config.beta2**t, out=g)
+            np.sqrt(g, out=g)
+            g += config.epsilon
+            w[chunk] -= np.divide(s, g, out=s)
 
     def release(self):
-        """Drop the moments and the group's gradients, leaving only weights."""
-        self.m, self.v = [], []
-        for p in self.params:
-            p.release()
+        """Drop the moments and the workspace, leaving only weights."""
+        self.m, self.v, self.workspace = [], [], None
 
 
 INFERENCE_BATCH = 64  # sequences per forward when scoring held-out or test data
@@ -177,9 +191,10 @@ def _train(phase: str, params: Sequence[Parameter], config: TrainConfig,
     """The loop both phases share. Each epoch visits ``items`` in a fresh
     permutation from ``config.seed``, one Adam step over ``params`` a batch.
     ``step(chosen)`` runs a batch's forward pass and returns its loss and the
-    backward pass to run; a forward pass that overflows or loses finiteness
-    stops training first, naming the phase, the epoch and the tweets. On
-    every exit the optimizer releases the training state."""
+    backward pass to run, which takes the optimizer as its gradient sink; a
+    forward pass that overflows or loses finiteness stops training first,
+    naming the phase, the epoch and the tweets. On every exit the optimizer
+    releases the training state."""
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(params, config.adam)
     log = []
@@ -198,8 +213,7 @@ def _train(phase: str, params: Sequence[Parameter], config: TrainConfig,
                     ids = ", ".join(str(c[2]) for c in chosen)
                     raise NumericalError(
                         f"{phase} epoch {epoch}: {problem} on the batch of tweets {ids}")
-                backward()
-                optimizer.step()
+                optimizer.update(backward)
                 total_loss += loss * len(chosen)
             log.append({
                 "phase": phase,

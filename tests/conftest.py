@@ -33,8 +33,11 @@ class _FillingFile:
 @pytest.fixture
 def disk_fills_up(monkeypatch):
     """``disk_fills_up(n)``: from then on, every file ``atomic_write`` opens
-    fails with ENOSPC once ``n`` characters have been written to it."""
+    fails with ENOSPC once ``n`` characters have been written to it. Files
+    that ``files.reading`` opens for reading are left alone."""
     def arm(room):
-        monkeypatch.setattr(files, "open", lambda *a, **kw: _FillingFile(open(*a, **kw), room),
-                            raising=False)
+        def filling_open(path, mode="r", **kw):
+            fh = open(path, mode, **kw)
+            return fh if "r" in mode else _FillingFile(fh, room)
+        monkeypatch.setattr(files, "open", filling_open, raising=False)
     return arm

@@ -189,10 +189,12 @@ def _run_direction(cell: LSTMCellParams, emb: np.ndarray, ids: np.ndarray, live:
     return h[live[0] :], cache
 
 
-def _backprop_direction(cell: LSTMCellParams, cache: _DirectionCache, dhs: np.ndarray):
-    """Accumulate one direction's gradients given dLoss/dh, (N, H) in the
-    packed order of the cache. Gate gradients overwrite ``cache.gates`` step
-    by step; each weight gradient is then one product over the real positions."""
+def _backprop_direction(cell: LSTMCellParams, cache: _DirectionCache, dhs: np.ndarray,
+                        grads: dict):
+    """One direction's gradients, by parameter name into ``grads``, given
+    dLoss/dh, (N, H) in the packed order of the cache. Gate gradients
+    overwrite ``cache.gates`` step by step; each weight gradient is then one
+    product over the real positions."""
     live = cache.live
     offsets, starts = _offsets(live)
     H = cell.hidden
@@ -213,17 +215,16 @@ def _backprop_direction(cell: LSTMCellParams, cache: _DirectionCache, dhs: np.nd
     da = cache.gates
     # Position offsets[t] + k entered step t with the state in row starts[t] + k.
     h_in = cache.h[np.arange(len(da)) + np.repeat(starts - offsets, live)]
-    cell.w.grad += da.T @ h_in
-    cell.i.grad += da.T @ cache.emb[cache.ids]
+    grads[cell.w.name] = da.T @ h_in
+    grads[cell.i.name] = da.T @ cache.emb[cache.ids]
     if cell.gate_biases:
-        cell.b.grad += da.sum(axis=0)
+        grads[cell.b.name] = da.sum(axis=0)
 
 
 def packed_oracle(model: AdrModel, indices, lengths, labels, tags) -> dict:
     """The encoder states ``h`` (N, 2H) in the model's packed order, the
     drug and tag losses, and every gradient of each head (``"drug"`` and
-    ``"tag"``, by parameter name), through the per-direction loops above.
-    Gradients accumulate into ``model``'s parameters, so pass a copy."""
+    ``"tag"``, by parameter name), through the per-direction loops above."""
     indices, lengths = np.asarray(indices), np.asarray(lengths)
     B = len(lengths)
     H = model.hidden
@@ -243,12 +244,12 @@ def packed_oracle(model: AdrModel, indices, lengths, labels, tags) -> dict:
         hb, bwd = _run_direction(enc.backward_cell, model.embeddings, ids[rev], live)
         return np.concatenate((hf, hb[rev]), axis=1), fwd, bwd
 
-    def backprop(fwd, bwd, dh):
-        _backprop_direction(enc.forward_cell, fwd, dh[:, :H])
-        _backprop_direction(enc.backward_cell, bwd, dh[rev, H:])
+    def backprop(fwd, bwd, dh, grads):
+        _backprop_direction(enc.forward_cell, fwd, dh[:, :H], grads)
+        _backprop_direction(enc.backward_cell, bwd, dh[rev, H:], grads)
+        return grads
 
     # Drug head: pooled left to right, one add per step over its live rows.
-    model.zero_grad()
     h, fwd, bwd = encode()
     out["h"] = h
     summed = h[: live[0]].copy()
@@ -264,16 +265,13 @@ def packed_oracle(model: AdrModel, indices, lengths, labels, tags) -> dict:
     dlogits = probs.copy()
     dlogits[np.arange(B), labels] -= 1.0
     dlogits /= B
-    head.w.grad += dlogits.T @ pooled
-    head.b.grad += dlogits.sum(axis=0)
     dpooled = dlogits @ head.w.value
     if model.pooling == "mean":
         dpooled = dpooled / lengths[:, None]
-    backprop(fwd, bwd, dpooled[rows])
-    out["drug"] = {p.name: p.grad.copy() for p in model.drug_parameters()}
+    out["drug"] = backprop(fwd, bwd, dpooled[rows], {
+        head.w.name: dlogits.T @ pooled, head.b.name: dlogits.sum(axis=0)})
 
     # Tag head, on the real positions.
-    model.zero_grad()
     h, fwd, bwd = encode()
     head = model.tag_head
     gold = np.asarray(tags)[rows, cols]
@@ -284,10 +282,8 @@ def packed_oracle(model: AdrModel, indices, lengths, labels, tags) -> dict:
     dlogits = probs.copy()
     dlogits[np.arange(len(gold)), np.where(valid, gold, 0)] -= 1.0
     dlogits *= valid[:, None] / B
-    head.w.grad += dlogits.T @ h
-    head.b.grad += dlogits.sum(axis=0)
-    backprop(fwd, bwd, dlogits @ head.w.value)
-    out["tag"] = {p.name: p.grad.copy() for p in model.tag_parameters()}
+    out["tag"] = backprop(fwd, bwd, dlogits @ head.w.value, {
+        head.w.name: dlogits.T @ h, head.b.name: dlogits.sum(axis=0)})
     return out
 
 

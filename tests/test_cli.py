@@ -589,8 +589,8 @@ class TestGradcheckCommand:
 
         original = m._backprop_encoder
         monkeypatch.setattr(m, "_backprop_encoder",
-                            lambda cells, rec, dh, shared_rows=False:
-                            original(cells, rec, -dh, shared_rows))
+                            lambda cells, rec, dh, sink, shared_rows=False:
+                            original(cells, rec, -dh, sink, shared_rows))
         code, _, _ = run_cli(monkeypatch, capsys, "gradcheck", "--seeds", "1",
                              "--emb", "3", "--hidden", "3", "--timesteps", "3")
         assert code == EXIT_NUMERICAL
@@ -636,7 +636,7 @@ FLAG_SURFACE = {
     "evaluate": {
         "checkpoint": (("--checkpoint",), (), "path", (), True, None),
         "test_path": (("--test",), (), "path", (), True, None),
-        "trials": (("--trials",), (), "integer", (), False, 1),
+        "trials": (("--trials",), (), "integer range", (), False, 1),
         "labeled": (("--labeled",), (), "path", (), False, None),
         "epochs": (("--epochs",), (), "integer", (), False, 5),
         "max_len": (("--max-len",), (), "integer", (), False, 40),
@@ -936,6 +936,11 @@ _PREPROCESS = "preprocess --input {ws}/raw.tsv --lexicon {ws}/drugs.txt"
 _PREDICT = "predict --text ugh_so_dizzy --checkpoint"
 
 
+def _bytes(data: bytes):
+    """A FAILURES file writer for content that is not UTF-8 text."""
+    return lambda path: path.write_bytes(data)
+
+
 # Every documented failure: id -> (files to write into the workspace first,
 # the command line, the error class it raises, texts its message must hold).
 # "{ws}" is the workspace; "{ws}/out" is the output, which must not appear.
@@ -963,6 +968,9 @@ FAILURES = {
     "retraining-flag-with-one-trial": (
         {}, "evaluate --checkpoint {ws}/model.ckpt --test {ws}/test.tsv --seed 3"
         " --report {ws}/out", click.UsageError, ["--seed"]),
+    "trials-below-one": (
+        {}, "evaluate --checkpoint {ws}/model.ckpt --test {ws}/test.tsv --trials 0"
+        " --report {ws}/out", click.UsageError, ["--trials"]),
     "trials-without-labeled": (
         {}, "evaluate --checkpoint {ws}/model.ckpt --test {ws}/test.tsv --trials 2"
         " --report {ws}/out", click.UsageError, ["--labeled"]),
@@ -977,6 +985,26 @@ FAILURES = {
     "raw-input-empty": ({"raw.tsv": ""}, _PREPROCESS, DataError, ["raw.tsv: no tweets found"]),
     "no-tweet-survives": ({"raw.tsv": "t1\tfeeling fine\n"}, _PREPROCESS, DataError,
                           ["no tweets survived preprocessing"]),
+    "lexicon-too-short": ({"drugs.txt": "effexor\n"}, _PRETRAIN, DataError,
+                          ["drugs.txt: drug lexicon must contain at least 2 names"]),
+    "raw-not-utf8": ({"raw.tsv": _bytes(b"t1\tugh\nt2\tugh \xff dizzy\n")}, _PREPROCESS,
+                     DataError, ["raw.tsv: line 2: not UTF-8"]),
+    "lexicon-not-utf8": ({"drugs.txt": _bytes(b"effexor\ncymbalta\xe9\n")}, _PREPROCESS,
+                         DataError, ["drugs.txt: line 2: not UTF-8"]),
+    "stopwords-not-utf8": ({"stop.txt": _bytes(b"the\n\xfe\n")},
+                           _PREPROCESS + " --stopwords {ws}/stop.txt", DataError,
+                           ["stop.txt: line 2: not UTF-8"]),
+    "corpus-not-utf8": ({"corpus.tsv": _bytes(b"t1\teffexor\tugh \xff <DRUG>\n")}, _PRETRAIN,
+                        DataError, ["corpus.tsv: line 1: not UTF-8"]),
+    "labeled-not-utf8": ({"train.tsv": _bytes(b"ugh\tO\ndizzy\xc3\tI-ADR\n")}, _TRAIN,
+                         DataError, ["train.tsv: line 2: not UTF-8"]),
+    "vocab-not-utf8": ({"vocab.txt": _bytes(_VOCAB.encode() + b"caf\xe9\n")}, _TRAIN,
+                       DataError, ["vocab.txt: line 8: not UTF-8"]),
+    "embeddings-not-utf8": ({"emb.txt": _bytes(b"1 2\nugh\x80 0.1 0.2\n")}, _TRAIN, DataError,
+                            ["emb.txt: line 2: not UTF-8"]),
+    "config-not-utf8": ({"cfg.yaml": _bytes(b"hidden: 3\n# \xff\n")},
+                        _TRAIN + " --config {ws}/cfg.yaml", DataError,
+                        ["cfg.yaml: line 2: not UTF-8"]),
     "lexicon-duplicate-name": ({"drugs.txt": "effexor\nEffexor\n"}, _PREPROCESS, DataError,
                                ["drugs.txt: line 2: duplicate drug name"]),
     "vocab-duplicate-token": ({"vocab.txt": _VOCAB + "ugh\n"}, _TRAIN, DataError,

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -129,6 +130,14 @@ class TestAggregateTrials:
         rep = aggregate_trials([(0.7, 0.7, 0.7), (0.8, 0.8, 0.8)])
         assert rep.mean[2] == pytest.approx(0.75)
         assert rep.std[2] == pytest.approx(math.sqrt(0.005), abs=1e-9)  # ~0.0707
+
+    def test_distinct_trials_match_statistics(self):
+        # two trials alone cannot tell the sample std's n - 1 from other forms
+        trials = [(0.61, 0.52, 0.56), (0.70, 0.91, 0.79), (0.66, 0.40, 0.50), (0.93, 0.35, 0.51)]
+        rep = aggregate_trials(trials)
+        for k, column in enumerate(zip(*trials)):
+            assert rep.mean[k] == pytest.approx(statistics.mean(column), rel=1e-12)
+            assert rep.std[k] == pytest.approx(statistics.stdev(column), rel=1e-12)
 
     def test_single_trial(self):
         rep = aggregate_trials([(0.3, 0.4, 0.35)])

@@ -1,6 +1,6 @@
-import copy
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from adrtag import training
 from adrtag.encoding import TagLabel, decode_spans
 from adrtag.evaluation import MatchCounts, approximate_match, evaluate_tagging
 from adrtag.model import AdrModel, BiLSTMParams, LSTMCellParams, LinearHead, gradient_check
-from adrtag.numerics import DimensionError
+from adrtag.numerics import DimensionError, Gradients
 from reference import (
     bilstm_forward,
     cross_entropy,
@@ -256,12 +256,12 @@ class TestBackward:
             (model.tag_parameters(), lambda: model.tag_loss(idx, n, tags),
              model.backward_tags),
         ):
-            model.zero_grad()
-            backward(loss()[1])
+            grads = Gradients()
+            backward(loss()[1], grads)
             for _ in range(3):
                 d = [rng.normal(size=p.value.shape) for p in params]
                 norm = np.sqrt(sum((x * x).sum() for x in d))
-                analytic = sum((p.grad * x).sum() for p, x in zip(params, d)) / norm
+                analytic = sum((grads[p.name] * x).sum() for p, x in zip(params, d)) / norm
                 for p, x in zip(params, d):
                     p.value += eps * x / norm
                 plus = loss()[0]
@@ -277,41 +277,41 @@ class TestBackward:
         model = AdrModel(
             np.random.default_rng(1).normal(size=(8, 4)), hidden=3, drug_count=3, seed=2
         )
-        model.zero_grad()
         _, cache = model.tag_loss(
             np.array([[1, 2, 3]]), np.array([3]), np.array([[0, 2, 2]])
         )
-        model.backward_tags(cache)
-        assert np.array_equal(model.drug_head.w.grad, np.zeros_like(model.drug_head.w.grad))
-        assert any(np.any(p.grad != 0) for p in model.encoder_parameters())
+        grads = Gradients()
+        model.backward_tags(cache, grads)
+        assert sorted(grads) == sorted(p.name for p in model.tag_parameters())
+        assert any(np.any(grads[p.name] != 0) for p in model.encoder_parameters())
 
     def test_drug_loss_leaves_tag_head_untouched(self):
         model = AdrModel(
             np.random.default_rng(1).normal(size=(8, 4)), hidden=3, drug_count=3, seed=2
         )
-        model.zero_grad()
         _, cache = model.drug_loss(np.array([[1, 2, 3]]), np.array([3]), np.array([1]))
-        model.backward_drug(cache)
-        assert np.array_equal(model.tag_head.w.grad, np.zeros_like(model.tag_head.w.grad))
+        grads = Gradients()
+        model.backward_drug(cache, grads)
+        assert sorted(grads) == sorted(p.name for p in model.drug_parameters())
 
     def test_backward_requires_forward_cache(self):
         model = AdrModel(
             np.random.default_rng(1).normal(size=(8, 4)), hidden=3, drug_count=3, seed=2
         )
         with pytest.raises(RuntimeError):
-            model.backward_drug(None)
+            model.backward_drug(None, Gradients())
         _, cache = model.drug_loss(np.array([[1, 2]]), np.array([2]), np.array([0]))
-        model.backward_drug(cache)
+        model.backward_drug(cache, Gradients())
         with pytest.raises(RuntimeError):
-            model.backward_drug(cache)  # cache already spent
+            model.backward_drug(cache, Gradients())  # cache already spent
 
     def test_gradcheck_detects_injected_sign_error(self, monkeypatch):
         import adrtag.model as m
 
         original = m._backprop_encoder
 
-        def corrupted(cells, rec, dh, shared_rows=False):
-            original(cells, rec, -dh, shared_rows)
+        def corrupted(cells, rec, dh, sink, shared_rows=False):
+            original(cells, rec, -dh, sink, shared_rows)
 
         monkeypatch.setattr(m, "_backprop_encoder", corrupted)
         results = m.gradient_check(0)
@@ -405,20 +405,22 @@ def test_extra_padding_changes_nothing(lengths, extra, seed):
         gold = rng.integers(0, int(TagLabel.PAD), size=idx.shape)
         for b, row in enumerate(tags):
             gold[b, : len(row)] = row
-        model.zero_grad()
         drug, dc = model.drug_loss(idx, lengths, labels)
         h = dc.enc.h.copy()
-        model.backward_drug(dc)
+        drug_grads, tag_grads = Gradients(), Gradients()
+        model.backward_drug(dc, drug_grads)
         tag, tc = model.tag_loss(idx, lengths, gold)
-        model.backward_tags(tc)
-        return drug, tag, h, [p.grad.copy() for p in model.all_parameters()]
+        model.backward_tags(tc, tag_grads)
+        return drug, tag, h, {**{f"drug/{k}": g for k, g in drug_grads.items()},
+                              **{f"tag/{k}": g for k, g in tag_grads.items()}}
 
     T = int(lengths.max())
     trimmed, padded = run(T), run(T + extra)
     assert padded[0] == trimmed[0] and padded[1] == trimmed[1]
     assert np.array_equal(padded[2], trimmed[2])
-    for g_pad, g_trim in zip(padded[3], trimmed[3]):
-        assert np.array_equal(g_pad, g_trim)
+    assert padded[3].keys() == trimmed[3].keys()
+    for name, g in padded[3].items():
+        assert np.array_equal(g, trimmed[3][name]), name
 
 
 def _per_tweet_counts(model, data):
@@ -530,13 +532,12 @@ def test_drug_head_builds_no_copy_of_the_states():
     labels = rng.integers(0, 4, size=B)
 
     def peak(read_h):
-        model.zero_grad()
         _, cache = model.drug_loss(idx, lengths, labels)
         assert "h" not in vars(cache.enc)
         tracemalloc.start()
         try:
             h = cache.enc.h if read_h else None
-            model.backward_drug(cache)
+            model.backward_drug(cache, Gradients())
             return tracemalloc.get_traced_memory()[1], h
         finally:
             tracemalloc.stop()
@@ -548,30 +549,35 @@ def test_drug_head_builds_no_copy_of_the_states():
 
 
 def test_training_step_holds_only_what_bptt_reads():
-    """A pretraining step, forward plus backward, peaks at the arrays BPTT
-    reads (gates, h and m over the N positions), the gradient buffers and a
-    bounded number of (B, 2, H) per-step arrays. tanh(m) is recomputed
-    per step, not stored for every position, and m is freed before the
-    weight-gradient products gather h."""
+    """A pretraining step, forward plus backward plus Adam, peaks above the
+    moments and the gradient workspace at the arrays BPTT reads (gates, h and
+    m over the N positions), Adam's per-parameter scratch, at most the largest
+    parameter, and a bounded number of (B, 2, H) per-step arrays. tanh(m) is
+    recomputed per step, not stored for every position, m is freed before the
+    weight-gradient products gather h, and no step holds a gradient for
+    every parameter."""
     rng = np.random.default_rng(9)
     V, E, H, B, D = 50, 8, 64, 32, 5
     model = AdrModel(rng.normal(scale=0.5, size=(V, E)), hidden=H, drug_count=D, seed=9)
     lengths = rng.integers(20, 41, size=B)
     idx = rng.integers(1, V, size=(B, int(lengths.max())))
     labels = rng.integers(0, D, size=B)
+    optimizer = training.Adam(model.drug_parameters())
+    optimizer.update(partial(model.backward_drug, model.drug_loss(idx[:1], lengths[:1],
+                                                                  labels[:1])[1]))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        model.backward_drug(model.drug_loss(idx, lengths, labels)[1])
+        optimizer.update(partial(model.backward_drug, model.drug_loss(idx, lengths, labels)[1]))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     N = int(lengths.sum())
     gates = N * 2 * 4 * H * 8
     h_and_m = 2 * (B + N) * 2 * H * 8
-    grads = sum(p.value.nbytes for p in model.drug_parameters())
+    largest = max(p.value.nbytes for p in model.drug_parameters())
     per_step = B * 2 * H * 8
-    assert peak <= gates + h_and_m + grads + 16 * per_step
+    assert peak <= gates + h_and_m + largest + 16 * per_step
     # The bound leaves less room than one more (N, 2, H) array.
     assert N * 2 * H * 8 > 16 * per_step
 
@@ -597,19 +603,20 @@ class TestLockstepMatchesPerDirectionLoops:
         idx = rng.integers(1, V, size=(batch, T))
         labels = rng.integers(0, D, size=batch)
         tags = rng.integers(0, int(TagLabel.PAD) + 1, size=(batch, T))
-        want = packed_oracle(copy.deepcopy(model), idx, lengths, labels, tags)
+        want = packed_oracle(model, idx, lengths, labels, tags)
 
         assert np.array_equal(model.encode_batch(idx, lengths).h, want["h"])
         for head, loss, backward, args in (
             ("drug", model.drug_loss, model.backward_drug, labels),
             ("tag", model.tag_loss, model.backward_tags, tags),
         ):
-            model.zero_grad()
             value, cache = loss(idx, lengths, args)
-            backward(cache)
+            grads = Gradients()
+            backward(cache, grads)
             assert value == want[f"{head}_loss"]
-            for p in getattr(model, f"{head}_parameters")():
-                assert np.array_equal(p.grad, want[head][p.name]), (head, p.name)
+            assert grads.keys() == want[head].keys()
+            for name, g in grads.items():
+                assert np.array_equal(g, want[head][name]), (head, name)
 
 
 def test_evaluate_tagging_batches_by_length(monkeypatch):

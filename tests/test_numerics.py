@@ -6,13 +6,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adrtag.numerics import (
-    DimensionError,
+    Gradients,
     NumericalError,
     Parameter,
     finite_difference_gradient,
     sigmoid,
     softmax_rows,
 )
+from adrtag.training import Adam
 import reference
 from reference import cross_entropy, softmax
 
@@ -162,61 +163,38 @@ class TestFiniteDifference:
             )
 
 
-def test_parameter_buffers_start_zeroed():
-    p = Parameter("w", np.ones((2, 2)))
-    assert np.array_equal(p.grad, np.zeros((2, 2)))
-    p.grad += 1.0
-    p.zero_grad()
-    assert np.array_equal(p.grad, np.zeros((2, 2)))
-
-
-def test_accumulate_adopts_the_first_term_and_adds_the_next():
-    p = Parameter("w", np.ones((2, 2)))
-    first = np.full((2, 2), 1.5)
-    p.accumulate(first)
-    assert p.grad is first
-    second = np.full((2, 2), 2.0)
-    p.accumulate(second)
-    assert p.grad is first
-    assert np.array_equal(first, np.full((2, 2), 3.5))
-    assert vars(p)["spare"] is second  # the added term's memory is kept
-    p.zero_grad()
-    assert set(vars(p)) == {"name", "value", "spare"}
-    assert vars(p)["spare"] is first  # the dropped gradient's memory is kept
-    with pytest.raises(DimensionError, match="w"):
-        p.accumulate(np.ones(4))
-
-
-def test_buffer_hands_out_the_spare_once_then_fresh_memory():
-    p = Parameter("w", np.ones((2, 3)))
-    fresh = p.buffer()
-    assert fresh.shape == (2, 3) and fresh.dtype == np.float64
-    assert fresh.flags.c_contiguous
-    p.accumulate(fresh)
-    p.zero_grad()
-    assert p.buffer() is fresh
-    assert "spare" not in vars(p)  # the caller owns it now
-    assert p.buffer() is not fresh
-
-
 def test_release_keeps_only_the_weights():
-    p = Parameter("w", np.ones(2))
-    p.accumulate(np.ones(2))
-    p.accumulate(np.ones(2))  # leaves a spare
-    p.release()
-    assert set(vars(p)) == {"name", "value"}
+    """Training state is the optimizer's; once it is released, neither the
+    parameters nor the optimizer hold anything but the weights."""
+    p, q = Parameter("w", np.ones((2, 3))), Parameter("b", np.ones(2))
+    opt = Adam([p, q])
+
+    def backward(sink):
+        for x in (p, q):
+            g = sink.buffer(x)
+            g.fill(1.0)
+            sink.step(x, g)
+
+    opt.update(backward)
+    assert opt.m and opt.workspace is not None
+    opt.release()
+    assert opt.m == [] and opt.v == [] and opt.workspace is None
+    assert all(set(vars(x)) == {"name", "value"} for x in (p, q))
 
 
-def test_parameter_allocates_training_buffers_on_first_use():
-    p = Parameter("w", np.ones((2, 2)))
-    p.zero_grad()
-    assert set(vars(p)) == {"name", "value"}
-    p.grad += 1.0
-    assert set(vars(p)) == {"name", "value", "grad"}
-    p.zero_grad()
-    assert set(vars(p)) == {"name", "value", "spare"}
-    p.release()
-    for attr in ("spare", "adam_m", "adam_v"):  # only reading grad allocates
-        with pytest.raises(AttributeError):
-            getattr(p, attr)
-    assert set(vars(p)) == {"name", "value"}
+class TestGradients:
+    def test_keeps_each_gradient_by_name(self):
+        p = Parameter("w", np.ones((2, 3)))
+        grads = Gradients()
+        g = grads.buffer(p)
+        assert g.shape == (2, 3) and g.dtype == np.float64 and g.flags.c_contiguous
+        grads.step(p, g)
+        assert grads["w"] is g
+        assert set(vars(p)) == {"name", "value"}
+
+    def test_a_second_gradient_for_one_parameter_is_an_error(self):
+        p = Parameter("w", np.ones(2))
+        grads = Gradients()
+        grads.step(p, np.ones(2))
+        with pytest.raises(ValueError, match="second gradient for w"):
+            grads.step(p, np.ones(2))
