@@ -229,7 +229,8 @@ def preprocess(input_path, lexicon, stopwords, out_path, drug_mask):
         f"rejected_multi_drug={multi_drug} dropped_empty={empty}"
     )
     if not lines:
-        raise DataError("no tweets survived preprocessing")
+        raise DataError(f"{input_path}: no tweets survived preprocessing with the lexicon "
+                        f"{lexicon}")
     with atomic_write(out_path) as fh:
         fh.writelines(lines)
 
@@ -249,7 +250,12 @@ def build_vocab(unlabeled, labeled, cap, out_path):
     if labeled:
         for tokens, _ in _read_sentences(labeled):
             streams.append([text.normalize_token(t) for t in tokens])
-    vocab = text.Vocabulary.build(streams, cap=cap)
+    try:
+        vocab = text.Vocabulary.build(streams, cap=cap)
+    except ValueError:  # not the cap, which click checked: no token but sentinels
+        inputs = " and ".join(p for p in (unlabeled, labeled) if p)
+        raise DataError(f"{inputs}: no token to keep; each is a sentinel or a word that "
+                        f"normalizes to {text.UNK}") from None
     vocab.save(out_path)
     click.echo(f"vocabulary size={len(vocab)} (cap {cap} + {len(text.SENTINELS)} sentinels)")
 

@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .errors import AnnotationError, DataError
+from .errors import DataError
 from .files import reading
 
 ADR = "ADR"
@@ -27,7 +27,6 @@ TAG_TO_STRING = {
     TagLabel.PAD: "<PAD>",
 }
 STRING_TO_TAG = {s: t for t, s in TAG_TO_STRING.items()}
-_SPAN_LABEL_TO_TAG = {ADR: TagLabel.I_ADR, IND: TagLabel.I_IND}
 _TAG_TO_SPAN_LABEL = {TagLabel.I_ADR: ADR, TagLabel.I_IND: IND}
 
 
@@ -38,28 +37,6 @@ class Span:
     start: int
     end: int
     label: str
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise AnnotationError(f"bad span bounds ({self.start}, {self.end})")
-        if self.label not in (ADR, IND):
-            raise AnnotationError(f"unknown span label {self.label!r}")
-
-
-def encode(tokens: Sequence[str], spans: Sequence[Span]) -> List[TagLabel]:
-    """Tag every token inside a span I-ADR/I-IND and everything else O."""
-    tags = [TagLabel.O] * len(tokens)
-    prev_end = -1
-    prev_span = None
-    for span in sorted(spans):
-        if span.end > len(tokens):
-            raise AnnotationError(f"span {span} exceeds sequence length {len(tokens)}")
-        if span.start < prev_end:
-            raise AnnotationError(f"overlapping spans {prev_span} and {span}")
-        prev_end, prev_span = span.end, span
-        for i in range(span.start, span.end):
-            tags[i] = _SPAN_LABEL_TO_TAG[span.label]
-    return tags
 
 
 def decode_spans(tags: Sequence[TagLabel]) -> List[Span]:
@@ -80,7 +57,9 @@ def decode_spans(tags: Sequence[TagLabel]) -> List[Span]:
 
 
 def read_conll(path) -> List[Tuple[List[str], List[TagLabel]]]:
-    """Read "token TAB tag" lines with blank lines separating tweets."""
+    """Read "token TAB tag" lines with blank lines separating tweets. A token
+    is one non-empty word: it holds no whitespace, which normalizing it would
+    split off or map to UNK."""
     sentences = []
     tokens: List[str] = []
     tags: List[TagLabel] = []
@@ -96,6 +75,9 @@ def read_conll(path) -> List[Tuple[List[str], List[TagLabel]]]:
             if len(parts) != 2:
                 raise DataError(f"{path}: line {lineno}: expected 'token<TAB>tag'")
             tok, tag = parts
+            if tok.split() != [tok]:
+                raise DataError(f"{path}: line {lineno}: token {tok!r} is empty or holds "
+                                "whitespace")
             if tag not in STRING_TO_TAG or tag == "<PAD>":
                 raise DataError(f"{path}: line {lineno}: unknown tag {tag!r}")
             tokens.append(tok)

@@ -10,10 +10,6 @@ class DataError(ValueError):
     """A data file or record is malformed."""
 
 
-class AnnotationError(DataError):
-    """Gold annotation violates the encoding contract."""
-
-
 class CheckpointError(DataError):
     """A checkpoint file is unreadable or incompatible."""
 

@@ -305,13 +305,6 @@ class AdrModel:
     def tag_parameters(self) -> List[Parameter]:
         return self.encoder_parameters() + self.tag_head.params()
 
-    def all_parameters(self) -> List[Parameter]:
-        return (
-            self.encoder_parameters()
-            + self.drug_head.params()
-            + self.tag_head.params()
-        )
-
     # -- shared encoder -----------------------------------------------------
 
     def encode_batch(self, indices: np.ndarray, lengths: np.ndarray) -> EncodeCache:

@@ -121,19 +121,15 @@ def load_stopwords(path) -> frozenset:
 
 
 class DrugLexicon:
-    """Catalog of single-token drug names; position in the file is the label."""
+    """Catalog of single-token drug names; position in the file is the label.
+    The names must be distinct, as :meth:`load` checks."""
 
     def __init__(self, names: Sequence[str]):
         self.names = [n.strip().lower() for n in names if n.strip()]
-        if len(set(self.names)) != len(self.names):
-            raise DataError("duplicate drug name in lexicon")
         self.index = {name: i for i, name in enumerate(self.names)}
 
     def __len__(self):
         return len(self.names)
-
-    def __contains__(self, token):
-        return token.lower() in self.index
 
     @classmethod
     def load(cls, path) -> "DrugLexicon":
@@ -198,13 +194,6 @@ class Vocabulary:
 
     def __len__(self):
         return len(self.index_to_token)
-
-    def __contains__(self, token):
-        return token in self.token_to_index
-
-    @property
-    def pad_index(self) -> int:
-        return 0
 
     @property
     def unk_index(self) -> int:

@@ -10,6 +10,9 @@ Below it, a packed oracle: each direction in its own step loop
 model ran both directions in one lockstep loop), driven by the batch packing,
 heads and losses of ``AdrModel``, for bit-for-bit comparison with the model.
 
+Then the span encoder that the round-trip tests invert with
+``decode_spans``.
+
 At the end, the text oracles: ``normalize`` with its regexes and
 ``load_embeddings`` parsing every row into a dict, each kept as it was before
 ``adrtag.text`` gained a plain-word fast path and a block-parsing loader; and
@@ -24,7 +27,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from adrtag.encoding import TagLabel
+from adrtag.encoding import ADR, IND, Span, TagLabel
 from adrtag.model import GATES, AdrModel, BiLSTMParams, LinearHead, LSTMCellParams
 from adrtag.numerics import PROB_FLOOR, DimensionError, softmax_rows
 from adrtag.text import (
@@ -285,6 +288,16 @@ def packed_oracle(model: AdrModel, indices, lengths, labels, tags) -> dict:
     out["tag"] = backprop(fwd, bwd, dlogits @ head.w.value, {
         head.w.name: dlogits.T @ h, head.b.name: dlogits.sum(axis=0)})
     return out
+
+
+def encode(tokens: Sequence[str], spans: Sequence[Span]) -> List[TagLabel]:
+    """Tag every token inside one of the disjoint ``spans`` I-ADR or I-IND,
+    by its label, and everything else O."""
+    tags = [TagLabel.O] * len(tokens)
+    for span in spans:
+        tag = {ADR: TagLabel.I_ADR, IND: TagLabel.I_IND}[span.label]
+        tags[span.start : span.end] = [tag] * (span.end - span.start)
+    return tags
 
 
 _MENTION_RE = re.compile(r"@\w")

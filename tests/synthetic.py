@@ -9,7 +9,7 @@ small labeled set does not.
 import numpy as np
 
 from adrtag.encoding import TagLabel
-from adrtag.text import DRUG, SENTINELS, Vocabulary
+from adrtag.text import DRUG, PAD, SENTINELS, Vocabulary
 
 FILLERS = [f"w{i}" for i in range(15)]
 
@@ -25,7 +25,7 @@ def make_vocab(n_cues):
 def make_embeddings(vocab, dim, seed=42):
     rng = np.random.default_rng(seed)
     vectors = rng.uniform(-0.5, 0.5, size=(len(vocab), dim))
-    vectors[vocab.pad_index] = 0.0
+    vectors[vocab.index(PAD)] = 0.0
     return vectors
 
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import synthetic
-from adrtag.encoding import ADR, Span, TagLabel, decode_spans, encode
+from reference import encode
+from adrtag.encoding import ADR, Span, TagLabel, decode_spans
 from adrtag.evaluation import (
     approximate_match,
     evaluate_tagging,

@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import sys
 import weakref
 from pathlib import Path
@@ -13,7 +15,7 @@ from adrtag import cli as cli_module
 from adrtag.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_USAGE, main
 from adrtag.errors import CheckpointError, DataError, NumericalError
 from adrtag.model import AdrModel
-from adrtag.training import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
+from adrtag.training import CHECKPOINT_MAGIC, heldout_split, load_checkpoint, save_checkpoint
 
 
 def run_cli(monkeypatch, capsys, *args):
@@ -128,6 +130,28 @@ class TestPreprocess:
             "--out", str(tmp_path / "out.tsv"),
         )
         assert code == EXIT_DATA
+
+    def test_stopwords_file_replaces_the_default_list(self, workspace, monkeypatch, capsys,
+                                                       tmp_path):
+        """--stopwords drops its words and keeps the default list's ("the").
+        Also: a blank line is skipped, a tweet with no token left is counted
+        as dropped, and a URL, an @handle, a literal <USER> and non-ASCII text
+        normalize as documented."""
+        stop = tmp_path / "stop.txt"
+        stop.write_text("ugh\n\nfeel\n")
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("t1\tugh the effexor @doc_x <USER> naïve 😷 https://x.co/a\n"
+                       "\n"
+                       "t2\tugh feel\n"
+                       "t3\tthe cymbalta\n")
+        out_path = tmp_path / "out.tsv"
+        code, out, err = run_cli(monkeypatch, capsys, "preprocess", "--input", str(raw),
+                                 "--lexicon", str(workspace / "drugs.txt"),
+                                 "--stopwords", str(stop), "--out", str(out_path))
+        assert (code, err) == (0, "")
+        assert out == "kept=2 rejected_no_drug=0 rejected_multi_drug=0 dropped_empty=1\n"
+        assert out_path.read_text() == ("t1\teffexor\tthe <DRUG> <USER> <USER> nave <LINK>\n"
+                                        "t3\tcymbalta\tthe <DRUG>\n")
 
     def test_no_mask_keeps_drug_token(self, workspace, monkeypatch, capsys, tmp_path):
         masked = tmp_path / "masked.tsv"
@@ -389,6 +413,29 @@ def _huge_embeddings_checkpoint(path):
     save_checkpoint(model, path)
 
 
+def _huge_tag_head(header, arrays):
+    """A _rewrite_checkpoint edit: finite tag-head weights so large that a
+    training step's first encoder gradient, but neither its forward pass nor
+    its loss, overflows. The rows differ, so that dlogits @ w is not 0."""
+    w = arrays["tag.w"]
+    w[:] = 1e200 * np.arange(w.size).reshape(w.shape)
+
+
+def _tags_every_token_adr(header, arrays):
+    """A _rewrite_checkpoint edit: the tag head scores I-ADR highest everywhere."""
+    arrays["tag.w"].fill(0.0)
+    arrays["tag.b"][:] = [5.0, 0.0, 0.0, 0.0]  # I-ADR, I-IND, O, PAD
+
+
+def _one_drug(header, arrays):
+    """A _rewrite_checkpoint edit: a drug catalog of one name, the file
+    consistent with it."""
+    header["drug_count"] = 1
+    for name in ("drug.w", "drug.b"):
+        arrays[name] = arrays[name][:1]
+    header["arrays"] = [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()]
+
+
 @pytest.mark.parametrize(
     "key", ["hidden", "emb", "drug_count", "seed", "pooling", "gate_biases", "arrays"]
 )
@@ -403,15 +450,29 @@ def test_checkpoint_header_missing_key_is_data_error(monkeypatch, capsys, tmp_pa
     assert repr(key) in err and "Traceback" not in err
 
 
-def _rewrite_header(path, edit):
-    """Apply ``edit`` to the checkpoint's JSON header in place; arrays untouched."""
+def _rewrite_checkpoint(path, edit):
+    """Apply ``edit(header, arrays)`` in place to the checkpoint's JSON header
+    and its arrays, a dict of name -> array in file order. The header's array
+    list is written as ``edit`` leaves it."""
     data = path.read_bytes()
     start = len(CHECKPOINT_MAGIC) + 8
     end = start + int.from_bytes(data[len(CHECKPOINT_MAGIC) : start], "little")
     header = json.loads(data[start:end])
-    edit(header)
+    arrays, offset = {}, end
+    for entry in header["arrays"]:
+        count = math.prod(entry["shape"])
+        arrays[entry["name"]] = np.frombuffer(data, np.float64, count, offset).reshape(
+            entry["shape"]).copy()
+        offset += 8 * count
+    edit(header, arrays)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob + data[end:])
+    path.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob
+                     + b"".join(a.tobytes() for a in arrays.values()))
+
+
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to the checkpoint's JSON header in place; arrays untouched."""
+    _rewrite_checkpoint(path, lambda header, arrays: edit(header))
 
 
 def test_vocabulary_longer_than_embeddings_is_data_error(monkeypatch, capsys, tmp_path):
@@ -920,6 +981,101 @@ def test_input_without_records_is_data_error(workspace, monkeypatch, capsys, run
     assert not (workspace / "out").exists()
 
 
+def test_predict_reads_stdin_without_text(monkeypatch, capsys, tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    _save_tiny_checkpoint(ckpt)
+    given = run_cli(monkeypatch, capsys, "predict", "--checkpoint", str(ckpt),
+                    "--text", "ugh so dizzy")
+    assert given[0] == 0 and given[1].startswith("ugh\t")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("ugh so dizzy\n"))
+    assert run_cli(monkeypatch, capsys, "predict", "--checkpoint", str(ckpt)) == given
+
+
+def test_predict_warns_on_input_empty_after_preprocessing(monkeypatch, capsys, tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    _save_tiny_checkpoint(ckpt)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("!!! 😷\n"))
+    assert run_cli(monkeypatch, capsys, "predict", "--checkpoint", str(ckpt)) == (
+        0, "", "warning: input is empty after preprocessing\n")
+
+
+def test_pretrain_with_every_tweet_held_out_has_no_accuracy(workspace, monkeypatch, capsys,
+                                                            tmp_path):
+    """Ids that all hash into the held-out bucket: pretraining trains on
+    every tweet and reports no held-out accuracy."""
+    ids = ["h10", "h18", "h23"]
+    assert heldout_split(ids) == ([], [0, 1, 2])
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("".join(f"{i}\t{drug}\tugh <DRUG> dizzy\n"
+                              for i, drug in zip(ids, ["effexor", "cymbalta", "seroquel"])))
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(_VOCAB)
+    code, out, err = run_cli(monkeypatch, capsys, "pretrain", "--corpus", str(corpus),
+                             "--vocab", str(vocab), "--embeddings", str(workspace / "emb.txt"),
+                             "--lexicon", str(workspace / "drugs.txt"), "--hidden", "2",
+                             "--epochs", "1", "--out", str(tmp_path / "x.ckpt"))
+    assert (code, err) == (0, "")
+    last = out.splitlines()[-1]
+    assert last.startswith("pretrained 3 examples, 1 epochs;")
+    assert last.endswith(", held-out accuracy n/a")
+
+
+@pytest.mark.parametrize("content, ugh", [
+    ("0 2\n", None),
+    ("2 2\nugh 1_0 0.5\ndizzy 0.25 0.75\n", [10.0, 0.5]),
+], ids=["no-rows", "python-float-syntax"])
+def test_embeddings_that_load(workspace, monkeypatch, capsys, tmp_path, content, ugh):
+    """A header with no rows gives every token a random row. A value that
+    numpy's parser refuses but Python's float reads loads as the reference
+    loader reads it."""
+    emb = tmp_path / "emb.txt"
+    emb.write_text(content)
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(_VOCAB)
+    ckpt = tmp_path / "x.ckpt"
+    code, _, err = run_cli(monkeypatch, capsys, "train", "--labeled", str(workspace / "train.tsv"),
+                           "--vocab", str(vocab), "--embeddings", str(emb), "--hidden", "2",
+                           "--epochs", "0", "--out", str(ckpt))
+    assert (code, err) == (0, "")
+    row = load_checkpoint(ckpt).embeddings[_VOCAB.split().index("ugh")]
+    if ugh is None:
+        assert row.shape == (2,) and np.all(np.abs(row) <= 0.05)
+    else:
+        assert row.tolist() == ugh
+
+
+def test_evaluate_matches_each_predicted_span_once(monkeypatch, capsys, tmp_path):
+    """A tagger that tags every token I-ADR predicts one span over the tweet:
+    it matches the first of the two gold spans inside it, not the second."""
+    ckpt = tmp_path / "adr.ckpt"
+    _save_tiny_checkpoint(ckpt)
+    _rewrite_checkpoint(ckpt, _tags_every_token_adr)
+    test = tmp_path / "test.tsv"
+    test.write_text("ugh\tI-ADR\nso\tO\ndizzy\tI-ADR\n")
+    code, out, err = run_cli(monkeypatch, capsys, "evaluate", "--checkpoint", str(ckpt),
+                             "--test", str(test))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "1\t1.0000\t0.5000\t0.6667"
+
+
+def test_interrupt_while_writing_leaves_no_file(workspace, monkeypatch, capsys, tmp_path):
+    """Ctrl-C while the checkpoint is written ends the command as click's
+    abort does (exit 1), leaving neither the checkpoint nor its temporary
+    file."""
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_module.training, "memoryview", interrupted, raising=False)
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(_VOCAB)
+    listing = sorted(p.name for p in tmp_path.iterdir())
+    code, _, err = run_cli(monkeypatch, capsys, "train", "--labeled", str(workspace / "train.tsv"),
+                           "--vocab", str(vocab), "--embeddings", str(workspace / "emb.txt"),
+                           "--hidden", "2", "--epochs", "0", "--out", str(tmp_path / "x.ckpt"))
+    assert code == EXIT_USAGE and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+
 def _exit_code_of(cls) -> int:
     """The exit code each error family ends `adr` with."""
     if issubclass(cls, (DataError, OSError)):
@@ -939,6 +1095,19 @@ _PREDICT = "predict --text ugh_so_dizzy --checkpoint"
 def _bytes(data: bytes):
     """A FAILURES file writer for content that is not UTF-8 text."""
     return lambda path: path.write_bytes(data)
+
+
+def _edited_checkpoint(edit):
+    """A FAILURES file writer: the workspace's model.ckpt, rewritten by
+    ``edit`` (see _rewrite_checkpoint)."""
+    def write(path):
+        path.write_bytes((path.parent / "model.ckpt").read_bytes())
+        _rewrite_checkpoint(path, edit)
+    return write
+
+
+# 2048 distinct rows fill two of the loader's blocks; the third block repeats w3.
+_EMBEDDINGS_3_BLOCKS = "2049 1\n" + "".join(f"w{i} 0.5\n" for i in range(2048)) + "w3 0.5\n"
 
 
 # Every documented failure: id -> (files to write into the workspace first,
@@ -976,6 +1145,11 @@ FAILURES = {
         " --report {ws}/out", click.UsageError, ["--labeled"]),
     "vocab-cap-below-one": ({}, "build-vocab --labeled {ws}/train.tsv --cap 0 --out {ws}/out",
                             click.UsageError, ["--cap"]),
+    "build-vocab-without-input": ({}, "build-vocab --out {ws}/out", click.UsageError,
+                                  ["--labeled", "--unlabeled"]),
+    "vocab-from-sentinels-only": ({"train.tsv": "!!!\tO\n<UNK>\tO\n"},
+                                  "build-vocab --labeled {ws}/train.tsv --out {ws}/out",
+                                  DataError, ["train.tsv: no token to keep"]),
     "gradcheck-tolerance-not-positive": ({}, "gradcheck --tolerance 0", click.UsageError,
                                          ["--tolerance"]),
     "output-under-a-regular-file": ({}, _PREPROCESS + " --out {ws}/raw.tsv/out", OSError,
@@ -1011,10 +1185,17 @@ FAILURES = {
                               ["vocab.txt: line 8: duplicate token 'ugh'"]),
     "vocab-missing-sentinel": ({"vocab.txt": "<PAD>\n<UNK>\n"}, _TRAIN, DataError,
                                ["vocab.txt: end of file: missing sentinel '<LINK>'"]),
+    "vocab-wrong-sentinel": ({"vocab.txt": "<PAD>\n<UNK>\n<USER>\n<LINK>\n<DRUG>\n"}, _TRAIN,
+                             DataError,
+                             ["vocab.txt: line 3: expected sentinel '<LINK>', got '<USER>'"]),
     "embeddings-header": ({"emb.txt": "x y\n"}, _TRAIN, DataError,
                           ["emb.txt: header must be two integers"]),
     "embeddings-header-sizes": ({"emb.txt": "1 0\nugh\n"}, _TRAIN, DataError,
                                 ["emb.txt: header 'V D' needs V >= 0 and D >= 1"]),
+    "embeddings-blank-line": ({"emb.txt": "2 1\nugh 0.1\n\n"}, _TRAIN, DataError,
+                              ["emb.txt: line 3: expected 1 values, got 0"]),
+    "embeddings-separator-in-value": ({"emb.txt": "1 2\nugh 0.1\x1c 0.2\n"}, _TRAIN, DataError,
+                                      ["emb.txt: line 2: bad float"]),
     "embeddings-row-width": ({"emb.txt": "1 3\nugh 0.1 0.2\n"}, _TRAIN, DataError,
                              ["emb.txt: line 2: expected 3 values, got 2"]),
     "embeddings-bad-float": ({"emb.txt": "1 2\nugh 0.1 x\n"}, _TRAIN, DataError,
@@ -1023,12 +1204,20 @@ FAILURES = {
                               ["emb.txt: line 2: non-finite value"]),
     "embeddings-duplicate-token": ({"emb.txt": "2 1\nugh 0.1\nugh 0.2\n"}, _TRAIN, DataError,
                                    ["emb.txt: line 3: duplicate token 'ugh'"]),
+    "embeddings-duplicate-token-across-blocks": ({"emb.txt": _EMBEDDINGS_3_BLOCKS}, _TRAIN,
+                                                 DataError,
+                                                 ["emb.txt: line 2050: duplicate token 'w3'"]),
     "embeddings-row-count": ({"emb.txt": "3 1\nugh 0.1\n"}, _TRAIN, DataError,
                              ["emb.txt: header says 3 rows, file has 1"]),
     "labeled-unknown-tag": ({"train.tsv": "ugh\tO\ndizzy\tB-ADR\n"}, _TRAIN, DataError,
                             ["train.tsv: line 2: unknown tag 'B-ADR'"]),
     "labeled-line-without-tab": ({"train.tsv": "ugh\n"}, _TRAIN, DataError,
                                  ["train.tsv: line 1: expected 'token<TAB>tag'"]),
+    "labeled-token-with-space": ({"train.tsv": "ugh\tO\nfoo bar\tO\n"}, _TRAIN, DataError,
+                                 ["train.tsv: line 2: token 'foo bar' is empty or holds "
+                                  "whitespace"]),
+    "labeled-empty-token": ({"train.tsv": "ugh\tO\n\tI-ADR\n"}, _TRAIN, DataError,
+                            ["train.tsv: line 2: token '' is empty or holds whitespace"]),
     "corpus-line-without-tokens-field": ({"corpus.tsv": "t1\teffexor\n"}, _PRETRAIN, DataError,
                                          ["corpus.tsv: line 1: expected 'id<TAB>drug<TAB>"]),
     "corpus-unknown-drug": ({"corpus.tsv": "t1\taspirin\tugh <DRUG>\n"}, _PRETRAIN, DataError,
@@ -1042,6 +1231,31 @@ FAILURES = {
     "checkpoint-without-vocabulary": ({"bad.ckpt": lambda p: _save_tiny_checkpoint(p, False)},
                                       _PREDICT + " {ws}/bad.ckpt", CheckpointError,
                                       ["bad.ckpt: checkpoint carries no vocabulary"]),
+    "checkpoint-header-truncated": (
+        {"bad.ckpt": _bytes(CHECKPOINT_MAGIC + (100).to_bytes(8, "little") + b"{}")},
+        _PREDICT + " {ws}/bad.ckpt", CheckpointError, ["bad.ckpt: truncated header"]),
+    "checkpoint-header-not-json": (
+        {"bad.ckpt": _bytes(CHECKPOINT_MAGIC + (2).to_bytes(8, "little") + b"{x")},
+        _PREDICT + " {ws}/bad.ckpt", CheckpointError, ["bad.ckpt: corrupt header"]),
+    "checkpoint-header-not-a-mapping": (
+        {"bad.ckpt": _bytes(CHECKPOINT_MAGIC + (2).to_bytes(8, "little") + b"[]")},
+        _PREDICT + " {ws}/bad.ckpt", CheckpointError, ["bad.ckpt: corrupt header"]),
+    "checkpoint-version-2": ({"bad.ckpt": _edited_checkpoint(lambda h, a: h.update(version=2))},
+                             _PREDICT + " {ws}/bad.ckpt", CheckpointError,
+                             ["bad.ckpt: unsupported version 2"]),
+    "checkpoint-unknown-pooling": (
+        {"bad.ckpt": _edited_checkpoint(lambda h, a: h.update(pooling="max"))},
+        _PREDICT + " {ws}/bad.ckpt", CheckpointError, ["bad.ckpt: unknown pooling 'max'"]),
+    "checkpoint-one-drug": ({"bad.ckpt": _edited_checkpoint(_one_drug)},
+                            _PREDICT + " {ws}/bad.ckpt", CheckpointError,
+                            ["bad.ckpt: drug catalog must contain at least 2 names"]),
+    "checkpoint-array-list-mismatch": (
+        {"bad.ckpt": _edited_checkpoint(lambda h, a: h["arrays"][-1].update(name="tag.x"))},
+        _PREDICT + " {ws}/bad.ckpt", CheckpointError,
+        ["bad.ckpt: file array ('tag.x', (4,)) != model array ('tag.b', (4,))"]),
+    "checkpoint-non-finite-array": (
+        {"bad.ckpt": _edited_checkpoint(lambda h, a: a["tag.b"].__setitem__(0, np.nan))},
+        _PREDICT + " {ws}/bad.ckpt", CheckpointError, ["bad.ckpt: non-finite value in tag.b"]),
     "checkpoint-hidden-mismatch": (
         {}, "train --labeled {ws}/train.tsv --init-checkpoint {ws}/model.ckpt --hidden 3",
         CheckpointError, ["model.ckpt: checkpoint hidden size 2 != expected 3"]),
@@ -1051,6 +1265,10 @@ FAILURES = {
     "overflow-in-training": ({"emb.txt": "2 2\nugh 1.7e308 1.7e308\ndizzy 1.7e308 -1.7e308\n"},
                              _TRAIN + " --hidden 2 --epochs 1", NumericalError,
                              ["supervised epoch 0", "on the batch of tweets sent-"]),
+    "gradient-overflow-in-training": (
+        {"huge.ckpt": _edited_checkpoint(_huge_tag_head)},
+        "train --labeled {ws}/train.tsv --init-checkpoint {ws}/huge.ckpt --epochs 1",
+        NumericalError, ["non-finite gradient for parameter fwd.w"]),
 }
 
 
@@ -1086,6 +1304,13 @@ _PROPERTY = settings(max_examples=100, deadline=None,
                      suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+def _damaged(blob: bytes, damage) -> bytes:
+    """``blob`` cut at a drawn byte, or with a drawn byte set to a drawn value."""
+    offset = damage.draw(st.integers(0, len(blob) - 1), label="offset")
+    byte = damage.draw(st.none() | st.integers(0, 255), label="new byte (None: cut)")
+    return blob[:offset] if byte is None else blob[:offset] + bytes([byte]) + blob[offset + 1:]
+
+
 @_PROPERTY
 @given(damage=st.data())
 def test_damaged_checkpoint_never_ends_in_a_traceback(monkeypatch, capsys, tmp_path, damage):
@@ -1094,11 +1319,7 @@ def test_damaged_checkpoint_never_ends_in_a_traceback(monkeypatch, capsys, tmp_p
     weight is finite but so large that the forward overflows."""
     path = tmp_path / "model.ckpt"
     _save_tiny_checkpoint(path)
-    blob = path.read_bytes()
-    offset = damage.draw(st.integers(0, len(blob) - 1), label="offset")
-    byte = damage.draw(st.none() | st.integers(0, 255), label="new byte (None: cut)")
-    path.write_bytes(blob[:offset] if byte is None
-                     else blob[:offset] + bytes([byte]) + blob[offset + 1:])
+    path.write_bytes(_damaged(path.read_bytes(), damage))
     code, _, err = run_cli(monkeypatch, capsys, "predict", "--checkpoint", str(path),
                            "--text", "ugh so dizzy")
     assert code in (0, EXIT_DATA, EXIT_NUMERICAL), err
@@ -1124,3 +1345,32 @@ def test_truncated_embeddings_never_end_in_a_traceback(workspace, monkeypatch, c
     assert code in (0, EXIT_DATA), err
     assert ckpt.exists() == (code == 0)
     assert code == 0 or err.startswith(f"error: {emb}: "), err
+
+
+# A text input of the workspace -> the command line that reads it as "{damaged}".
+DAMAGED_TEXT_RUNS = {
+    "vocab.txt": "train --labeled {ws}/train.tsv --vocab {damaged} --embeddings {ws}/emb.txt"
+                 " --hidden 2 --epochs 0",
+    "drugs.txt": "preprocess --input {ws}/raw.tsv --lexicon {damaged}",
+    "train.tsv": "build-vocab --labeled {damaged}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DAMAGED_TEXT_RUNS))
+@_PROPERTY
+@given(damage=st.data())
+def test_damaged_text_input_never_ends_in_a_traceback(workspace, monkeypatch, capsys, name,
+                                                      damage):
+    """A vocabulary, drug lexicon or CoNLL file cut at any byte, or with any
+    one byte changed, is used, or refused with exit 2 naming it and no
+    output written."""
+    (workspace / "vocab.txt").write_text(_VOCAB)
+    damaged = workspace / f"damaged-{name}"
+    damaged.write_bytes(_damaged((workspace / name).read_bytes(), damage))
+    out = workspace / "out"
+    out.unlink(missing_ok=True)
+    argv = DAMAGED_TEXT_RUNS[name].format(ws=workspace, damaged=damaged).split()
+    code, _, err = run_cli(monkeypatch, capsys, *argv, "--out", str(out))
+    assert code in (0, EXIT_DATA), err
+    assert out.exists() == (code == 0)
+    assert code == 0 or (err.startswith("error: ") and str(damaged) in err), err

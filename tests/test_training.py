@@ -34,6 +34,11 @@ from adrtag.training import (
 )
 
 
+def _all_parameters(model):
+    """Every parameter of ``model``: the encoder's, then each head's."""
+    return model.drug_parameters() + model.tag_head.params()
+
+
 def adam_update(optimizer, p, g):
     """One optimizer step that hands it the gradient ``g`` of ``p``, copied,
     as the step spends it."""
@@ -259,9 +264,9 @@ class TestTrainSupervised:
     def test_zero_epochs_leaves_parameters_unchanged(self):
         vocab, _, model = tiny_setup()
         data = synthetic.labeled_examples(vocab, 3, 5, seed=4)
-        snapshot = [p.value.copy() for p in model.all_parameters()]
+        snapshot = [p.value.copy() for p in _all_parameters(model)]
         train_supervised(data, model, supervised_config(epochs=0, max_len=12))
-        for p, s in zip(model.all_parameters(), snapshot):
+        for p, s in zip(_all_parameters(model), snapshot):
             assert np.array_equal(p.value, s)
 
     def test_misalignment_names_record(self):
@@ -277,7 +282,7 @@ class TestTrainSupervised:
         for _ in range(2):
             model = AdrModel(emb, hidden=6, drug_count=3, seed=1)
             train_supervised(data, model, supervised_config(epochs=3, max_len=12, seed=9))
-            finals.append([p.value.copy() for p in model.all_parameters()])
+            finals.append([p.value.copy() for p in _all_parameters(model)])
         for a, b in zip(*finals):
             assert np.array_equal(a, b)
 
@@ -346,7 +351,7 @@ class TestTrainingBuffers:
         for p, v in zip(model.tag_parameters(), optimizer.v):
             assert v.shape == p.value.shape and v.any(), p.name
         assert optimizer.workspace.size == max(p.value.size for p in model.tag_parameters())
-        assert _weights_only(model.all_parameters())
+        assert _weights_only(_all_parameters(model))
 
     def test_two_optimizers_over_one_group_have_independent_zero_moments(self):
         p = Parameter("w", np.ones(3))
@@ -384,10 +389,10 @@ class TestTrainingBuffers:
     def test_training_returns_a_model_holding_only_weights(self, phase, monkeypatch):
         vocab, _, model = tiny_setup()
         optimizers = self.record_optimizers(monkeypatch)
-        before = [p.value.copy() for p in model.all_parameters()]
+        before = [p.value.copy() for p in _all_parameters(model)]
         self.train_phase(phase, model, vocab)
-        assert any(not np.array_equal(p.value, w) for p, w in zip(model.all_parameters(), before))
-        assert _weights_only(model.all_parameters())
+        assert any(not np.array_equal(p.value, w) for p, w in zip(_all_parameters(model), before))
+        assert _weights_only(_all_parameters(model))
         (optimizer,) = optimizers
         assert optimizer.t >= 2 and optimizer.m == [] and optimizer.v == []
         assert optimizer.workspace is None
@@ -414,7 +419,7 @@ class TestTrainingBuffers:
         setattr(model, name, poisoned)
         with pytest.raises(NumericalError, match="non-finite gradient for parameter fwd.w"):
             self.train_phase(phase, model, vocab)
-        assert _weights_only(model.all_parameters())
+        assert _weights_only(_all_parameters(model))
         (optimizer,) = optimizers
         assert optimizer.t == 3 and optimizer.m == [] and optimizer.v == []
         assert optimizer.workspace is None
@@ -474,9 +479,9 @@ class TestTrainingBuffers:
 
         monkeypatch.setattr(model_module, "glorot", no_draws)
         loaded = load_checkpoint(path)
-        for a, b in zip(model.all_parameters(), loaded.all_parameters()):
+        for a, b in zip(_all_parameters(model), _all_parameters(loaded)):
             assert np.array_equal(a.value, b.value), a.name
-        assert _weights_only(loaded.all_parameters())
+        assert _weights_only(_all_parameters(loaded))
 
     def test_load_and_predict_peak_is_weights_and_activations(self, tmp_path):
         vocab, _, model = tiny_setup(emb_dim=8, hidden=64)
@@ -508,12 +513,12 @@ class TestTrainingBuffers:
         def train_both(copied):
             train_supervised(data, model, cfg)
             train_supervised(data, copied, cfg)
-            for p, q in zip(model.all_parameters(), copied.all_parameters()):
+            for p, q in zip(_all_parameters(model), _all_parameters(copied)):
                 assert np.array_equal(p.value, q.value), p.name
 
         train_both(copy.deepcopy(model))  # copied before any training
         copied = copy.deepcopy(model)  # training left only the weights to copy
-        assert _weights_only(copied.all_parameters())
+        assert _weights_only(_all_parameters(copied))
         train_both(copied)
 
 
@@ -568,7 +573,7 @@ def test_a_training_step_is_every_gradient_then_textbook_adam(phase):
         m_hat = ((1.0 - cfg.beta1) * g) / (1.0 - cfg.beta1)
         v_hat = ((1.0 - cfg.beta2) * g * g) / (1.0 - cfg.beta2)
         p.value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    for p, q in zip(model.all_parameters(), expected.all_parameters()):
+    for p, q in zip(_all_parameters(model), _all_parameters(expected)):
         assert np.array_equal(p.value, q.value), p.name
 
 
@@ -605,7 +610,7 @@ class TestNonFiniteLoss:
         name = re.escape(examples[victim][2])
         with pytest.raises(NumericalError, match=rf"pretrain epoch 0: .*\b{name}$"):
             pretrain(examples, model, pretrain_config(epochs=1, batch_size=1, max_len=12))
-        assert all(np.isfinite(p.value).all() for p in model.all_parameters())
+        assert all(np.isfinite(p.value).all() for p in _all_parameters(model))
 
     def test_supervised_names_the_tweet(self):
         vocab, _, model = tiny_setup()
@@ -613,7 +618,7 @@ class TestNonFiniteLoss:
         self.poison_one_tweet(model, data, 7)
         with pytest.raises(NumericalError, match=r"supervised epoch 0: .*\bl7$"):
             train_supervised(data, model, supervised_config(epochs=1, max_len=12))
-        assert all(np.isfinite(p.value).all() for p in model.all_parameters())
+        assert all(np.isfinite(p.value).all() for p in _all_parameters(model))
 
     def test_overflow_names_the_tweet(self):
         # a huge but finite row overflows the input projection to inf
@@ -625,7 +630,7 @@ class TestNonFiniteLoss:
         with pytest.raises(NumericalError,
                            match=r"supervised epoch 0: encoder forward overflowed: .*\bl7$"):
             train_supervised(data, model, supervised_config(epochs=1, max_len=12))
-        assert all(np.isfinite(p.value).all() for p in model.all_parameters())
+        assert all(np.isfinite(p.value).all() for p in _all_parameters(model))
 
 
 class TestCheckpoint:
@@ -639,7 +644,7 @@ class TestCheckpoint:
         assert loaded.seed == model.seed
         assert loaded.vocab_tokens == model.vocab_tokens
         assert np.array_equal(loaded.embeddings, model.embeddings)
-        for a, b in zip(model.all_parameters(), loaded.all_parameters()):
+        for a, b in zip(_all_parameters(model), _all_parameters(loaded)):
             assert a.name == b.name
             assert np.array_equal(a.value, b.value)
 
@@ -677,7 +682,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_array_is_named(self, tmp_path, name, bad):
         _, _, model = tiny_setup(hidden=2)
-        target = {p.name: p.value for p in model.all_parameters()}
+        target = {p.name: p.value for p in _all_parameters(model)}
         target["embeddings"] = model.embeddings
         target[name].flat[-1] = bad
         path = tmp_path / "model.ckpt"
@@ -742,7 +747,7 @@ def test_corrupted_checkpoint_is_rejected_or_finite(tiny_checkpoint, overwrites,
     except CheckpointError:
         return
     assert np.isfinite(model.embeddings).all()
-    assert all(np.isfinite(p.value).all() for p in model.all_parameters())
+    assert all(np.isfinite(p.value).all() for p in _all_parameters(model))
 
 
 def _write_v1_checkpoint(path, arrays, hidden, emb, gate_biases):
