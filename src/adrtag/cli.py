@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import click
@@ -86,11 +86,8 @@ def _resolve_settings(config_path, flags) -> dict:
 
 def _train_config(factory, settings) -> training.TrainConfig:
     """`factory`'s config with the given settings; the rest keep their defaults."""
-    def given(cls):
-        return {f.name: settings[f.name] for f in fields(cls) if f.name in settings}
-
-    return factory(adam=training.AdamConfig(**given(training.AdamConfig)),
-                   **given(training.TrainConfig))
+    return factory(**{f.name: settings[f.name] for f in fields(training.TrainConfig)
+                      if f.name in settings})
 
 
 def _read_unlabeled(path):
@@ -147,8 +144,9 @@ def _encode_labeled(sentences, vocab):
     return data
 
 
-def _build_model_from_inputs(vocab_path, embeddings_path, settings, drug_names=None):
-    seed = settings.get("seed", 0)
+def _build_model_from_inputs(vocab_path, embeddings_path, settings, seed, drug_names=None):
+    """A fresh model over the vocabulary and embeddings files; ``seed`` draws
+    the missing embedding rows and the weights."""
     vocab = text.Vocabulary.load(vocab_path)
     table = text.load_embeddings(embeddings_path, vocab, seed=seed)
     model = AdrModel(
@@ -281,7 +279,7 @@ def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, config_path
         if drug not in lex.index:
             raise DataError(f"{corpus}: unknown drug name {drug!r}")
     model, vocab_obj, table = _build_model_from_inputs(vocab, embeddings, settings,
-                                                       lex.names)
+                                                       train_cfg.seed, lex.names)
     click.echo(f"embedding coverage: {table.coverage:.3f}")
     examples = [(vocab_obj.indices(tokens), lex.index[drug], tweet_id)
                 for tweet_id, drug, tokens in records]
@@ -328,7 +326,8 @@ def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path,
             raise click.UsageError(
                 "--vocab and --embeddings are required without --init-checkpoint"
             )
-        model, vocab_obj, _ = _build_model_from_inputs(vocab, embeddings, settings)
+        model, vocab_obj, _ = _build_model_from_inputs(vocab, embeddings, settings,
+                                                       train_cfg.seed)
     data = _encode_labeled(_read_sentences(labeled), vocab_obj)
     click.echo(f"training tweets: {len(data)}")
     _echo_truncation([d[0] for d in data], train_cfg.max_len)
@@ -365,6 +364,7 @@ def evaluate(checkpoint, test_path, trials, labeled, epochs, max_len, seed,
               if source(name) is not click.core.ParameterSource.DEFAULT]
     if trials == 1 and unused:
         raise click.UsageError(f"{', '.join(unused)}: only used to retrain when --trials > 1")
+    retrain = training.supervised_config(epochs=epochs, max_len=max_len, seed=seed)
     per_trial = []
     for i in range(trials):
         model, vocab_obj = _load_tagger(checkpoint)
@@ -374,8 +374,7 @@ def evaluate(checkpoint, test_path, trials, labeled, epochs, max_len, seed,
                 data = _encode_labeled(_read_sentences(labeled), vocab_obj)
         with _naming_checkpoint(checkpoint):
             if trials > 1:
-                training.train_supervised(data, model, training.supervised_config(
-                    epochs=epochs, max_len=max_len, seed=seed + i))
+                training.train_supervised(data, model, replace(retrain, seed=seed + i))
             per_trial.append(evaluation.prf(
                 evaluation.evaluate_tagging(model, test_data, label)))
         del model  # gone before the next trial's model loads

@@ -116,8 +116,15 @@ def default_stopwords() -> frozenset:
 
 
 def load_stopwords(path) -> frozenset:
+    """One word per line; blank lines are skipped."""
+    words = set()
     with reading(path) as fh:
-        return frozenset(line.strip() for line in fh if line.strip())
+        for lineno, line in enumerate(fh, start=1):
+            word = line.strip()
+            if len(word.split()) > 1:
+                raise DataError(f"{path}: line {lineno}: stopword {word!r} holds whitespace")
+            words.add(word)
+    return frozenset(words - {""})
 
 
 class DrugLexicon:
@@ -138,6 +145,9 @@ class DrugLexicon:
         first = {}
         for lineno, line in enumerate(lines, start=1):
             name = line.strip().lower()
+            if len(name.split()) > 1:
+                raise DataError(f"{path}: line {lineno}: drug name {line.strip()!r} holds "
+                                "whitespace")
             if name and first.setdefault(name, lineno) != lineno:
                 raise DataError(f"{path}: line {lineno}: duplicate drug name "
                                 f"{line.strip()!r} (as line {first[name]})")
@@ -173,7 +183,8 @@ class Vocabulary:
         self.index_to_token = list(tokens)
         self.token_to_index = {t: i for i, t in enumerate(self.index_to_token)}
         if (len(self.token_to_index) != len(self.index_to_token)
-                or self.index_to_token[: len(SENTINELS)] != list(SENTINELS)):
+                or self.index_to_token[: len(SENTINELS)] != list(SENTINELS)
+                or " ".join(self.index_to_token).split() != self.index_to_token):
             i, problem = _vocabulary_fault(self.index_to_token)
             raise DataError(f"entry {i + 1}: {problem}")
 
@@ -228,12 +239,14 @@ class Vocabulary:
 
 def _vocabulary_fault(tokens: Sequence[str]) -> Tuple[int, str]:
     """The position and description of the first token that breaks a
-    vocabulary's rules, the sentinels first and no token twice.
-    ``len(tokens)`` stands for a sentinel missing at the end."""
+    vocabulary's rules: the sentinels first, each token one word, and no
+    token twice. ``len(tokens)`` stands for a sentinel missing at the end."""
     seen = set()
     for i, tok in enumerate(tokens):
         if i < len(SENTINELS) and tok != SENTINELS[i]:
             return i, f"expected sentinel {SENTINELS[i]!r}, got {tok!r}"
+        if tok.split() != [tok]:
+            return i, f"token {tok!r} is empty or holds whitespace"
         if tok in seen:
             return i, f"duplicate token {tok!r}"
         seen.add(tok)

@@ -8,7 +8,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
@@ -24,20 +24,6 @@ CHECKPOINT_MAGIC = b"ADRCKPT1"
 
 
 @dataclass
-class AdamConfig:
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
-
-
-@dataclass
 class TrainConfig:
     """Defaults are phase 2's (supervised tagging)."""
 
@@ -45,12 +31,14 @@ class TrainConfig:
     epochs: int = 5
     max_len: int = 40
     seed: int = 0
-    adam: AdamConfig = field(default_factory=AdamConfig)
+    learning_rate: float = 0.001
 
     def __post_init__(self):
         for name, low in (("batch_size", 1), ("epochs", 0), ("max_len", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
 
 
 def pretrain_config(**kw) -> TrainConfig:
@@ -62,6 +50,10 @@ def pretrain_config(**kw) -> TrainConfig:
 def supervised_config(**kw) -> TrainConfig:
     return TrainConfig(**kw)
 
+
+# Kingma & Ba 2015 (arXiv:1412.6980): the textbook values, which both phases
+# keep; only the learning rate is a setting.
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 ADAM_CHUNK = 32768  # elements per slice of the update, so its operands stay in cache
 
@@ -77,9 +69,9 @@ class Adam:
     on the first step, so every optimizer starts from zero moments, and
     :meth:`release` drops the moments and the workspace."""
 
-    def __init__(self, params: Sequence[Parameter], config: AdamConfig = None):
+    def __init__(self, params: Sequence[Parameter], learning_rate: float):
         self.params = list(params)
-        self.config = config or AdamConfig()
+        self.learning_rate = learning_rate
         self.t = 0
         self.m: List[np.ndarray] = []
         self.v: List[np.ndarray] = []
@@ -113,7 +105,7 @@ class Adam:
         bias-corrected ``v``, which is ``g*g`` at the first step, and
         silently zero its update."""
         k = self._slot[id(param)]
-        config, t = self.config, self.t
+        t = self.t
         w, m, v, grad = (a.reshape(-1) for a in (param.value, self.m[k], self.v[k], grad))
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(np.dot(grad, grad))
@@ -128,16 +120,16 @@ class Adam:
             chunk = slice(start, start + ADAM_CHUNK)
             g, mc, vc = grad[chunk], m[chunk], v[chunk]
             s = scratch[: len(g)]
-            mc *= config.beta1
-            mc += np.multiply(1.0 - config.beta1, g, out=s)
-            vc *= config.beta2
-            np.multiply(1.0 - config.beta2, g, out=s)
+            mc *= BETA1
+            mc += np.multiply(1.0 - BETA1, g, out=s)
+            vc *= BETA2
+            np.multiply(1.0 - BETA2, g, out=s)
             vc += np.multiply(s, g, out=s)
-            np.divide(mc, 1.0 - config.beta1**t, out=s)
-            s *= config.learning_rate
-            np.divide(vc, 1.0 - config.beta2**t, out=g)
+            np.divide(mc, 1.0 - BETA1**t, out=s)
+            s *= self.learning_rate
+            np.divide(vc, 1.0 - BETA2**t, out=g)
             np.sqrt(g, out=g)
-            g += config.epsilon
+            g += EPSILON
             w[chunk] -= np.divide(s, g, out=s)
 
     def release(self):
@@ -191,12 +183,12 @@ def _train(phase: str, params: Sequence[Parameter], config: TrainConfig,
     """The loop both phases share. Each epoch visits ``items`` in a fresh
     permutation from ``config.seed``, one Adam step over ``params`` a batch.
     ``step(chosen)`` runs a batch's forward pass and returns its loss and the
-    backward pass to run, which takes the optimizer as its gradient sink; a
-    forward pass that overflows or loses finiteness stops training first,
-    naming the phase, the epoch and the tweets. On every exit the optimizer
-    releases the training state."""
+    backward pass to run, which takes the optimizer as its gradient sink. A
+    non-finite loss, a forward pass that overflows, or a gradient that Adam
+    refuses stops training, naming the phase, the epoch and the tweets. On
+    every exit the optimizer releases the training state."""
     rng = np.random.default_rng(config.seed)
-    optimizer = Adam(params, config.adam)
+    optimizer = Adam(params, config.learning_rate)
     log = []
     try:
         for epoch in range(config.epochs):
@@ -206,14 +198,13 @@ def _train(phase: str, params: Sequence[Parameter], config: TrainConfig,
                 chosen = [items[i] for i in batch]
                 try:
                     loss, backward = step(chosen)
-                    problem = None if math.isfinite(loss) else "non-finite loss"
+                    if not math.isfinite(loss):
+                        raise NumericalError("non-finite loss")
+                    optimizer.update(backward)
                 except NumericalError as exc:
-                    problem = str(exc)
-                if problem is not None:
                     ids = ", ".join(str(c[2]) for c in chosen)
                     raise NumericalError(
-                        f"{phase} epoch {epoch}: {problem} on the batch of tweets {ids}")
-                optimizer.update(backward)
+                        f"{phase} epoch {epoch}: {exc} on the batch of tweets {ids}") from exc
                 total_loss += loss * len(chosen)
             log.append({
                 "phase": phase,
@@ -366,7 +357,8 @@ _HEADER_FIELDS = {
         and all(_is_int(d) and d >= 0 for d in e["shape"])
         for e in v
     ),
-    **dict.fromkeys(("vocab_tokens", "drug_names"), lambda v: v is None or isinstance(v, list)),
+    **dict.fromkeys(("vocab_tokens", "drug_names"), lambda v: v is None or (
+        isinstance(v, list) and all(isinstance(t, str) for t in v))),
 }
 
 

@@ -378,7 +378,8 @@ def load_embeddings(path, vocab, seed: int = 0) -> EmbeddingTable:
 
 def build_vocabulary(corpora, cap: int = 15000) -> List[str]:
     """The tokens of ``Vocabulary.build``: the sentinels, then the ``cap``
-    most frequent other tokens, ties broken lexicographically."""
+    most frequent other tokens, ties broken lexicographically. A kept token
+    that is empty or holds whitespace is refused, naming its entry."""
     if cap < 1:
         raise ValueError("vocabulary cap must be >= 1")
     counts: Counter = Counter()
@@ -389,7 +390,11 @@ def build_vocabulary(corpora, cap: int = 15000) -> List[str]:
     if not counts:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     kept = sorted(counts, key=lambda t: (-counts[t], t))[:cap]
-    return list(SENTINELS) + kept
+    tokens = list(SENTINELS) + kept
+    for i, tok in enumerate(tokens):
+        if tok.split() != [tok]:
+            raise DataError(f"entry {i + 1}: token {tok!r} is empty or holds whitespace")
+    return tokens
 
 
 def vocabulary_indices(vocab: Vocabulary, tokens: Sequence[str]) -> List[int]:

@@ -22,7 +22,6 @@ from adrtag.numerics import Parameter
 from adrtag.text import DrugLexicon, TokenizedTweet, mask_drug
 from adrtag.training import (
     Adam,
-    AdamConfig,
     load_checkpoint,
     pretrain,
     pretrain_config,
@@ -63,8 +62,7 @@ def test_criterion_2_memorization():
     model = AdrModel(emb, hidden=10, drug_count=2, seed=1)
     log = train_supervised(
         data, model,
-        supervised_config(epochs=200, max_len=12, seed=3,
-                          adam=AdamConfig(learning_rate=0.01)),
+        supervised_config(epochs=200, max_len=12, seed=3, learning_rate=0.01),
     )
     best = max(r["accuracy"] for r in log)
     elapsed = time.perf_counter() - t0
@@ -90,8 +88,7 @@ def test_criterion_3_pretraining_transfer(tmp_path):
     pretrained = AdrModel(emb, hidden=12, drug_count=n_cues, seed=5)
     plog = pretrain(
         unlabeled, pretrained,
-        pretrain_config(epochs=10, batch_size=32, max_len=12, seed=5,
-                        adam=AdamConfig(learning_rate=0.01)),
+        pretrain_config(epochs=10, batch_size=32, max_len=12, seed=5, learning_rate=0.01),
     )
     heldout_acc = plog[-1]["accuracy"]
     ckpt = tmp_path / "pretrained.ckpt"
@@ -104,8 +101,7 @@ def test_criterion_3_pretraining_transfer(tmp_path):
             model = AdrModel(emb, hidden=12, drug_count=n_cues, seed=seed + 100)
         train_supervised(
             train_set, model,
-            supervised_config(epochs=15, max_len=12, seed=seed,
-                              adam=AdamConfig(learning_rate=0.01)),
+            supervised_config(epochs=15, max_len=12, seed=seed, learning_rate=0.01),
         )
         return prf(evaluate_tagging(model, test_set))[2]
 
@@ -215,14 +211,14 @@ def test_criterion_7_io_round_trip():
 
 
 def test_criterion_8_adam_first_step():
-    cfg = AdamConfig(learning_rate=0.001)
+    lr = 0.001
     rng = np.random.default_rng(13)
     g = rng.normal(size=(6, 5)) * 10
     p = Parameter("w", rng.normal(size=(6, 5)))
     before = p.value.copy()
-    Adam([p], cfg).update(lambda sink: sink.step(p, g.copy()))
+    Adam([p], lr).update(lambda sink: sink.step(p, g.copy()))
     delta = p.value - before
-    expected = -cfg.learning_rate * g / (np.abs(g) + cfg.epsilon)
+    expected = -lr * g / (np.abs(g) + 1e-8)
     err = float(np.max(np.abs(delta - expected)))
     report(
         "criterion 8 (adam first step)",

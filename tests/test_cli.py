@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -15,7 +16,8 @@ from adrtag import cli as cli_module
 from adrtag.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_USAGE, main
 from adrtag.errors import CheckpointError, DataError, NumericalError
 from adrtag.model import AdrModel
-from adrtag.training import CHECKPOINT_MAGIC, heldout_split, load_checkpoint, save_checkpoint
+from adrtag.training import (CHECKPOINT_MAGIC, TrainConfig, heldout_split, load_checkpoint,
+                             save_checkpoint)
 
 
 def run_cli(monkeypatch, capsys, *args):
@@ -923,6 +925,13 @@ def test_evaluate_rejects_retraining_flags_with_one_trial(workspace, monkeypatch
     assert "Traceback" not in err
 
 
+def test_every_train_config_field_is_a_training_setting():
+    """A TrainConfig field exists only as a setting `pretrain` and `train`
+    take by flag and config key; the other settings build the model."""
+    assert ({f.name for f in fields(TrainConfig)}
+            == set(cli_module.TRAINING_SETTINGS) - {"hidden", "pooling", "gate_biases"})
+
+
 _VOCAB = "<PAD>\n<UNK>\n<LINK>\n<USER>\n<DRUG>\nugh\ndizzy\n"
 
 
@@ -1181,6 +1190,15 @@ FAILURES = {
                         ["cfg.yaml: line 2: not UTF-8"]),
     "lexicon-duplicate-name": ({"drugs.txt": "effexor\nEffexor\n"}, _PREPROCESS, DataError,
                                ["drugs.txt: line 2: duplicate drug name"]),
+    "vocab-token-with-space": ({"vocab.txt": _VOCAB + "u h\n"}, _TRAIN, DataError,
+                               ["vocab.txt: line 8: token 'u h' is empty or holds whitespace"]),
+    "vocab-blank-token": ({"vocab.txt": _VOCAB + "   \n"}, _TRAIN, DataError,
+                          ["vocab.txt: line 8: token '   ' is empty or holds whitespace"]),
+    "lexicon-name-with-space": ({"drugs.txt": "effexor\neff xor\n"}, _PREPROCESS, DataError,
+                                ["drugs.txt: line 2: drug name 'eff xor' holds whitespace"]),
+    "stopword-with-space": ({"stop.txt": "the\nso what\n"},
+                            _PREPROCESS + " --stopwords {ws}/stop.txt", DataError,
+                            ["stop.txt: line 2: stopword 'so what' holds whitespace"]),
     "vocab-duplicate-token": ({"vocab.txt": _VOCAB + "ugh\n"}, _TRAIN, DataError,
                               ["vocab.txt: line 8: duplicate token 'ugh'"]),
     "vocab-missing-sentinel": ({"vocab.txt": "<PAD>\n<UNK>\n"}, _TRAIN, DataError,
@@ -1256,6 +1274,14 @@ FAILURES = {
     "checkpoint-non-finite-array": (
         {"bad.ckpt": _edited_checkpoint(lambda h, a: a["tag.b"].__setitem__(0, np.nan))},
         _PREDICT + " {ws}/bad.ckpt", CheckpointError, ["bad.ckpt: non-finite value in tag.b"]),
+    "checkpoint-vocabulary-token-with-space": (
+        {"bad.ckpt": _edited_checkpoint(lambda h, a: h["vocab_tokens"].__setitem__(6, "diz zy"))},
+        _PREDICT + " {ws}/bad.ckpt", CheckpointError,
+        ["bad.ckpt: vocab_tokens: entry 7: token 'diz zy' is empty or holds whitespace"]),
+    "checkpoint-vocabulary-token-not-a-string": (
+        {"bad.ckpt": _edited_checkpoint(lambda h, a: h["vocab_tokens"].__setitem__(6, 7))},
+        _PREDICT + " {ws}/bad.ckpt", CheckpointError,
+        ["bad.ckpt: header field 'vocab_tokens' is missing or malformed"]),
     "checkpoint-hidden-mismatch": (
         {}, "train --labeled {ws}/train.tsv --init-checkpoint {ws}/model.ckpt --hidden 3",
         CheckpointError, ["model.ckpt: checkpoint hidden size 2 != expected 3"]),
@@ -1268,7 +1294,11 @@ FAILURES = {
     "gradient-overflow-in-training": (
         {"huge.ckpt": _edited_checkpoint(_huge_tag_head)},
         "train --labeled {ws}/train.tsv --init-checkpoint {ws}/huge.ckpt --epochs 1",
-        NumericalError, ["non-finite gradient for parameter fwd.w"]),
+        NumericalError, ["supervised epoch 0", "non-finite gradient for parameter fwd.w",
+                         "on the batch of tweets sent-"]),
+    "retrain-setting-out-of-range": (
+        {}, "evaluate --checkpoint {ws}/missing.ckpt --test {ws}/test.tsv --labeled {ws}/train.tsv"
+        " --trials 2 --epochs -1 --report {ws}/out", ValueError, ["epochs must be >= 0"]),
 }
 
 

@@ -562,7 +562,7 @@ def test_training_step_holds_only_what_bptt_reads():
     lengths = rng.integers(20, 41, size=B)
     idx = rng.integers(1, V, size=(B, int(lengths.max())))
     labels = rng.integers(0, D, size=B)
-    optimizer = training.Adam(model.drug_parameters())
+    optimizer = training.Adam(model.drug_parameters(), 0.001)
     optimizer.update(partial(model.backward_drug, model.drug_loss(idx[:1], lengths[:1],
                                                                   labels[:1])[1]))
     tracemalloc.start()

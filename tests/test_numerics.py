@@ -167,7 +167,7 @@ def test_release_keeps_only_the_weights():
     """Training state is the optimizer's; once it is released, neither the
     parameters nor the optimizer hold anything but the weights."""
     p, q = Parameter("w", np.ones((2, 3))), Parameter("b", np.ones(2))
-    opt = Adam([p, q])
+    opt = Adam([p, q], 0.001)
 
     def backward(sink):
         for x in (p, q):

@@ -211,6 +211,7 @@ class TestVocabulary:
         ([*SENTINELS, "a", "", "b", "a"], "line 9: duplicate token 'a'"),
         (["<PAD>", "<UNK>", "foo", "<USER>"], "line 3: expected sentinel '<LINK>', got 'foo'"),
         (["<PAD>", "", "<UNK>"], "end of file: missing sentinel '<LINK>'"),
+        ([*SENTINELS, "a", "", "u\th"], "line 8: token 'u\\th' is empty or holds whitespace"),
     ])
     def test_load_names_file_line_and_token(self, tmp_path, lines, where):
         path = tmp_path / "vocab.txt"

@@ -53,9 +53,6 @@ ALLOWED = {
         "raises in encode_batch, and one perturbed head weight cannot overflow a logit",
     ("text.py", "Vocabulary.build", 'raise ValueError("vocabulary cap must be >= 1")'):
         "build-vocab's --cap is an IntRange(min=1)",
-    ("training.py", "AdamConfig.__post_init__",
-     'raise ValueError("beta1 and beta2 must lie in (0, 1)")'):
-        "no flag or config key sets beta1 or beta2",
     ("training.py", "pad_batch", 'raise ValueError("cannot pad an empty example")'):
         "the readers refuse a record without tokens, and preprocess drops a tweet with none",
     ("training.py", "pretrain", 'raise ValueError("pretraining corpus is empty")'):
