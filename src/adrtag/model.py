@@ -256,7 +256,8 @@ class AdrModel:
     """Encoder + both task heads, with frozen word embeddings as input.
 
     The weights are Glorot draws from ``seed``; ``load_checkpoint``, which
-    overwrites every array, builds the model with ``_draw_weights=False``."""
+    overwrites every weight and swaps in a read-only mapping of the file's
+    table, builds the model with ``_draw_weights=False``."""
 
     def __init__(
         self,

@@ -116,15 +116,24 @@ def default_stopwords() -> frozenset:
 
 
 def load_stopwords(path) -> frozenset:
-    """One word per line; blank lines are skipped."""
+    """One word per line, normalized as tweet tokens are, so ``The`` removes
+    ``the``; blank lines are skipped. A word that normalizes to nothing or
+    to a sentinel could never be removed, and is refused."""
     words = set()
     with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             word = line.strip()
+            if not word:
+                continue
             if len(word.split()) > 1:
                 raise DataError(f"{path}: line {lineno}: stopword {word!r} holds whitespace")
-            words.add(word)
-    return frozenset(words - {""})
+            token = normalize(word)
+            if not token or token in _PROTECTED:
+                became = f"the sentinel {token}" if token else "no token"
+                raise DataError(f"{path}: line {lineno}: stopword {word!r} normalizes to "
+                                f"{became}, so it can never be removed")
+            words.add(token)
+    return frozenset(words)
 
 
 class DrugLexicon:

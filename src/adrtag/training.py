@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import mmap
 import os
 import time
 from dataclasses import dataclass
@@ -364,8 +365,11 @@ _HEADER_FIELDS = {
 
 def load_checkpoint(path, expected_hidden: Optional[int] = None) -> AdrModel:
     """One pass: sizes are checked against the file before any array is
-    allocated, and each array is read straight into the model's storage,
-    which is built without random draws and holds no training buffers."""
+    allocated or mapped. The frozen embedding table is mapped read-only from
+    the file, so it is shared through the page cache and lives as long as the
+    model; every other array is read straight into the model's writable
+    storage, which is built without random draws and holds no training
+    buffers."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -408,15 +412,27 @@ def load_checkpoint(path, expected_hidden: Optional[int] = None) -> AdrModel:
                 )
         rows = listed[0][1][0] if listed and listed[0][1] else 0
         kwargs = {k: header[k] for k in _HEADER_FIELDS if k not in ("emb", "arrays")}
-        try:
-            model = AdrModel(np.empty((rows, header["emb"])), **kwargs, _draw_weights=False)
+        try:  # a placeholder table of the file's shape, which allocates nothing
+            model = AdrModel(np.broadcast_to(0.0, (rows, E)), **kwargs, _draw_weights=False)
         except ValueError as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
         arrays = _model_arrays(model)
         for found, want in itertools.zip_longest(listed, [(n, a.shape) for n, a in arrays]):
             if found != want:
                 raise CheckpointError(f"{path}: file array {found} != model array {want}")
-        for name, a in arrays:
+        (_, table), *weights = arrays
+        # The mapping is the table's base, so it is unmapped when the model goes.
+        start = fh.tell()
+        try:
+            mapped = mmap.mmap(fh.fileno(), start + table.nbytes, access=mmap.ACCESS_READ)
+        except OSError as exc:  # mmap's own error names no file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+        model.embeddings = np.frombuffer(mapped, np.float64, table.size, start).reshape(
+            table.shape)
+        if not np.isfinite(model.embeddings).all():
+            raise CheckpointError(f"{path}: non-finite value in embeddings")
+        fh.seek(start + table.nbytes)
+        for name, a in weights:
             if fh.readinto(a) != a.nbytes:
                 raise CheckpointError(f"{path}: truncated while reading {name}")
             if not np.isfinite(a).all():

@@ -1,6 +1,8 @@
+import errno
 import io
 import json
 import math
+import os
 import sys
 import weakref
 from dataclasses import fields
@@ -154,6 +156,21 @@ class TestPreprocess:
         assert out == "kept=2 rejected_no_drug=0 rejected_multi_drug=0 dropped_empty=1\n"
         assert out_path.read_text() == ("t1\teffexor\tthe <DRUG> <USER> <USER> nave <LINK>\n"
                                         "t3\tcymbalta\tthe <DRUG>\n")
+
+    def test_stopwords_file_is_normalized_like_tweets(self, workspace, monkeypatch, capsys,
+                                                      tmp_path):
+        """A stopword with a capital or an apostrophe removes the token that
+        tweet text normalizes to: "The" removes "the", "Don't" removes "dont"."""
+        stop = tmp_path / "stop.txt"
+        stop.write_text("The\nDon't\n")
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("t1\tThe effexor made me dizzy, don't know why\n")
+        out_path = tmp_path / "out.tsv"
+        code, _, err = run_cli(monkeypatch, capsys, "preprocess", "--input", str(raw),
+                               "--lexicon", str(workspace / "drugs.txt"),
+                               "--stopwords", str(stop), "--out", str(out_path))
+        assert (code, err) == (0, "")
+        assert out_path.read_text() == "t1\teffexor\t<DRUG> made me dizzy know why\n"
 
     def test_no_mask_keeps_drug_token(self, workspace, monkeypatch, capsys, tmp_path):
         masked = tmp_path / "masked.tsv"
@@ -455,7 +472,9 @@ def test_checkpoint_header_missing_key_is_data_error(monkeypatch, capsys, tmp_pa
 def _rewrite_checkpoint(path, edit):
     """Apply ``edit(header, arrays)`` in place to the checkpoint's JSON header
     and its arrays, a dict of name -> array in file order. The header's array
-    list is written as ``edit`` leaves it."""
+    list is written as ``edit`` leaves it. No model loaded from ``path`` may
+    be alive: its table maps the file, and reading it after the file is cut
+    short in place ends the process with SIGBUS."""
     data = path.read_bytes()
     start = len(CHECKPOINT_MAGIC) + 8
     end = start + int.from_bytes(data[len(CHECKPOINT_MAGIC) : start], "little")
@@ -1067,6 +1086,79 @@ def test_evaluate_matches_each_predicted_span_once(monkeypatch, capsys, tmp_path
     assert out.splitlines()[1] == "1\t1.0000\t0.5000\t0.6667"
 
 
+def test_init_checkpoint_may_be_the_output(workspace, monkeypatch, capsys, tmp_path):
+    """Training over the checkpoint whose table it has mapped writes what
+    training into another file writes: the rename replaces the file, not
+    the bytes under the mapping."""
+    ckpt, other = tmp_path / "m.ckpt", tmp_path / "other.ckpt"
+    _save_tiny_checkpoint(ckpt)
+    before = ckpt.read_bytes()
+    outputs = []
+    for out in (other, ckpt):
+        code, _, err = run_cli(monkeypatch, capsys, "train",
+                               "--labeled", str(workspace / "train.tsv"),
+                               "--init-checkpoint", str(ckpt), "--out", str(out),
+                               "--epochs", "1", "--seed", "0")
+        assert (code, err) == (0, ""), err
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] != before
+
+
+def _mappings(path) -> int:
+    """How many mappings of the file at ``path`` this process holds."""
+    name = os.path.realpath(path)
+    with open("/proc/self/maps") as fh:
+        return sum(line.rstrip("\n").endswith(" " + name) for line in fh)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads this process's mappings from /proc/self/maps, which is Linux's")
+def test_checkpoint_is_mapped_exactly_while_its_model_lives(workspace, monkeypatch, capsys,
+                                                            tmp_path):
+    """A loaded model holds one mapping of its file, which goes with the
+    model; evaluate's trials each load the checkpoint after the previous
+    trial's model is gone."""
+    ckpt = tmp_path / "m.ckpt"
+    _save_tiny_checkpoint(ckpt)
+    model = load_checkpoint(ckpt)
+    assert _mappings(ckpt) == 1
+    del model
+    assert _mappings(ckpt) == 0
+
+    held = []  # mappings before and after each load
+    real = cli_module.training.load_checkpoint
+
+    def load_counting(path, **kw):
+        held.append(_mappings(ckpt))
+        loaded = real(path, **kw)
+        held.append(_mappings(ckpt))
+        return loaded
+
+    monkeypatch.setattr(cli_module.training, "load_checkpoint", load_counting)
+    code, _, err = run_cli(monkeypatch, capsys, "evaluate", "--checkpoint", str(ckpt),
+                           "--test", str(workspace / "test.tsv"),
+                           "--labeled", str(workspace / "train.tsv"),
+                           "--trials", "3", "--epochs", "1")
+    assert (code, err) == (0, "")
+    assert held == [0, 1] * 3
+    assert _mappings(ckpt) == 0
+
+
+def test_checkpoint_that_cannot_be_mapped_is_data_error(monkeypatch, capsys, tmp_path):
+    """mmap's own error names no file; the loader's names the checkpoint."""
+    path = tmp_path / "model.ckpt"
+    _save_tiny_checkpoint(path)
+
+    def no_device(*args, **kw):
+        raise OSError(errno.ENODEV, "No such device")
+
+    monkeypatch.setattr(cli_module.training.mmap, "mmap", no_device)
+    code, _, err = run_cli(monkeypatch, capsys, "predict", "--checkpoint", str(path),
+                           "--text", "ugh")
+    assert code == EXIT_DATA
+    assert err == f"error: [Errno {errno.ENODEV}] No such device: '{path}'\n"
+
+
 def test_interrupt_while_writing_leaves_no_file(workspace, monkeypatch, capsys, tmp_path):
     """Ctrl-C while the checkpoint is written ends the command as click's
     abort does (exit 1), leaving neither the checkpoint nor its temporary
@@ -1199,6 +1291,12 @@ FAILURES = {
     "stopword-with-space": ({"stop.txt": "the\nso what\n"},
                             _PREPROCESS + " --stopwords {ws}/stop.txt", DataError,
                             ["stop.txt: line 2: stopword 'so what' holds whitespace"]),
+    "stopword-normalizes-to-no-token": (
+        {"stop.txt": "the\n!!!\n"}, _PREPROCESS + " --stopwords {ws}/stop.txt", DataError,
+        ["stop.txt: line 2: stopword '!!!' normalizes to no token, so it can never be removed"]),
+    "stopword-normalizes-to-a-sentinel": (
+        {"stop.txt": "the\nhttp://x\n"}, _PREPROCESS + " --stopwords {ws}/stop.txt", DataError,
+        ["stop.txt: line 2: stopword 'http://x' normalizes to the sentinel <LINK>"]),
     "vocab-duplicate-token": ({"vocab.txt": _VOCAB + "ugh\n"}, _TRAIN, DataError,
                               ["vocab.txt: line 8: duplicate token 'ugh'"]),
     "vocab-missing-sentinel": ({"vocab.txt": "<PAD>\n<UNK>\n"}, _TRAIN, DataError,
@@ -1274,6 +1372,10 @@ FAILURES = {
     "checkpoint-non-finite-array": (
         {"bad.ckpt": _edited_checkpoint(lambda h, a: a["tag.b"].__setitem__(0, np.nan))},
         _PREDICT + " {ws}/bad.ckpt", CheckpointError, ["bad.ckpt: non-finite value in tag.b"]),
+    "checkpoint-non-finite-embeddings": (
+        {"bad.ckpt": _edited_checkpoint(lambda h, a: a["embeddings"].__setitem__((6, 2), np.inf))},
+        _PREDICT + " {ws}/bad.ckpt", CheckpointError,
+        ["bad.ckpt: non-finite value in embeddings"]),
     "checkpoint-vocabulary-token-with-space": (
         {"bad.ckpt": _edited_checkpoint(lambda h, a: h["vocab_tokens"].__setitem__(6, "diz zy"))},
         _PREDICT + " {ws}/bad.ckpt", CheckpointError,

@@ -1,3 +1,4 @@
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -27,6 +28,7 @@ from adrtag.text import (
     Vocabulary,
     default_stopwords,
     load_embeddings,
+    load_stopwords,
     mask_drug,
     normalize,
     normalize_token,
@@ -116,6 +118,20 @@ class TestStopwords:
         stop = default_stopwords()
         assert 100 <= len(stop) <= 200
         assert "the" in stop and "effexor" not in stop
+
+    def test_default_list_is_normalized(self):
+        """Tweet tokens are normalized before stopwords are removed, so a
+        shipped word not in normalized form would never match one."""
+        assert sorted(w for w in default_stopwords() if normalize(w) != w) == []
+
+    # "!!!" and "http://x" are rows of test_cli.py's FAILURES table
+    @pytest.mark.parametrize("word", ["@bob", USER])
+    def test_file_word_that_can_never_match_is_refused(self, tmp_path, word):
+        path = tmp_path / "stop.txt"
+        path.write_text(f"the\n{word}\n")
+        message = f"{path}: line 2: stopword {word!r} normalizes to the sentinel {USER}, so it"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            load_stopwords(path)
 
 
 class TestMaskDrug:

@@ -496,6 +496,42 @@ class TestTrainingBuffers:
         total = peak(lambda: load_checkpoint(path).predict_tag_batch(idx, lengths))
         assert total < 1.5 * array_bytes + activations
 
+    def test_load_maps_the_table_instead_of_copying_it(self, tmp_path):
+        """The frozen table dominates this checkpoint; loading allocates no
+        copy of it, hands it over read-only, and saves it back unchanged."""
+        table = np.random.default_rng(0).normal(size=(50_000, 32))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(AdrModel(table, hidden=4, drug_count=2, seed=0), path)
+        load_checkpoint(path)  # warm up the loader's one-time allocations
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes
+        assert np.array_equal(loaded.embeddings, table)
+        assert not loaded.embeddings.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.embeddings[1, 0] = 0.0
+        resaved = tmp_path / "resaved.ckpt"
+        save_checkpoint(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+    def test_loaded_model_outlives_the_file_it_was_mapped_from(self, tmp_path):
+        """Replacing the checkpoint, as save_checkpoint does, leaves a model
+        already loaded from it tagging as before."""
+        vocab, emb, model = tiny_setup(seed=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        tweets = [e[0] for e in synthetic.labeled_examples(vocab, 3, 6, seed=3)]
+        before = [loaded.predict_tags(ids) for ids in tweets]
+        save_checkpoint(AdrModel(emb + 1.0, hidden=6, drug_count=3, seed=5), path)
+        assert [loaded.predict_tags(ids) for ids in tweets] == before
+        assert np.array_equal(loaded.embeddings, emb)
+        assert np.array_equal(load_checkpoint(path).embeddings, emb + 1.0)
+
     def test_deep_copies_train_like_the_original(self):
         vocab, _, model = tiny_setup()
         data = synthetic.labeled_examples(vocab, 3, 2, seed=6)
@@ -732,7 +768,7 @@ def test_corrupted_checkpoint_is_rejected_or_finite(tiny_checkpoint, overwrites,
         data[pos % len(data)] = value
     if keep is not None:
         data = data[: keep % (len(data) + 1)]
-    path.write_bytes(bytes(data))
+    path.write_bytes(bytes(data))  # in place: the last example's model is gone
     try:
         model = load_checkpoint(path)
     except CheckpointError:
