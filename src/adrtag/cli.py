@@ -18,7 +18,7 @@ import yaml
 
 from . import encoding, evaluation, text, training
 from .errors import CheckpointError, DataError, NumericalError
-from .files import atomic_write, reading
+from .files import atomic_write, read_stdin, reading
 from .model import AdrModel, gradient_check
 
 EXIT_USAGE = 1
@@ -388,12 +388,12 @@ def evaluate(checkpoint, test_path, trials, labeled, epochs, max_len, seed,
 
 @cli.command()
 @click.option("--checkpoint", required=True, type=click.Path())
-@click.option("--text", "raw_text", help="raw tweet text; reads stdin if omitted")
+@click.option("--text", "raw_text", help="raw tweet text; reads stdin, as UTF-8, if omitted")
 def predict(checkpoint, raw_text):
     """Tag ad-hoc text with a trained model and print the decoded spans."""
     model, vocab_obj = _load_tagger(checkpoint)
     if raw_text is None:
-        raw_text = sys.stdin.read()
+        raw_text = read_stdin()
     tokens = text.tokenize(text.normalize(raw_text))
     if not tokens:
         click.echo("warning: input is empty after preprocessing", err=True)

@@ -1,12 +1,23 @@
-"""Input files read as UTF-8 text, and output files that are never left
-half-written."""
+"""Input files and standard input read as UTF-8 text, and output files that
+are never left half-written."""
 
 from __future__ import annotations
 
 import contextlib
+import io
 import os
+import sys
 
 from .errors import DataError
+
+
+def _not_utf8(name, lines, exc: UnicodeDecodeError) -> DataError:
+    """The error for input ``name``, naming the first of its byte ``lines``
+    that is not UTF-8."""
+    # A line is UTF-8 exactly when decoding it replaces nothing.
+    lineno = next((n for n, line in enumerate(lines, start=1)
+                   if line.decode("utf-8", "replace").encode("utf-8") != line), None)
+    return DataError(f"{name}: line {lineno}: not UTF-8 text ({exc.reason})")
 
 
 @contextlib.contextmanager
@@ -18,10 +29,18 @@ def reading(path):
             yield fh
     except UnicodeDecodeError as exc:
         with open(path, "rb") as fh:  # read again, only to name the line
-            # A line is UTF-8 exactly when decoding it replaces nothing.
-            lineno = next((n for n, line in enumerate(fh, start=1)
-                           if line.decode("utf-8", "replace").encode("utf-8") != line), None)
-        raise DataError(f"{path}: line {lineno}: not UTF-8 text ({exc.reason})") from None
+            raise _not_utf8(path, fh, exc) from None
+
+
+def read_stdin() -> str:
+    """All of standard input as UTF-8 text, whatever the locale. Bytes that
+    are not UTF-8 raise a :class:`DataError` naming ``<stdin>`` and the first
+    such line."""
+    data = sys.stdin.buffer.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8("<stdin>", io.BytesIO(data), exc) from None
 
 
 @contextlib.contextmanager

@@ -19,13 +19,7 @@ import numpy as np
 
 from .encoding import TagLabel
 from .errors import NumericalError
-from .numerics import (
-    PROB_FLOOR,
-    DimensionError,
-    Parameter,
-    sigmoid,
-    softmax_rows,
-)
+from .numerics import PROB_FLOOR, Parameter, sigmoid, softmax_rows
 
 GATES = ("u", "f", "c", "o")  # row-block order of the fused gate arrays
 FORGET_BIAS = 1.0
@@ -68,18 +62,6 @@ class LSTMCellParams:
         return [self.w, self.i, self.b] if self.gate_biases else [self.w, self.i]
 
 
-@dataclass
-class BiLSTMParams:
-    forward_cell: LSTMCellParams
-    backward_cell: LSTMCellParams
-
-    def cells(self) -> tuple:
-        return self.forward_cell, self.backward_cell
-
-    def params(self) -> List[Parameter]:
-        return self.forward_cell.params() + self.backward_cell.params()
-
-
 class LinearHead:
     """Affine map followed (by callers) by a softmax. Without ``rng``, ``w``
     is left unset, for a caller that fills it."""
@@ -102,42 +84,37 @@ class LinearHead:
 
 
 @dataclass
-class _Recurrence:
-    # Packed time-major, in processing order, the two directions side by side
-    # on axis 1 (forward, backward): step t holds the live prefix of the
-    # length-sorted rows at positions offsets[t]:offsets[t]+live[t].
-    emb: np.ndarray  # (V, E) embedding table; inputs are gathered where used
-    ids: np.ndarray  # (N, 2) token ids of the N real positions, per direction
-    live: np.ndarray  # (steps,) rows live at each step, non-increasing
-    h: np.ndarray  # (live[0] + N, 2, H): zero start states, then each position's output
-    m: Optional[np.ndarray]  # (live[0] + N, 2, H), laid out like h; dropped by BPTT
-    gates: np.ndarray  # (N, 2, 4H) activations u, f, c, o
-
-
-def _offsets(live: np.ndarray) -> tuple:
-    """Where each step's rows begin: among the packed positions, and in the
-    state arrays, whose first live[0] rows are the zero start states and whose
-    row live[0] + p is position p's output (so step t reads step t - 1's)."""
-    offsets = np.cumsum(live) - live
-    return offsets, np.concatenate(([0], live[0] + offsets[:-1]))
-
-
-@dataclass
 class EncodeCache:
-    # The N real positions, in the forward direction's packed order.
+    # The N real positions, packed time-major in processing order, the two
+    # directions side by side on axis 1 (forward, backward): step t holds the
+    # live prefix of the length-sorted rows at positions
+    # offsets[t]:offsets[t]+live[t], in the forward direction's order on axis 0.
     indices: np.ndarray
     lengths: np.ndarray
     rows: np.ndarray  # (N,) batch row of each position; rows[:B] sorts the rows longest first
     cols: np.ndarray  # (N,) its column, which is also its forward step
     rev: np.ndarray  # (N,) the backward direction's position for the same token; self-inverse
-    rec: _Recurrence
+    live: np.ndarray  # (steps,) rows live at each step, non-increasing
+    offsets: np.ndarray  # (steps,) where each step's positions begin
+    # (steps,) where each step's input states begin in ``states``, whose first
+    # live[0] rows are the zero start states and whose row live[0] + p is
+    # position p's output (so step t reads step t - 1's).
+    starts: np.ndarray
+    emb: np.ndarray  # (V, E) embedding table; inputs are gathered where used
+    ids: np.ndarray  # (N, 2) token ids of the positions, per direction
+    # Filled by _run_encoder: (live[0] + N, 2, H) start states and outputs,
+    # the cell states laid out alike (dropped by BPTT), and the (N, 2, 4H)
+    # gate activations u, f, c, o.
+    states: Optional[np.ndarray] = None
+    m: Optional[np.ndarray] = None
+    gates: Optional[np.ndarray] = None
 
     @cached_property
     def h(self) -> np.ndarray:
         """(N, 2H) forward states, then backward states, at the positions in
-        order: a copy of the outputs in ``rec.h``, built only for a reader
+        order: a copy of the outputs in ``states``, built only for a reader
         that needs every position's full state (the tag head)."""
-        hs = self.rec.h[self.rec.live[0] :]
+        hs = self.states[self.live[0] :]
         return np.concatenate((hs[:, 0], hs[self.rev, 1]), axis=1)
 
 
@@ -154,23 +131,23 @@ class TagLossCache:
     enc: EncodeCache
     probs: np.ndarray  # (N, L) at the real positions
     tags: np.ndarray  # (N,) gold tags at the real positions
-    valid: np.ndarray  # (N,) bool, True where the tag is scored (not PAD)
 
 
-def _run_encoder(cells: Sequence[LSTMCellParams], emb: np.ndarray, ids: np.ndarray, live):
-    """Both directions' recurrences in lockstep over the packed (N, 2) token
-    ids of the real positions, each direction in its own processing order;
-    each step computes only its ``live`` prefix of rows. Returns the cache,
-    which holds the packed hidden states, for :func:`_backprop_encoder`."""
-    H, N, B = cells[0].hidden, len(ids), int(live[0])
-    gates = np.empty((N, 2, 4 * H))
+def _run_encoder(cells: Sequence[LSTMCellParams], enc: EncodeCache):
+    """Both directions' recurrences in lockstep over the packed token ids
+    ``enc.ids``, each direction in its own processing order; each step
+    computes only its live prefix of rows. Fills the cache's ``gates``,
+    ``states`` and ``m`` for :func:`_backprop_encoder`."""
+    H, N, B = cells[0].hidden, len(enc.ids), int(enc.live[0])
+    gates = enc.gates = np.empty((N, 2, 4 * H))
     for d, cell in enumerate(cells):
-        np.matmul(emb[ids[:, d]], cell.i.value.T, out=gates[:, d])
+        np.matmul(enc.emb[enc.ids[:, d]], cell.i.value.T, out=gates[:, d])
         gates[:, d] += cell.b.value
     # Separate arrays, so that BPTT can free m while h is still read.
-    h, m = np.zeros((B + N, 2, H)), np.zeros((B + N, 2, H))
+    h = enc.states = np.zeros((B + N, 2, H))
+    m = enc.m = np.zeros((B + N, 2, H))
     tanh_m = np.empty((B, 2, H))  # this step's; BPTT recomputes it from m
-    for o, s, n in zip(*(x.tolist() for x in _offsets(live)), live.tolist()):
+    for o, s, n in zip(enc.offsets.tolist(), enc.starts.tolist(), enc.live.tolist()):
         a = gates[o : o + n]
         if o:  # step 0 reads the zero start state, whose product would only add 0.0
             for d, cell in enumerate(cells):
@@ -182,21 +159,19 @@ def _run_encoder(cells: Sequence[LSTMCellParams], emb: np.ndarray, ids: np.ndarr
         m[B + o : B + o + n] = f * m[s : s + n] + u * c
         np.tanh(m[B + o : B + o + n], out=tanh_m[:n])
         np.multiply(og, tanh_m[:n], out=h[B + o : B + o + n])
-    return _Recurrence(emb=emb, ids=ids, live=live, h=h, m=m, gates=gates)
 
 
-def _backprop_encoder(cells: Sequence[LSTMCellParams], rec: _Recurrence, dh: np.ndarray,
+def _backprop_encoder(cells: Sequence[LSTMCellParams], enc: EncodeCache, dh: np.ndarray,
                       sink, shared_rows: bool = False):
     """Hand both directions' gradients to ``sink``, stepping back in lockstep,
     given dLoss/dh, (N, 2, H) with each direction's half in its packed order, or
     with ``shared_rows`` (B, 2, H) in sorted row order, one per row for every
-    step. Gate gradients overwrite ``rec.gates`` step by step, and the cell
-    states ``rec.m`` are dropped once they are read; each weight gradient is
+    step. Gate gradients overwrite ``enc.gates`` step by step, and the cell
+    states ``enc.m`` are dropped once they are read; each weight gradient is
     then one product over the real positions, written into ``sink.buffer(p)``
     and passed to ``sink.step(p, g)`` after the step loop's last read of the
     weights."""
-    live = rec.live
-    offsets, starts = _offsets(live)
+    live, offsets, starts = enc.live, enc.offsets, enc.starts
     B, H = int(live[0]), cells[0].hidden
     # A row joins the walk at its last step, where nothing flows back into it.
     dh_next, dm_next = np.zeros((2, B, 2, H))
@@ -204,10 +179,10 @@ def _backprop_encoder(cells: Sequence[LSTMCellParams], rec: _Recurrence, dh: np.
     tanh_m, dh_raw, dm_raw, tmp = np.empty((4, B, 2, H))
     dh_at = [0] * len(live) if shared_rows else offsets.tolist()
     for o, s, n, r in reversed(list(zip(offsets.tolist(), starts.tolist(), live.tolist(), dh_at))):
-        g = rec.gates[o : o + n]
+        g = enc.gates[o : o + n]
         u, f, c, og = (g[..., k * H : (k + 1) * H] for k in range(len(GATES)))
         tm, dhr, dmr, t = tanh_m[:n], dh_raw[:n], dm_raw[:n], tmp[:n]
-        np.tanh(rec.m[B + o : B + o + n], out=tm)
+        np.tanh(enc.m[B + o : B + o + n], out=tm)
         np.add(dh[r : r + n], dh_next[:n], out=dhr)
         # dm = dm_next + dh * o * (1 - tanh(m)^2)
         np.multiply(tm, tm, out=t)
@@ -223,7 +198,7 @@ def _backprop_encoder(cells: Sequence[LSTMCellParams], rec: _Recurrence, dh: np.
         np.subtract(1.0, og, out=og)
         np.multiply(t, og, out=og)
         # f: dm * m_prev * f * (1 - f)
-        np.multiply(dmr, rec.m[s : s + n], out=t)
+        np.multiply(dmr, enc.m[s : s + n], out=t)
         t *= f
         np.subtract(1.0, f, out=f)
         np.multiply(t, f, out=f)
@@ -241,13 +216,13 @@ def _backprop_encoder(cells: Sequence[LSTMCellParams], rec: _Recurrence, dh: np.
                 np.matmul(g[:, d], cell.w.value, out=dh_next[:n, d])
     # Freed before the weight-gradient products gather their inputs.
     del dh_next, dm_next, tanh_m, dh_raw, dm_raw, tmp
-    rec.m = None
+    enc.m = None
     # Position offsets[t] + k entered step t with the state in row starts[t] + k.
-    h_in = np.arange(len(rec.ids)) + np.repeat(starts - offsets, live)
+    h_in = np.arange(len(enc.ids)) + np.repeat(starts - offsets, live)
     for d, cell in enumerate(cells):
-        da = rec.gates[:, d]
-        sink.step(cell.w, np.matmul(da.T, rec.h[h_in, d], out=sink.buffer(cell.w)))
-        sink.step(cell.i, np.matmul(da.T, rec.emb[rec.ids[:, d]], out=sink.buffer(cell.i)))
+        da = enc.gates[:, d]
+        sink.step(cell.w, np.matmul(da.T, enc.states[h_in, d], out=sink.buffer(cell.w)))
+        sink.step(cell.i, np.matmul(da.T, enc.emb[enc.ids[:, d]], out=sink.buffer(cell.i)))
         if cell.gate_biases:
             sink.step(cell.b, np.sum(da, axis=0, out=sink.buffer(cell.b)))
 
@@ -288,7 +263,7 @@ class AdrModel:
         self.vocab_tokens = vocab_tokens
         self.drug_names = drug_names
         rng = np.random.default_rng(seed) if _draw_weights else None
-        self.encoder = BiLSTMParams(
+        self.cells = (  # forward, then backward direction
             LSTMCellParams("fwd", hidden, self.emb, rng, gate_biases),
             LSTMCellParams("bwd", hidden, self.emb, rng, gate_biases),
         )
@@ -298,7 +273,7 @@ class AdrModel:
     # -- parameter groups ---------------------------------------------------
 
     def encoder_parameters(self) -> List[Parameter]:
-        return self.encoder.params()
+        return [p for cell in self.cells for p in cell.params()]
 
     def drug_parameters(self) -> List[Parameter]:
         return self.encoder_parameters() + self.drug_head.params()
@@ -318,39 +293,41 @@ class AdrModel:
         # directions; the backward direction reads each row from its last token.
         order = np.argsort(-lengths, kind="stable")
         live = B - np.cumsum(np.bincount(lengths))[: lengths.max()]
-        offsets, _ = _offsets(live)
+        offsets = np.cumsum(live) - live
         cols = np.repeat(np.arange(len(live)), live)
         k = np.arange(len(cols)) - offsets[cols]  # rank of the position's row in order
         rows = order[k]
         rev = offsets[lengths[rows] - 1 - cols] + k
         ids = indices[rows, cols]
+        enc = EncodeCache(indices=indices, lengths=lengths, rows=rows, cols=cols, rev=rev,
+                          live=live, offsets=offsets,
+                          starts=np.concatenate(([0], live[0] + offsets[:-1])),
+                          emb=self.embeddings, ids=np.stack((ids, ids[rev]), axis=1))
         # A huge but finite embedding row can overflow the gate sums to inf,
         # and then to NaN states that would tag silently.
         try:
             with np.errstate(over="raise", invalid="raise"):
-                rec = _run_encoder(self.encoder.cells(), self.embeddings,
-                                   np.stack((ids, ids[rev]), axis=1), live)
+                _run_encoder(self.cells, enc)
         except FloatingPointError as exc:
             raise NumericalError(f"encoder forward overflowed: {exc}") from exc
-        return EncodeCache(indices=indices, lengths=lengths, rows=rows, cols=cols, rev=rev,
-                           rec=rec)
+        return enc
 
     # -- drug-prediction head -----------------------------------------------
 
     def _drug_logits(self, enc: EncodeCache) -> tuple:
         """Pooled encoder states (B, 2H) over real positions and the drug
         head's logits (B, D)."""
-        live = enc.rec.live
+        live = enc.live
         B = live[0]
         # Each row's states are added left to right: step 0 of every row,
         # then one add per step over its live rows, longest first. The
         # forward half is read in place; the backward half of the same
         # tokens is gathered step by step through ``rev``.
-        hs = enc.rec.h[B:]
+        hs = enc.states[B:]
         summed = np.empty((B, 2, self.hidden))
         summed[:, 0] = hs[:B, 0]
         summed[:, 1] = hs[enc.rev[:B], 1]
-        for o, n in zip(np.cumsum(live)[:-1].tolist(), live[1:].tolist()):
+        for o, n in zip(enc.offsets[1:].tolist(), live[1:].tolist()):
             summed[:n, 0] += hs[o : o + n, 0]
             summed[:n, 1] += hs[enc.rev[o : o + n], 1]
         pooled = np.empty((B, 2 * self.hidden))
@@ -390,7 +367,7 @@ class AdrModel:
             dpooled = dpooled / cache.enc.lengths[:, None]
         # Step t's live rows are the sorted prefix rows[:n] in both directions.
         dh = dpooled[cache.enc.rows[:B]].reshape(B, 2, self.hidden)
-        _backprop_encoder(self.encoder.cells(), cache.enc.rec, dh, sink, shared_rows=True)
+        _backprop_encoder(self.cells, cache.enc, dh, sink, shared_rows=True)
         cache.enc = None  # spent; a second backward would double-count
 
     def predict_drug_batch(self, indices, lengths) -> np.ndarray:
@@ -404,19 +381,21 @@ class AdrModel:
         return enc.h @ self.tag_head.w.value.T + self.tag_head.b.value
 
     def tag_loss(self, indices, lengths, tags) -> tuple:
-        """Per-sequence sum of cross-entropy at non-PAD positions, averaged
-        over the batch. Returns (loss, cache) for :meth:`backward_tags`.
+        """Per-sequence sum of cross-entropy over the real positions, averaged
+        over the batch; tags past a row's length are not read. Returns (loss,
+        cache) for :meth:`backward_tags`.
         """
         enc = self.encode_batch(indices, lengths)
         tags = np.asarray(tags)
         if tags.shape != enc.indices.shape:
-            raise DimensionError(f"tags {tags.shape} must align with tokens {enc.indices.shape}")
+            raise ValueError(f"tags {tags.shape} must align with tokens {enc.indices.shape}")
         tags = tags[enc.rows, enc.cols]
+        if tags.min() < 0 or tags.max() >= int(TagLabel.PAD):
+            raise ValueError("a tag at a real position must be I-ADR, I-IND or O (0, 1 or 2)")
         probs = softmax_rows(self._tag_logits(enc))
-        valid = tags != int(TagLabel.PAD)
-        picked = np.maximum(probs[np.arange(len(tags)), np.where(valid, tags, 0)], PROB_FLOOR)
-        loss = float((-np.log(picked) * valid).sum() / len(enc.lengths))
-        return loss, TagLossCache(enc=enc, probs=probs, tags=tags, valid=valid)
+        picked = np.maximum(probs[np.arange(len(tags)), tags], PROB_FLOOR)
+        loss = float(-np.log(picked).sum() / len(enc.lengths))
+        return loss, TagLossCache(enc=enc, probs=probs, tags=tags)
 
     def backward_tags(self, cache: TagLossCache, sink):
         """Hand every gradient of the tag group to ``sink``, as
@@ -424,14 +403,16 @@ class AdrModel:
         if cache is None or cache.enc is None:
             raise RuntimeError("backward_tags requires the cache from tag_loss")
         dlogits = cache.probs.copy()
-        dlogits[np.arange(len(cache.tags)), np.where(cache.valid, cache.tags, 0)] -= 1.0
-        dlogits *= cache.valid[:, None] / len(cache.enc.lengths)
+        dlogits[np.arange(len(cache.tags)), cache.tags] -= 1.0
+        # Times 1/B, not over B: the two can differ in the last bit, and every
+        # trained checkpoint was written with the product.
+        dlogits *= 1.0 / len(cache.enc.lengths)
         head = self.tag_head
         dh = (dlogits @ head.w.value).reshape(-1, 2, self.hidden)
         sink.step(head.w, np.matmul(dlogits.T, cache.enc.h, out=sink.buffer(head.w)))
         sink.step(head.b, np.sum(dlogits, axis=0, out=sink.buffer(head.b)))
         dh[:, 1] = dh[cache.enc.rev, 1]  # into the backward direction's order
-        _backprop_encoder(self.encoder.cells(), cache.enc.rec, dh, sink)
+        _backprop_encoder(self.cells, cache.enc, dh, sink)
         cache.enc = None
 
     def predict_tag_batch(self, indices, lengths) -> np.ndarray:
@@ -492,8 +473,6 @@ def gradient_check(
     lengths = np.array([timesteps, max(1, timesteps - 1)])
     labels = rng.integers(0, drugs, size=B)
     tags = rng.integers(0, len(TagLabel) - 1, size=(B, timesteps))
-    for b in range(B):
-        tags[b, lengths[b]:] = int(TagLabel.PAD)
 
     results = []
     for head, params, loss_fn, backward in (

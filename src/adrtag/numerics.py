@@ -16,10 +16,6 @@ from .errors import NumericalError
 PROB_FLOOR = 1e-12
 
 
-class DimensionError(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
-
-
 @dataclass
 class Parameter:
     """A trainable array. It holds no gradient: a backward pass hands each

@@ -115,33 +115,39 @@ def default_stopwords() -> frozenset:
     return frozenset(line.strip() for line in text.splitlines() if line.strip())
 
 
-def load_stopwords(path) -> frozenset:
-    """One word per line, normalized as tweet tokens are, so ``The`` removes
-    ``the``; blank lines are skipped. A word that normalizes to nothing or
-    to a sentinel could never be removed, and is refused."""
-    words = set()
+def _read_words(path, kind: str, use: str) -> List[Tuple[int, str, str]]:
+    """(line number, word, token) for each non-blank line of ``path``: one
+    word, normalized as tweet tokens are. A word that normalizes to nothing or
+    to a sentinel could never ``use``, and is refused, naming the line."""
+    words = []
     with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             word = line.strip()
             if not word:
                 continue
             if len(word.split()) > 1:
-                raise DataError(f"{path}: line {lineno}: stopword {word!r} holds whitespace")
+                raise DataError(f"{path}: line {lineno}: {kind} {word!r} holds whitespace")
             token = normalize(word)
             if not token or token in _PROTECTED:
                 became = f"the sentinel {token}" if token else "no token"
-                raise DataError(f"{path}: line {lineno}: stopword {word!r} normalizes to "
-                                f"{became}, so it can never be removed")
-            words.add(token)
-    return frozenset(words)
+                raise DataError(f"{path}: line {lineno}: {kind} {word!r} normalizes to "
+                                f"{became}, so it can never {use}")
+            words.append((lineno, word, token))
+    return words
+
+
+def load_stopwords(path) -> frozenset:
+    """One word per line, normalized as tweet tokens are, so ``The`` removes
+    ``the``; blank lines are skipped."""
+    return frozenset(token for _, _, token in _read_words(path, "stopword", "be removed"))
 
 
 class DrugLexicon:
     """Catalog of single-token drug names; position in the file is the label.
-    The names must be distinct, as :meth:`load` checks."""
+    The names must be distinct and normalized, as :meth:`load` makes them."""
 
     def __init__(self, names: Sequence[str]):
-        self.names = [n.strip().lower() for n in names if n.strip()]
+        self.names = list(names)
         self.index = {name: i for i, name in enumerate(self.names)}
 
     def __len__(self):
@@ -149,18 +155,15 @@ class DrugLexicon:
 
     @classmethod
     def load(cls, path) -> "DrugLexicon":
-        with reading(path) as fh:
-            lines = fh.read().splitlines()
+        """One name per line, normalized as tweet tokens are, so ``Co-Codamol``
+        names the token ``cocodamol``; blank lines are skipped. Two lines that
+        normalize to one name are refused."""
         first = {}
-        for lineno, line in enumerate(lines, start=1):
-            name = line.strip().lower()
-            if len(name.split()) > 1:
-                raise DataError(f"{path}: line {lineno}: drug name {line.strip()!r} holds "
-                                "whitespace")
-            if name and first.setdefault(name, lineno) != lineno:
-                raise DataError(f"{path}: line {lineno}: duplicate drug name "
-                                f"{line.strip()!r} (as line {first[name]})")
-        return cls(lines)
+        for lineno, word, name in _read_words(path, "drug name", "match a tweet token"):
+            if first.setdefault(name, lineno) != lineno:
+                raise DataError(f"{path}: line {lineno}: duplicate drug name {word!r} "
+                                f"(as line {first[name]})")
+        return cls(list(first))
 
 
 def mask_drug(

@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .encoding import TagLabel
 from .errors import CheckpointError, NumericalError
 from .files import atomic_write
 from .model import GATES, AdrModel
@@ -142,16 +141,15 @@ INFERENCE_BATCH = 64  # sequences per forward when scoring held-out or test data
 HELDOUT_DENOMINATOR = 10  # about one example in this many is held out
 
 
-def pad_batch(
-    examples: Sequence[Sequence[int]], max_len: int, pad_index: int = 0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Right-pad index sequences into a (B, T) matrix, T = min(max_len, longest
-    sequence); longer sequences are truncated."""
+def pad_batch(examples: Sequence[Sequence[int]], max_len: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Right-pad index sequences with 0, the ``<PAD>`` token id, into a (B, T)
+    matrix, T = min(max_len, longest sequence); longer sequences are
+    truncated."""
     if any(len(e) == 0 for e in examples):
         raise ValueError("cannot pad an empty example")
     B = len(examples)
     width = min(max_len, max((len(e) for e in examples), default=0))
-    out = np.full((B, width), pad_index, dtype=np.int64)
+    out = np.zeros((B, width), dtype=np.int64)
     lengths = np.empty(B, dtype=np.int64)
     for i, seq in enumerate(examples):
         trimmed = list(seq)[:max_len]
@@ -279,10 +277,10 @@ def train_supervised(
 
     def step(chosen):
         idx, lengths = pad_batch([c[0] for c in chosen], config.max_len)
-        tags, _ = pad_batch([c[1] for c in chosen], config.max_len, pad_index=int(TagLabel.PAD))
+        tags, _ = pad_batch([c[1] for c in chosen], config.max_len)  # unread past a row's length
         loss, cache = model.tag_loss(idx, lengths, tags)
-        counts[0] += int(((cache.probs.argmax(axis=1) == cache.tags) & cache.valid).sum())
-        counts[1] += int(cache.valid.sum())
+        counts[0] += int((cache.probs.argmax(axis=1) == cache.tags).sum())
+        counts[1] += len(cache.tags)
         return loss, partial(model.backward_tags, cache)
 
     def accuracy():  # read at the end of an epoch; the next one counts from zero
@@ -312,7 +310,7 @@ def _model_arrays(model: AdrModel):
     directions are stored per gate as row-block views ``fwd.w_u``, ``fwd.i_u``,
     ``fwd.b_u``, ..., ``bwd.b_o``; reading into a view fills the fused matrix."""
     arrays = [("embeddings", model.embeddings)]
-    for cell in (model.encoder.forward_cell, model.encoder.backward_cell):
+    for cell in model.cells:
         H = cell.hidden
         for k, g in enumerate(GATES):
             arrays += [(f"{p.name}_{g}", p.value[k * H : (k + 1) * H]) for p in cell.params()]
@@ -323,18 +321,8 @@ def _model_arrays(model: AdrModel):
 def save_checkpoint(model: AdrModel, path) -> None:
     """Write the checkpoint atomically: ``path`` is never half-written."""
     arrays = _model_arrays(model)
-    header = {
-        "version": 1,
-        "seed": model.seed,
-        "hidden": model.hidden,
-        "emb": model.emb,
-        "drug_count": model.drug_count,
-        "pooling": model.pooling,
-        "gate_biases": model.gate_biases,
-        "vocab_tokens": model.vocab_tokens,
-        "drug_names": model.drug_names,
-        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
-    }
+    header = {key: getattr(model, key) for key in _HEADER_FIELDS if key != "arrays"}
+    header.update(version=1, arrays=[{"name": n, "shape": list(a.shape)} for n, a in arrays])
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -348,6 +336,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# The header's fields besides "version", with their validators: save_checkpoint
+# writes the array list and the model attribute of each other name, and
+# load_checkpoint checks each field.
 _HEADER_FIELDS = {
     **dict.fromkeys(("hidden", "emb", "drug_count", "seed"), _is_int),
     "pooling": lambda v: isinstance(v, str),

@@ -28,8 +28,8 @@ from typing import List, Sequence
 import numpy as np
 
 from adrtag.encoding import ADR, IND, Span, TagLabel
-from adrtag.model import GATES, AdrModel, BiLSTMParams, LinearHead, LSTMCellParams
-from adrtag.numerics import PROB_FLOOR, DimensionError, softmax_rows
+from adrtag.model import GATES, AdrModel, LinearHead, LSTMCellParams
+from adrtag.numerics import PROB_FLOOR, softmax_rows
 from adrtag.text import (
     _PROTECTED, LINK, PAD, SENTINELS, USER, DataError, EmbeddingTable, Vocabulary,
 )
@@ -75,7 +75,7 @@ def lstm_cell_step(cell: LSTMCellParams, h_prev, m_prev, x_t):
     m_prev = np.asarray(m_prev, dtype=np.float64)
     x_t = np.asarray(x_t, dtype=np.float64)
     if h_prev.shape != (cell.hidden,) or x_t.shape != (cell.emb,):
-        raise DimensionError(
+        raise ValueError(
             f"expected h ({cell.hidden},) and x ({cell.emb},), "
             f"got {h_prev.shape} and {x_t.shape}"
         )
@@ -86,22 +86,25 @@ def lstm_cell_step(cell: LSTMCellParams, h_prev, m_prev, x_t):
     return h_t, m_t
 
 
-def bilstm_forward(params: BiLSTMParams, x_seq: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Concatenated forward/backward hidden states, one 2H vector per position."""
+def bilstm_forward(cells: Sequence[LSTMCellParams],
+                   x_seq: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Concatenated forward/backward hidden states, one 2H vector per position,
+    from the (forward, backward) pair of ``cells``."""
     if len(x_seq) == 0:
         raise ValueError("bilstm_forward requires a nonempty sequence")
-    hidden = params.forward_cell.hidden
+    forward_cell, backward_cell = cells
+    hidden = forward_cell.hidden
     fwd = []
     h = np.zeros(hidden)
     m = np.zeros(hidden)
     for x in x_seq:
-        h, m = lstm_cell_step(params.forward_cell, h, m, x)
+        h, m = lstm_cell_step(forward_cell, h, m, x)
         fwd.append(h)
     bwd = [None] * len(x_seq)
     h = np.zeros(hidden)
     m = np.zeros(hidden)
     for t in range(len(x_seq) - 1, -1, -1):
-        h, m = lstm_cell_step(params.backward_cell, h, m, x_seq[t])
+        h, m = lstm_cell_step(backward_cell, h, m, x_seq[t])
         bwd[t] = h
     return [np.concatenate([f, b]) for f, b in zip(fwd, bwd)]
 
@@ -115,7 +118,7 @@ def mean_pool(h_seq: Sequence[np.ndarray], valid_length: int) -> np.ndarray:
 
 def predict_drug(head: LinearHead, pooled: np.ndarray) -> np.ndarray:
     if pooled.shape != (head.w.value.shape[1],):
-        raise DimensionError(
+        raise ValueError(
             f"pooled vector {pooled.shape} does not match head {head.w.value.shape}"
         )
     return softmax(head.w.value @ pooled + head.b.value)
@@ -130,7 +133,7 @@ def tag_forward(head: LinearHead, h_seq: Sequence[np.ndarray]) -> List[np.ndarra
 def sequence_loss(predictions: Sequence[np.ndarray], gold: Sequence[TagLabel]) -> float:
     """Sum of per-position cross-entropy over non-PAD positions."""
     if len(predictions) != len(gold):
-        raise DimensionError(
+        raise ValueError(
             f"{len(predictions)} predictions vs {len(gold)} gold tags"
         )
     total = 0.0
@@ -231,7 +234,7 @@ def packed_oracle(model: AdrModel, indices, lengths, labels, tags) -> dict:
     indices, lengths = np.asarray(indices), np.asarray(lengths)
     B = len(lengths)
     H = model.hidden
-    enc = model.encoder
+    fwd_cell, bwd_cell = model.cells
     order = np.argsort(-lengths, kind="stable")
     live = B - np.cumsum(np.bincount(lengths))[: lengths.max()]
     offsets, _ = _offsets(live)
@@ -243,13 +246,13 @@ def packed_oracle(model: AdrModel, indices, lengths, labels, tags) -> dict:
     out = {}
 
     def encode():
-        hf, fwd = _run_direction(enc.forward_cell, model.embeddings, ids, live)
-        hb, bwd = _run_direction(enc.backward_cell, model.embeddings, ids[rev], live)
+        hf, fwd = _run_direction(fwd_cell, model.embeddings, ids, live)
+        hb, bwd = _run_direction(bwd_cell, model.embeddings, ids[rev], live)
         return np.concatenate((hf, hb[rev]), axis=1), fwd, bwd
 
     def backprop(fwd, bwd, dh, grads):
-        _backprop_direction(enc.forward_cell, fwd, dh[:, :H], grads)
-        _backprop_direction(enc.backward_cell, bwd, dh[rev, H:], grads)
+        _backprop_direction(fwd_cell, fwd, dh[:, :H], grads)
+        _backprop_direction(bwd_cell, bwd, dh[rev, H:], grads)
         return grads
 
     # Drug head: pooled left to right, one add per step over its live rows.

@@ -172,6 +172,24 @@ class TestPreprocess:
         assert (code, err) == (0, "")
         assert out_path.read_text() == "t1\teffexor\t<DRUG> made me dizzy know why\n"
 
+    def test_drug_names_are_normalized_like_tweets(self, monkeypatch, capsys, tmp_path):
+        """A lexicon name with a hyphen, a capital or a dot names the token
+        tweet text normalizes to, and the corpus carries that token."""
+        lexicon = tmp_path / "drugs.txt"
+        lexicon.write_text("Co-Codamol\neffexor\nst.johns\n")
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("t1\ttook co-codamol today, so dizzy\n"
+                       "t2\tmy st.johns wort is great\n"
+                       "t3\tEffexor dreams\n")
+        out_path = tmp_path / "out.tsv"
+        code, out, err = run_cli(monkeypatch, capsys, "preprocess", "--input", str(raw),
+                                 "--lexicon", str(lexicon), "--out", str(out_path))
+        assert (code, err) == (0, "")
+        assert out == "kept=3 rejected_no_drug=0 rejected_multi_drug=0 dropped_empty=0\n"
+        assert out_path.read_text() == ("t1\tcocodamol\ttook <DRUG> today dizzy\n"
+                                        "t2\tstjohns\t<DRUG> wort great\n"
+                                        "t3\teffexor\t<DRUG> dreams\n")
+
     def test_no_mask_keeps_drug_token(self, workspace, monkeypatch, capsys, tmp_path):
         masked = tmp_path / "masked.tsv"
         unmasked = tmp_path / "unmasked.tsv"
@@ -428,7 +446,7 @@ def _huge_embeddings_checkpoint(path):
     embeddings[0] = 0.0
     model = AdrModel(embeddings, hidden=2, drug_count=2, seed=0, vocab_tokens=tokens,
                      drug_names=["a", "b"])
-    model.encoder.forward_cell.i.value[...] = 1.0
+    model.cells[0].i.value[...] = 1.0
     save_checkpoint(model, path)
 
 
@@ -1009,22 +1027,38 @@ def test_input_without_records_is_data_error(workspace, monkeypatch, capsys, run
     assert not (workspace / "out").exists()
 
 
+def _stdin(data: bytes):
+    """A standard input holding ``data``, with the byte ``buffer`` that
+    ``predict`` reads."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def test_predict_reads_stdin_without_text(monkeypatch, capsys, tmp_path):
     ckpt = tmp_path / "model.ckpt"
     _save_tiny_checkpoint(ckpt)
     given = run_cli(monkeypatch, capsys, "predict", "--checkpoint", str(ckpt),
                     "--text", "ugh so dizzy")
     assert given[0] == 0 and given[1].startswith("ugh\t")
-    monkeypatch.setattr(sys, "stdin", io.StringIO("ugh so dizzy\n"))
+    monkeypatch.setattr(sys, "stdin", _stdin(b"ugh so dizzy\n"))
     assert run_cli(monkeypatch, capsys, "predict", "--checkpoint", str(ckpt)) == given
 
 
 def test_predict_warns_on_input_empty_after_preprocessing(monkeypatch, capsys, tmp_path):
     ckpt = tmp_path / "model.ckpt"
     _save_tiny_checkpoint(ckpt)
-    monkeypatch.setattr(sys, "stdin", io.StringIO("!!! 😷\n"))
+    monkeypatch.setattr(sys, "stdin", _stdin("!!! 😷\n".encode("utf-8")))
     assert run_cli(monkeypatch, capsys, "predict", "--checkpoint", str(ckpt)) == (
         0, "", "warning: input is empty after preprocessing\n")
+
+
+def test_predict_refuses_stdin_that_is_not_utf8(monkeypatch, capsys, tmp_path):
+    """Standard input is decoded as strict UTF-8 whatever the locale: a bad
+    byte is a data error naming its line, never a silently dropped character."""
+    ckpt = tmp_path / "model.ckpt"
+    _save_tiny_checkpoint(ckpt)
+    monkeypatch.setattr(sys, "stdin", _stdin(b"ugh\nso\xff dizzy\n"))
+    assert run_cli(monkeypatch, capsys, "predict", "--checkpoint", str(ckpt)) == (
+        EXIT_DATA, "", "error: <stdin>: line 2: not UTF-8 text (invalid start byte)\n")
 
 
 def test_pretrain_with_every_tweet_held_out_has_no_accuracy(workspace, monkeypatch, capsys,
@@ -1282,6 +1316,15 @@ FAILURES = {
                         ["cfg.yaml: line 2: not UTF-8"]),
     "lexicon-duplicate-name": ({"drugs.txt": "effexor\nEffexor\n"}, _PREPROCESS, DataError,
                                ["drugs.txt: line 2: duplicate drug name"]),
+    "lexicon-duplicate-once-normalized": (
+        {"drugs.txt": "Co-Codamol\neffexor\ncocodamol\n"}, _PREPROCESS, DataError,
+        ["drugs.txt: line 3: duplicate drug name 'cocodamol' (as line 1)"]),
+    "lexicon-name-normalizes-to-no-token": (
+        {"drugs.txt": "effexor\n!!!\n"}, _PREPROCESS, DataError,
+        ["drugs.txt: line 2: drug name '!!!' normalizes to no token, so it can never match"]),
+    "lexicon-name-normalizes-to-a-sentinel": (
+        {"drugs.txt": "effexor\n@bob\n"}, _PREPROCESS, DataError,
+        ["drugs.txt: line 2: drug name '@bob' normalizes to the sentinel <USER>"]),
     "vocab-token-with-space": ({"vocab.txt": _VOCAB + "u h\n"}, _TRAIN, DataError,
                                ["vocab.txt: line 8: token 'u h' is empty or holds whitespace"]),
     "vocab-blank-token": ({"vocab.txt": _VOCAB + "   \n"}, _TRAIN, DataError,

@@ -165,6 +165,6 @@ def test_overflowing_embedding_row_fails_instead_of_tagging():
     data = [([1, 2, 3], [2, 2, 2], "ok"), ([4, 5], [0, 2], "huge")]
     assert evaluate_tagging(model, data).gold == 1
     model.embeddings[5] = 1.7e308
-    model.encoder.backward_cell.i.value[...] = 1.0
+    model.cells[1].i.value[...] = 1.0
     with pytest.raises(NumericalError, match="encoder forward overflowed"):
         evaluate_tagging(model, data)

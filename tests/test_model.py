@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from adrtag import training
 from adrtag.encoding import TagLabel, decode_spans
 from adrtag.evaluation import MatchCounts, approximate_match, evaluate_tagging
-from adrtag.model import AdrModel, BiLSTMParams, LSTMCellParams, LinearHead, gradient_check
-from adrtag.numerics import DimensionError, Gradients
+from adrtag.model import AdrModel, LSTMCellParams, LinearHead, gradient_check
+from adrtag.numerics import Gradients
 from reference import (
     bilstm_forward,
     cross_entropy,
@@ -87,7 +87,7 @@ class TestCellStep:
 
     def test_dimension_mismatch(self):
         cell = make_cell(3, 2)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match=r"expected h \(3,\) and x \(2,\), got \(4,\)"):
             lstm_cell_step(cell, np.zeros(4), np.zeros(3), np.zeros(2))
 
 
@@ -101,10 +101,7 @@ def padded_states(enc):
 
 def make_encoder(hidden, emb, seed=0):
     rng = np.random.default_rng(seed)
-    return BiLSTMParams(
-        LSTMCellParams("fwd", hidden, emb, rng),
-        LSTMCellParams("bwd", hidden, emb, rng),
-    )
+    return LSTMCellParams("fwd", hidden, emb, rng), LSTMCellParams("bwd", hidden, emb, rng)
 
 
 class TestBiLSTM:
@@ -116,12 +113,12 @@ class TestBiLSTM:
         enc = make_encoder(3, 2, seed=1)
         x = np.array([0.3, -0.7])
         out = bilstm_forward(enc, [x])
-        hf, _ = lstm_cell_step(enc.forward_cell, np.zeros(3), np.zeros(3), x)
-        hb, _ = lstm_cell_step(enc.backward_cell, np.zeros(3), np.zeros(3), x)
+        hf, _ = lstm_cell_step(enc[0], np.zeros(3), np.zeros(3), x)
+        hb, _ = lstm_cell_step(enc[1], np.zeros(3), np.zeros(3), x)
         assert np.array_equal(out[0], np.concatenate([hf, hb]))
 
     def test_zero_parameters_zero_output(self):
-        enc = BiLSTMParams(zero_cell(2, 2), zero_cell(2, 2))
+        enc = zero_cell(2, 2), zero_cell(2, 2)
         out = bilstm_forward(enc, [np.ones(2), np.ones(2)])
         assert all(np.array_equal(o, np.zeros(4)) for o in out)
 
@@ -132,7 +129,7 @@ class TestBiLSTM:
         rng = np.random.default_rng(4)
         xs = [rng.normal(size=2) for _ in range(5)]
         out = bilstm_forward(enc, xs)
-        swapped = BiLSTMParams(enc.backward_cell, enc.forward_cell)
+        swapped = enc[::-1]
         out_rev = bilstm_forward(swapped, xs[::-1])
         for t in range(5):
             expected = np.concatenate([out[t][3:], out[t][:3]])
@@ -147,7 +144,7 @@ class TestBiLSTM:
         h = padded_states(model.encode_batch(indices, lengths))
         for b in range(2):
             seq = [model.embeddings[i] for i in indices[b, : lengths[b]]]
-            ref = bilstm_forward(model.encoder, seq)
+            ref = bilstm_forward(model.cells, seq)
             for t in range(lengths[b]):
                 np.testing.assert_allclose(h[b, t], ref[t], atol=1e-12)
 
@@ -228,7 +225,7 @@ class TestSequenceLoss:
         assert sequence_loss(preds, gold) == pytest.approx(expected, rel=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="1 predictions vs 2 gold tags"):
             sequence_loss([np.full(4, 0.25)], [TagLabel.O, TagLabel.O])
 
 
@@ -285,6 +282,18 @@ class TestBackward:
         assert sorted(grads) == sorted(p.name for p in model.tag_parameters())
         assert any(np.any(grads[p.name] != 0) for p in model.encoder_parameters())
 
+    @pytest.mark.parametrize("bad", [int(TagLabel.PAD), len(TagLabel), -1])
+    def test_tag_loss_refuses_an_unscored_tag_at_a_real_position(self, bad):
+        """Every real position is scored as I-ADR, I-IND or O; a tag past a
+        row's length is not read, so any value may fill it."""
+        model = AdrModel(
+            np.random.default_rng(1).normal(size=(8, 4)), hidden=3, drug_count=3, seed=2
+        )
+        idx, lengths = np.array([[1, 2, 3], [4, 5, 0]]), np.array([3, 2])
+        model.tag_loss(idx, lengths, np.array([[0, 1, 2], [2, 2, bad]]))
+        with pytest.raises(ValueError, match="must be I-ADR, I-IND or O"):
+            model.tag_loss(idx, lengths, np.array([[0, 1, 2], [2, bad, 0]]))
+
     def test_drug_loss_leaves_tag_head_untouched(self):
         model = AdrModel(
             np.random.default_rng(1).normal(size=(8, 4)), hidden=3, drug_count=3, seed=2
@@ -310,8 +319,8 @@ class TestBackward:
 
         original = m._backprop_encoder
 
-        def corrupted(cells, rec, dh, sink, shared_rows=False):
-            original(cells, rec, -dh, sink, shared_rows)
+        def corrupted(cells, enc, dh, sink, shared_rows=False):
+            original(cells, enc, -dh, sink, shared_rows)
 
         monkeypatch.setattr(m, "_backprop_encoder", corrupted)
         results = m.gradient_check(0)
@@ -351,7 +360,7 @@ class TestFusedLayout:
         model = AdrModel(np.zeros((5, E)), hidden=H, drug_count=2, seed=seed)
         rng = np.random.default_rng(seed)
         w_bound, i_bound = math.sqrt(6.0 / (2 * H)), math.sqrt(6.0 / (H + E))
-        for cell in (model.encoder.forward_cell, model.encoder.backward_cell):
+        for cell in model.cells:
             assert cell.w.value.shape == (4 * H, H) and cell.i.value.shape == (4 * H, E)
             for k in range(4):  # gates u, f, c, o
                 rows = slice(k * H, (k + 1) * H)
@@ -462,9 +471,9 @@ def _check_heads_match_reference(lengths, seed):
     tags = [rng.integers(0, int(TagLabel.PAD), size=n) for n in lengths]
     labels = rng.integers(0, 3, size=len(lengths))
     idx, n = training.pad_batch(ids, max_len=7)
-    gold = training.pad_batch(tags, max_len=7, pad_index=int(TagLabel.PAD))[0]
+    gold = training.pad_batch(tags, max_len=7)[0]
 
-    h_seqs = [bilstm_forward(model.encoder, model.embeddings[row]) for row in ids]
+    h_seqs = [bilstm_forward(model.cells, model.embeddings[row]) for row in ids]
     drug_ref = [predict_drug(model.drug_head, mean_pool(h, len(h))) for h in h_seqs]
     close = dict(rtol=1e-12, atol=0)
     np.testing.assert_allclose(model.predict_drug_batch(idx, n), drug_ref, **close)
@@ -602,7 +611,7 @@ class TestLockstepMatchesPerDirectionLoops:
             lengths[-1] = lengths[0]  # a tie
         idx = rng.integers(1, V, size=(batch, T))
         labels = rng.integers(0, D, size=batch)
-        tags = rng.integers(0, int(TagLabel.PAD) + 1, size=(batch, T))
+        tags = rng.integers(0, int(TagLabel.PAD), size=(batch, T))
         want = packed_oracle(model, idx, lengths, labels, tags)
 
         assert np.array_equal(model.encode_batch(idx, lengths).h, want["h"])

@@ -653,7 +653,7 @@ class TestNonFiniteLoss:
         data = synthetic.labeled_examples(vocab, 3, 12, seed=4)
         self.poison_one_tweet(model, data, 7)
         model.embeddings[np.isnan(model.embeddings)] = 1.7e308
-        model.encoder.forward_cell.i.value[...] = 1.0
+        model.cells[0].i.value[...] = 1.0
         with pytest.raises(NumericalError,
                            match=r"supervised epoch 0: encoder forward overflowed: .*\bl7$"):
             train_supervised(data, model, supervised_config(epochs=1, max_len=12))
@@ -825,8 +825,7 @@ def test_per_gate_v1_checkpoint_fills_fused_blocks(tmp_path, gate_biases):
 
     model = load_checkpoint(path)
     by_name = dict(arrays)
-    cells = {"fwd": model.encoder.forward_cell, "bwd": model.encoder.backward_cell}
-    for prefix, cell in cells.items():
+    for prefix, cell in zip(("fwd", "bwd"), model.cells):
         for k, g in enumerate(("u", "f", "c", "o")):
             rows = slice(k * H, (k + 1) * H)
             assert np.array_equal(cell.w.value[rows], by_name[f"{prefix}.w_{g}"])

@@ -39,8 +39,11 @@ ALLOWED = {
      'raise RuntimeError("backward_drug requires the cache from drug_loss")'):
         "_train runs each cache's backward once, right after its drug_loss",
     ("model.py", "AdrModel.tag_loss",
-     'raise DimensionError(f"tags {tags.shape} must align with tokens {enc.indices.shape}")'):
+     'raise ValueError(f"tags {tags.shape} must align with tokens {enc.indices.shape}")'):
         "train_supervised pads tags and tokens of equal lengths alike",
+    ("model.py", "AdrModel.tag_loss",
+     'raise ValueError("a tag at a real position must be I-ADR, I-IND or O (0, 1 or 2)")'):
+        "read_conll refuses the <PAD> tag, so every tag train reads is I-ADR, I-IND or O",
     ("model.py", "AdrModel.backward_tags",
      'raise RuntimeError("backward_tags requires the cache from tag_loss")'):
         "_train runs each cache's backward once, right after its tag_loss",
