@@ -91,8 +91,8 @@ def _train_config(factory, settings) -> training.TrainConfig:
 
 
 def _read_unlabeled(path):
-    """Unlabeled corpus: one tweet per line, 'tweet_id<TAB>raw_text'."""
-    tweets = []
+    """Yield each tweet of an unlabeled corpus as it is read: one tweet per
+    line, 'tweet_id<TAB>raw_text'."""
     with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -101,14 +101,14 @@ def _read_unlabeled(path):
             parts = line.split("\t", 1)
             if len(parts) != 2:
                 raise DataError(f"{path}: line {lineno}: expected 'id<TAB>text'")
-            tweets.append((parts[0], parts[1]))
-    return tweets
+            yield parts[0], parts[1]
 
 
 def _read_processed(path):
-    """Drug-context corpus written by `adr preprocess`:
-    'tweet_id<TAB>drug_name<TAB>space-joined tokens', at least one record."""
-    out = []
+    """Yield each record of a drug-context corpus written by `adr preprocess`
+    as it is read: 'tweet_id<TAB>drug_name<TAB>space-joined tokens'. A file
+    without a record ends the stream with a DataError."""
+    found = False
     with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -116,16 +116,14 @@ def _read_processed(path):
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
-                raise DataError(
-                    f"{path}: line {lineno}: expected 'id<TAB>drug<TAB>tokens'"
-                )
+                raise DataError(f"{path}: line {lineno}: expected 'id<TAB>drug<TAB>tokens'")
             tokens = parts[2].split()
             if not tokens:
                 raise DataError(f"{path}: line {lineno}: record has no tokens")
-            out.append((parts[0], parts[1], tokens))
-    if not out:
+            found = True
+            yield parts[0], parts[1], tokens
+    if not found:
         raise DataError(f"{path}: no records found")
-    return out
 
 
 def _read_sentences(path):
@@ -144,10 +142,9 @@ def _encode_labeled(sentences, vocab):
     return data
 
 
-def _build_model_from_inputs(vocab_path, embeddings_path, settings, seed, drug_names=None):
-    """A fresh model over the vocabulary and embeddings files; ``seed`` draws
+def _build_model_from_inputs(vocab, embeddings_path, settings, seed, drug_names=None):
+    """A fresh model over ``vocab`` and the embeddings file; ``seed`` draws
     the missing embedding rows and the weights."""
-    vocab = text.Vocabulary.load(vocab_path)
     table = text.load_embeddings(embeddings_path, vocab, seed=seed)
     model = AdrModel(
         table.vectors,
@@ -158,7 +155,7 @@ def _build_model_from_inputs(vocab_path, embeddings_path, settings, seed, drug_n
         drug_names=drug_names,
         **{k: settings[k] for k in ("pooling", "gate_biases") if k in settings},
     )
-    return model, vocab, table
+    return model, table
 
 
 def _load_tagger(checkpoint, expected_hidden=None):
@@ -203,34 +200,32 @@ def preprocess(input_path, lexicon, stopwords, out_path, drug_mask):
     """Normalize raw tweets and keep those with exactly one drug mention."""
     lex = text.DrugLexicon.load(lexicon)
     stop = text.load_stopwords(stopwords) if stopwords else text.default_stopwords()
-    tweets = _read_unlabeled(input_path)
-    if not tweets:
-        raise DataError(f"{input_path}: no tweets found")
-    lines = []
-    no_drug = multi_drug = empty = 0
-    for tweet_id, raw in tweets:
-        tokens = text.remove_stopwords(text.tokenize(text.normalize(raw)), stop)
-        if not tokens:
-            empty += 1
-            continue
-        try:
-            ex = text.mask_drug(text.TokenizedTweet(tokens, tweet_id), lex, mask=drug_mask)
-        except text.NoDrugMention:
-            no_drug += 1
-            continue
-        except text.MultipleDrugMentions:
-            multi_drug += 1
-            continue
-        lines.append(f"{ex.source_id}\t{lex.names[ex.drug_label]}\t{' '.join(ex.tokens)}\n")
-    click.echo(
-        f"kept={len(lines)} rejected_no_drug={no_drug} "
-        f"rejected_multi_drug={multi_drug} dropped_empty={empty}"
-    )
-    if not lines:
-        raise DataError(f"{input_path}: no tweets survived preprocessing with the lexicon "
-                        f"{lexicon}")
+    kept = no_drug = multi_drug = empty = 0
     with atomic_write(out_path) as fh:
-        fh.writelines(lines)
+        for tweet_id, raw in _read_unlabeled(input_path):
+            tokens = text.remove_stopwords(text.tokenize(text.normalize(raw)), stop)
+            if not tokens:
+                empty += 1
+                continue
+            try:
+                ex = text.mask_drug(text.TokenizedTweet(tokens, tweet_id), lex, mask=drug_mask)
+            except text.NoDrugMention:
+                no_drug += 1
+                continue
+            except text.MultipleDrugMentions:
+                multi_drug += 1
+                continue
+            kept += 1
+            fh.write(f"{ex.source_id}\t{lex.names[ex.drug_label]}\t{' '.join(ex.tokens)}\n")
+        if not kept + no_drug + multi_drug + empty:
+            raise DataError(f"{input_path}: no tweets found")
+        click.echo(
+            f"kept={kept} rejected_no_drug={no_drug} "
+            f"rejected_multi_drug={multi_drug} dropped_empty={empty}"
+        )
+        if not kept:
+            raise DataError(f"{input_path}: no tweets survived preprocessing with the lexicon "
+                            f"{lexicon}")
 
 
 @cli.command("build-vocab")
@@ -242,14 +237,18 @@ def build_vocab(unlabeled, labeled, cap, out_path):
     """Build the capped frequency vocabulary and write one token per line."""
     if not (unlabeled or labeled):
         raise click.UsageError("need --labeled and/or --unlabeled input")
-    streams = []
-    if unlabeled:
-        streams.extend(tokens for _, _, tokens in _read_processed(unlabeled))
-    if labeled:
-        for tokens, _ in _read_sentences(labeled):
-            streams.append([text.normalize_token(t) for t in tokens])
+
+    def streams():
+        if unlabeled:
+            yield from (tokens for _, _, tokens in _read_processed(unlabeled))
+        if labeled:
+            for tokens, _ in _read_sentences(labeled):
+                yield [text.normalize_token(t) for t in tokens]
+
     try:
-        vocab = text.Vocabulary.build(streams, cap=cap)
+        vocab = text.Vocabulary.build(streams(), cap=cap)
+    except DataError:  # a reader's, raised while build counts
+        raise
     except ValueError:  # not the cap, which click checked: no token but sentinels
         inputs = " and ".join(p for p in (unlabeled, labeled) if p)
         raise DataError(f"{inputs}: no token to keep; each is a sentinel or a word that "
@@ -274,15 +273,15 @@ def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, config_path
     lex = text.DrugLexicon.load(lexicon)
     if len(lex) < 2:
         raise DataError(f"{lexicon}: drug lexicon must contain at least 2 names, has {len(lex)}")
-    records = _read_processed(corpus)
-    for _, drug, _ in records:
+    vocab_obj = text.Vocabulary.load(vocab)
+    examples = []
+    for tweet_id, drug, tokens in _read_processed(corpus):
         if drug not in lex.index:
             raise DataError(f"{corpus}: unknown drug name {drug!r}")
-    model, vocab_obj, table = _build_model_from_inputs(vocab, embeddings, settings,
-                                                       train_cfg.seed, lex.names)
+        examples.append((vocab_obj.indices(tokens), lex.index[drug], tweet_id))
+    model, table = _build_model_from_inputs(vocab_obj, embeddings, settings, train_cfg.seed,
+                                            lex.names)
     click.echo(f"embedding coverage: {table.coverage:.3f}")
-    examples = [(vocab_obj.indices(tokens), lex.index[drug], tweet_id)
-                for tweet_id, drug, tokens in records]
     _echo_truncation([e[0] for e in examples], train_cfg.max_len)
     log = training.pretrain(examples, model, train_cfg)
     training.save_checkpoint(model, _ckpt_path(out_path))
@@ -326,8 +325,8 @@ def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path,
             raise click.UsageError(
                 "--vocab and --embeddings are required without --init-checkpoint"
             )
-        model, vocab_obj, _ = _build_model_from_inputs(vocab, embeddings, settings,
-                                                       train_cfg.seed)
+        vocab_obj = text.Vocabulary.load(vocab)
+        model, _ = _build_model_from_inputs(vocab_obj, embeddings, settings, train_cfg.seed)
     data = _encode_labeled(_read_sentences(labeled), vocab_obj)
     click.echo(f"training tweets: {len(data)}")
     _echo_truncation([d[0] for d in data], train_cfg.max_len)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 import weakref
 from dataclasses import fields
 from pathlib import Path
@@ -976,15 +977,21 @@ _VOCAB = "<PAD>\n<UNK>\n<LINK>\n<USER>\n<DRUG>\nugh\ndizzy\n"
 def test_corpus_record_without_tokens_is_data_error(workspace, monkeypatch, capsys, tmp_path,
                                                     command):
     """A record `adr preprocess` never writes is refused, naming its file and
-    line, before any embeddings load or vocabulary is built."""
+    line, before any embeddings load or a vocabulary is built. build-vocab
+    counts while it reads, so `Vocabulary.build` is entered but never returns."""
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("1\teffexor\tugh <DRUG>\n2\tibuprofen\t\n")
     vocab = tmp_path / "vocab.txt"
     vocab.write_text(_VOCAB)
     monkeypatch.setattr(cli_module.text, "load_embeddings",
                         lambda *a, **kw: pytest.fail("embeddings loaded"))
-    monkeypatch.setattr(cli_module.text.Vocabulary, "build",
-                        lambda *a, **kw: pytest.fail("vocabulary built"))
+    build = cli_module.text.Vocabulary.build
+
+    def build_never_returns(*a, **kw):
+        build(*a, **kw)
+        pytest.fail("vocabulary built")
+
+    monkeypatch.setattr(cli_module.text.Vocabulary, "build", build_never_returns)
     out = tmp_path / "out"
     args = {
         "pretrain": ["--corpus", str(corpus), "--vocab", str(vocab),
@@ -1549,3 +1556,114 @@ def test_damaged_text_input_never_ends_in_a_traceback(workspace, monkeypatch, ca
     assert code in (0, EXIT_DATA), err
     assert out.exists() == (code == 0)
     assert code == 0 or (err.startswith("error: ") and str(damaged) in err), err
+
+
+# The corpus commands read their input in one pass and keep none of it as
+# token lists: `preprocess` writes each kept tweet as it reads it,
+# `build-vocab` counts each record's tokens, and `pretrain` keeps only each
+# record's ids, drug label and tweet id.
+
+_CORPUS_WORDS = [f"w{i}" for i in range(300)]
+
+
+def _write_corpus(path, records, tokens=20):
+    """``records`` lines as `preprocess` writes them, each ``tokens`` words
+    drawn from ``_CORPUS_WORDS``."""
+    rng = np.random.default_rng(0)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(records):
+            words = " ".join(_CORPUS_WORDS[j] for j in rng.integers(0, 300, tokens))
+            fh.write(f"t{i}\teffexor\t{words}\n")
+
+
+def _traced_peak(monkeypatch, capsys, *argv) -> int:
+    """The peak bytes Python allocates while `adr` runs ``argv``, which must succeed."""
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(monkeypatch, capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    return peak
+
+
+def test_pretrain_keeps_a_corpus_token_as_its_id(workspace, monkeypatch, capsys, tmp_path):
+    """What one more corpus token costs `pretrain --epochs 0` at its peak:
+    its id's slot in the record's id list, plus the record's share of its
+    tuple, list and tweet id: 18 B at 20 tokens a record. Keeping each token's
+    string as well, as a list of token lists does, costs 87 B. The bound,
+    40 B, sits at about twice the first and under half the second."""
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("\n".join(["<PAD>", "<UNK>", "<LINK>", "<USER>", "<DRUG>",
+                                *_CORPUS_WORDS]) + "\n")
+    emb = tmp_path / "emb.txt"
+    emb.write_text("2 2\nw0 0.1 0.2\nw1 -0.1 0.3\n")
+    peaks = {}
+    for records in (1000, 3000):
+        corpus = tmp_path / f"corpus{records}.tsv"
+        _write_corpus(corpus, records)
+        peaks[records] = _traced_peak(
+            monkeypatch, capsys, "pretrain", "--corpus", str(corpus), "--vocab", str(vocab),
+            "--embeddings", str(emb), "--lexicon", str(workspace / "drugs.txt"),
+            "--hidden", "2", "--epochs", "0", "--out", str(tmp_path / "out.ckpt"))
+    per_token = (peaks[3000] - peaks[1000]) / (2000 * 20)
+    assert per_token < 40, f"{per_token:.1f} B a corpus token"
+
+
+def test_build_vocab_peak_does_not_grow_with_the_corpus(monkeypatch, capsys, tmp_path):
+    """Ten times the records over the same 300 words leaves the peak within
+    64 KB; keeping the records as token lists adds 2.5 MB."""
+    peaks = []
+    for records in (200, 2000):
+        corpus = tmp_path / f"corpus{records}.tsv"
+        _write_corpus(corpus, records)
+        peaks.append(_traced_peak(monkeypatch, capsys, "build-vocab", "--unlabeled",
+                                  str(corpus), "--out", str(tmp_path / "vocab.txt")))
+    assert peaks[1] - peaks[0] < 64 * 1024, peaks
+
+
+def test_preprocess_may_write_over_its_input(workspace, monkeypatch, capsys, tmp_path):
+    """With --out equal to --input the input is read to its end before the
+    output replaces it, so the result is what a separate output receives."""
+    raw = tmp_path / "raw-copy.tsv"
+    raw.write_bytes((workspace / "raw.tsv").read_bytes())
+    outputs = []
+    for src, out in ((workspace / "raw.tsv", tmp_path / "separate.tsv"), (raw, raw)):
+        code, stdout, err = run_cli(monkeypatch, capsys, "preprocess", "--input", str(src),
+                                    "--lexicon", str(workspace / "drugs.txt"), "--out", str(out))
+        assert code == 0, err
+        outputs.append((stdout, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert not [p.name for p in tmp_path.iterdir() if ".tmp" in p.name]
+
+
+# A corpus command -> (a good line of its input, the bad line 30, its command
+# line reading that input as "{bad}").
+_RECORD = "{}\teffexor\tugh <DRUG> dizzy"
+BAD_MIDDLE_LINE_RUNS = {
+    "preprocess": ("{}\tugh effexor", "t29 no tab here",
+                   "preprocess --input {bad} --lexicon {ws}/drugs.txt"),
+    "build-vocab": (_RECORD, "t29\teffexor", "build-vocab --unlabeled {bad}"),
+    "pretrain": (_RECORD, "t29\teffexor", "pretrain --corpus {bad} --vocab {ws}/vocab.txt"
+                 " --embeddings {ws}/emb.txt --lexicon {ws}/drugs.txt --hidden 2 --epochs 0"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_MIDDLE_LINE_RUNS))
+def test_bad_line_in_the_middle_of_a_corpus_is_data_error(workspace, monkeypatch, capsys,
+                                                          command):
+    """A line read after 29 good ones is refused with exit 2 naming it, and
+    the command leaves neither its output nor the output's temporary file."""
+    (workspace / "vocab.txt").write_text(_VOCAB)
+    good, bad_line, run = BAD_MIDDLE_LINE_RUNS[command]
+    lines = [good.format(f"t{i}") for i in range(60)]
+    lines[29] = bad_line
+    bad = workspace / "bad.tsv"
+    bad.write_text("\n".join(lines) + "\n")
+    listing = sorted(p.name for p in workspace.iterdir())
+    argv = run.format(ws=workspace, bad=bad).split()
+    code, _, err = run_cli(monkeypatch, capsys, *argv, "--out", str(workspace / "out"))
+    assert code == EXIT_DATA, err
+    assert f"error: {bad}: line 30: " in err and "Traceback" not in err
+    assert sorted(p.name for p in workspace.iterdir()) == listing

@@ -1,0 +1,208 @@
+"""Check that a change keeps every output byte of `adr`.
+
+Runs one fixed list of `adr` commands on two revisions of the repository,
+over one seeded input set, and compares what each command did: its exit
+code, stdout, stderr and the sha256 of every file it wrote. A training log
+(a written ``*.jsonl`` file) is compared with its ``wall_time`` fields
+removed, the one value allowed to differ between runs.
+
+Each side is extracted with ``git archive`` into a temporary directory; the
+change side defaults to the working tree. Both sides run with
+``PYTHONPATH=<side>/src`` and one BLAS thread. Prints one line per command
+and a summary, and exits 1 if any command differs. Standard library only.
+
+Usage, from anywhere in a checkout:
+
+    python tools/identity.py --parent REV [--change REV]
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import random
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+THREADS = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                  "MKL_NUM_THREADS")}
+
+# (name, command line after `adr`, stdin text or None), run in order in one directory
+# that starts with the input set; later commands read earlier outputs.
+COMMANDS = [
+    ("preprocess", "preprocess --input raw.tsv --lexicon drugs.txt --out corpus.tsv", None),
+    ("preprocess-no-mask", "preprocess --input raw.tsv --lexicon drugs.txt --no-drug-mask"
+     " --stopwords stop.txt --out corpus-nomask.tsv", None),
+    ("preprocess-in-place", "preprocess --input inplace.tsv --lexicon drugs.txt"
+     " --out inplace.tsv", None),
+    ("build-vocab-unlabeled", "build-vocab --unlabeled corpus.tsv --cap 60"
+     " --out vocab-unlabeled.txt", None),
+    ("build-vocab-labeled", "build-vocab --labeled train.tsv --out vocab-labeled.txt", None),
+    ("build-vocab", "build-vocab --unlabeled corpus.tsv --labeled train.tsv --out vocab.txt",
+     None),
+    ("pretrain-mean", "pretrain --corpus corpus.tsv --vocab vocab.txt --embeddings emb.txt"
+     " --lexicon drugs.txt --hidden 6 --epochs 2 --batch-size 16 --out pre-mean.ckpt"
+     " --log pre-mean.jsonl", None),
+    ("pretrain-sum-no-biases", "pretrain --corpus corpus.tsv --vocab vocab.txt"
+     " --embeddings emb.txt --lexicon drugs.txt --hidden 6 --epochs 2 --batch-size 16"
+     " --pooling sum --no-gate-biases --max-len 8 --out pre-sum.ckpt --log pre-sum.jsonl",
+     None),
+    ("train-b1-from-pretrained", "train --labeled train.tsv --init-checkpoint pre-mean.ckpt"
+     " --epochs 5 --batch-size 1 --learning-rate 0.02 --out tagger-b1.ckpt"
+     " --log tagger-b1.jsonl", None),
+    ("train-b4-fresh", "train --labeled train.tsv --vocab vocab.txt --embeddings emb.txt"
+     " --hidden 6 --epochs 10 --batch-size 4 --learning-rate 0.05 --out tagger-b4.ckpt"
+     " --log tagger-b4.jsonl", None),
+    ("evaluate", "evaluate --checkpoint tagger-b4.ckpt --test test.tsv --report eval1.txt",
+     None),
+    ("evaluate-3-trials", "evaluate --checkpoint tagger-b1.ckpt --test test.tsv --trials 3"
+     " --labeled train.tsv --epochs 2 --report eval3.txt", None),
+    ("predict-text", "predict --checkpoint tagger-b4.ckpt"
+     " --text 'this cymbalta gives me a headache and weird dreams'", None),
+    ("predict-stdin", "predict --checkpoint tagger-b1.ckpt", "ugh effexor made me so dizzy\n"),
+    ("gradcheck", "gradcheck --seeds 2", None),
+    ("fail-usage", "train --labeled train.tsv --out never.ckpt", None),
+    ("fail-data", "pretrain --corpus raw.tsv --vocab vocab.txt --embeddings emb.txt"
+     " --lexicon drugs.txt --out never.ckpt", None),
+    ("fail-numerical", "train --labeled train.tsv --vocab vocab.txt --embeddings huge.txt"
+     " --hidden 2 --epochs 1 --out never.ckpt", None),
+]
+
+DRUGS = ["effexor", "cymbalta", "seroquel", "lyrica"]
+WORDS = ["ugh", "feel", "weird", "dizzy", "sleepy", "head", "hurts", "bad", "cant", "sleep",
+         "today", "week", "still", "headache", "dreams", "nausea", "so", "tired", "the", "and"]
+# Tags a tiny tagger learns in a few epochs, so that `evaluate` reports more than zeros.
+TAGS = {"dizzy": "I-ADR", "headache": "I-ADR", "nausea": "I-ADR", "sleep": "I-IND"}
+
+
+def write_inputs(directory: Path):
+    """The seeded input set every side starts from."""
+    rng = random.Random(7)
+    raw = []
+    for i in range(160):
+        words = [rng.choice(WORDS) for _ in range(rng.randint(3, 12))]
+        kind = i % 8
+        if kind < 6:  # one drug mention; kinds 6 and 7 have none or two
+            words.insert(rng.randrange(len(words) + 1), DRUGS[i % len(DRUGS)])
+        elif kind == 7:
+            words += [DRUGS[0], DRUGS[1]]
+        raw.append(f"t{i}\t{' '.join(words)}{' @someone' if i % 5 == 0 else ''}\n")
+    raw.append("t-empty\tthe and the\n")
+    (directory / "raw.tsv").write_text("".join(raw), encoding="utf-8")
+    (directory / "inplace.tsv").write_text("".join(raw[:40]), encoding="utf-8")
+    (directory / "drugs.txt").write_text("\n".join(DRUGS) + "\n", encoding="utf-8")
+    (directory / "stop.txt").write_text("so\nthe\n", encoding="utf-8")
+
+    def conll(n):
+        sentences = []
+        for _ in range(n):
+            words = [rng.choice(WORDS) for _ in range(rng.randint(3, 9))]
+            tags = [TAGS.get(w, "O") for w in words]
+            sentences.append("".join(f"{w}\t{t}\n" for w, t in zip(words, tags)))
+        return "\n".join(sentences)
+
+    (directory / "train.tsv").write_text(conll(24), encoding="utf-8")
+    (directory / "test.tsv").write_text(conll(12), encoding="utf-8")
+    known = WORDS[:-4]  # the last four get seeded random rows
+    rows = [f"{w} " + " ".join(f"{rng.uniform(-0.5, 0.5):.5f}" for _ in range(5)) + "\n"
+            for w in known]
+    (directory / "emb.txt").write_text(f"{len(known)} 5\n" + "".join(rows), encoding="utf-8")
+    huge = [f"{w} " + " ".join(["1.7e308"] * 5) + "\n" for w in known]
+    (directory / "huge.txt").write_text(f"{len(known)} 5\n" + "".join(huge), encoding="utf-8")
+
+
+def digest(name: str, data: bytes) -> str:
+    """sha256 of a written file; a ``*.jsonl`` log is hashed without ``wall_time``."""
+    if name.endswith(".jsonl"):
+        try:
+            records = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+            for record in records:
+                record.pop("wall_time", None)
+            data = "\n".join(json.dumps(r, sort_keys=True) for r in records).encode("utf-8")
+        except (ValueError, AttributeError):
+            pass  # not a log of JSON objects: hash its bytes
+    return hashlib.sha256(data).hexdigest()
+
+
+def outcome(code: int, stdout: str, stderr: str, files: dict) -> dict:
+    """What one command did; ``files`` maps each file it wrote to its bytes."""
+    return {"exit": code, "stdout": stdout, "stderr": stderr,
+            "files": {name: digest(name, data) for name, data in files.items()}}
+
+
+def differences(parent: dict, change: dict) -> list:
+    """What differs between two outcomes of one command, in words."""
+    diff = [field for field in ("exit", "stdout", "stderr") if parent[field] != change[field]]
+    for name in sorted(set(parent["files"]) | set(change["files"])):
+        if name not in change["files"]:
+            diff.append(f"{name} not written")
+        elif name not in parent["files"]:
+            diff.append(f"{name} written only by the change")
+        elif parent["files"][name] != change["files"][name]:
+            diff.append(f"{name} differs")
+    return diff
+
+
+def _snapshot(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
+
+
+def run_side(src: Path, inputs: Path, work: Path) -> dict:
+    """Run COMMANDS with ``src`` on the package path in a copy of ``inputs``."""
+    shutil.copytree(inputs, work)
+    env = {k: v for k, v in os.environ.items() if k != "ADR_CHECKPOINT_DIR"}
+    env.update(THREADS, PYTHONPATH=str(src))
+    results = {}
+    for name, args, stdin in COMMANDS:
+        before = _snapshot(work)
+        proc = subprocess.run([sys.executable, "-m", "adrtag.cli", *shlex.split(args)],
+                              cwd=work, env=env,
+                              input=(stdin or "").encode("utf-8"), capture_output=True)
+        after = _snapshot(work)
+        written = {n: data for n, data in after.items() if before.get(n) != data}
+        results[name] = outcome(proc.returncode, proc.stdout.decode("utf-8", "replace"),
+                                proc.stderr.decode("utf-8", "replace"), written)
+    return results
+
+
+def extract(rev: str, dest: Path) -> Path:
+    """``rev``'s tree, from ``git archive``, under ``dest``."""
+    dest.mkdir()
+    blob = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                          capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=blob, check=True)
+    return dest
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="revision to compare against")
+    ap.add_argument("--change", help="revision of the change (default: the working tree)")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="adr-identity-") as tmp:
+        tmp = Path(tmp)
+        inputs = tmp / "inputs"
+        inputs.mkdir()
+        write_inputs(inputs)
+        parent = run_side(extract(args.parent, tmp / "parent") / "src", inputs, tmp / "run-parent")
+        change_root = extract(args.change, tmp / "change") if args.change else ROOT
+        change = run_side(change_root / "src", inputs, tmp / "run-change")
+    differing = 0
+    for name, _, _ in COMMANDS:
+        diff = differences(parent[name], change[name])
+        differing += bool(diff)
+        status = f"DIFF {'; '.join(diff)}" if diff else "same"
+        print(f"{name}: exit {parent[name]['exit']}, "
+              f"{len(parent[name]['files'])} file(s) written: {status}")
+    print(f"identity: {differing} of {len(COMMANDS)} commands differ between {args.parent} "
+          f"and {args.change or 'the working tree'}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
