@@ -65,9 +65,11 @@ def _resolve_settings(config_path, flags) -> dict:
     if config_path is not None:
         with reading(config_path) as fh:
             try:
-                cfg = yaml.safe_load(fh) or {}
+                cfg = yaml.safe_load(fh)
             except yaml.YAMLError as exc:
                 raise click.UsageError(f"{config_path}: not valid YAML: {exc}") from exc
+        if cfg is None:  # an empty document
+            cfg = {}
         if not isinstance(cfg, dict):
             raise click.UsageError(f"{config_path}: config must be a mapping")
         unknown = sorted(str(k) for k in cfg if k not in TRAINING_SETTINGS)
@@ -408,22 +410,11 @@ def predict(checkpoint, raw_text):
 
 @cli.command()
 @click.option("--seeds", default=10, show_default=True, type=click.IntRange(min=1))
-@click.option("--emb", default=5, show_default=True, type=click.IntRange(min=1))
-@click.option("--hidden", default=7, show_default=True, type=click.IntRange(min=1))
-@click.option("--timesteps", default=4, show_default=True, type=click.IntRange(min=1))
-@click.option("--drugs", default=3, show_default=True, type=click.IntRange(min=2))
-@click.option("--epsilon", default=1e-5, show_default=True,
-              type=click.FloatRange(min=0, min_open=True))
-@click.option("--tolerance", default=1e-4, show_default=True,
-              type=click.FloatRange(min=0, min_open=True))
-def gradcheck(seeds, emb, hidden, timesteps, drugs, epsilon, tolerance):
+def gradcheck(seeds):
     """Verify analytic gradients of both heads against finite differences."""
     failed = False
     for seed in range(seeds):
-        for res in gradient_check(
-            seed, emb=emb, hidden=hidden, timesteps=timesteps, drugs=drugs,
-            epsilon=epsilon, tolerance=tolerance,
-        ):
+        for res in gradient_check(seed):
             status = "ok" if res.ok else "FAIL"
             click.echo(
                 f"seed={res.seed} head={res.head} max_rel_err={res.max_rel_err:.2e} "

@@ -19,7 +19,8 @@ import numpy as np
 
 from .encoding import TagLabel
 from .errors import NumericalError
-from .numerics import PROB_FLOOR, Parameter, sigmoid, softmax_rows
+from .numerics import (PROB_FLOOR, Gradients, Parameter, finite_difference_gradient, sigmoid,
+                       softmax_rows)
 
 GATES = ("u", "f", "c", "o")  # row-block order of the fused gate arrays
 FORGET_BIAS = 1.0
@@ -432,6 +433,12 @@ class AdrModel:
 # Gradient verification
 # ---------------------------------------------------------------------------
 
+# The self-check's tiny model (embedding width, hidden size, timesteps, drug
+# classes), its central-difference step and the relative error it accepts.
+GRADCHECK_EMB, GRADCHECK_HIDDEN, GRADCHECK_TIMESTEPS, GRADCHECK_DRUGS = 5, 7, 4, 3
+GRADCHECK_EPSILON = 1e-5
+GRADCHECK_TOLERANCE = 1e-4
+
 
 @dataclass
 class GradCheckResult:
@@ -451,28 +458,19 @@ def _relative_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
     return rel
 
 
-def gradient_check(
-    seed: int,
-    emb: int = 5,
-    hidden: int = 7,
-    timesteps: int = 4,
-    drugs: int = 3,
-    epsilon: float = 1e-5,
-    tolerance: float = 1e-4,
-) -> List[GradCheckResult]:
+def gradient_check(seed: int) -> List[GradCheckResult]:
     """Compare analytic gradients of both heads against finite differences
-    on a randomly initialized tiny model. Returns one result per head."""
-    from .numerics import Gradients, finite_difference_gradient
-
+    on a randomly initialized tiny model of the GRADCHECK_* shape. Returns one
+    result per head."""
     rng = np.random.default_rng(seed)
     vocab_size = 11
-    embeddings = rng.normal(scale=0.5, size=(vocab_size, emb))
-    model = AdrModel(embeddings, hidden=hidden, drug_count=drugs, seed=seed)
-    B = 2
-    indices = rng.integers(1, vocab_size, size=(B, timesteps))
-    lengths = np.array([timesteps, max(1, timesteps - 1)])
-    labels = rng.integers(0, drugs, size=B)
-    tags = rng.integers(0, len(TagLabel) - 1, size=(B, timesteps))
+    embeddings = rng.normal(scale=0.5, size=(vocab_size, GRADCHECK_EMB))
+    model = AdrModel(embeddings, hidden=GRADCHECK_HIDDEN, drug_count=GRADCHECK_DRUGS, seed=seed)
+    B, T = 2, GRADCHECK_TIMESTEPS
+    indices = rng.integers(1, vocab_size, size=(B, T))
+    lengths = np.array([T, max(1, T - 1)])
+    labels = rng.integers(0, GRADCHECK_DRUGS, size=B)
+    tags = rng.integers(0, len(TagLabel) - 1, size=(B, T))
 
     results = []
     for head, params, loss_fn, backward in (
@@ -491,7 +489,7 @@ def gradient_check(
     ):
         analytic = Gradients()
         backward(analytic)
-        numeric = finite_difference_gradient(loss_fn, params, epsilon)
+        numeric = finite_difference_gradient(loss_fn, params, GRADCHECK_EPSILON)
         worst = ("", 0.0)
         for p in params:
             rel = _relative_errors(analytic[p.name], numeric[p.name])
@@ -504,7 +502,7 @@ def gradient_check(
                 seed=seed,
                 max_rel_err=worst[1],
                 worst_param=worst[0],
-                ok=worst[1] < tolerance,
+                ok=worst[1] < GRADCHECK_TOLERANCE,
             )
         )
     return results

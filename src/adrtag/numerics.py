@@ -65,15 +65,14 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 def finite_difference_gradient(
     loss_fn: Callable[[], float],
     params: Sequence[Parameter],
-    epsilon: float = 1e-5,
+    epsilon: float,
 ) -> Dict[str, np.ndarray]:
-    """Central-difference gradient estimate for every entry of every parameter.
+    """Central-difference gradient estimate, with step ``epsilon``, for every
+    entry of every parameter.
 
     ``loss_fn`` must be a deterministic closure over ``params``. Parameter
     values are restored before returning.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     grads: Dict[str, np.ndarray] = {}
     for p in params:
         g = np.zeros_like(p.value)

@@ -111,8 +111,7 @@ def remove_stopwords(tokens: Sequence[str], stopwords: Iterable[str]) -> List[st
 
 def default_stopwords() -> frozenset:
     """The small English stopword list shipped with the package."""
-    text = resources.files("adrtag.data").joinpath("stopwords.txt").read_text("utf-8")
-    return frozenset(line.strip() for line in text.splitlines() if line.strip())
+    return load_stopwords(resources.files("adrtag.data").joinpath("stopwords.txt"))
 
 
 def _read_words(path, kind: str, use: str) -> List[Tuple[int, str, str]]:

@@ -42,8 +42,7 @@ def test_criterion_1_gradient_fidelity():
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(10):
-        for res in gradient_check(seed, emb=5, hidden=7, timesteps=4, drugs=3,
-                                  epsilon=1e-5, tolerance=1e-4):
+        for res in gradient_check(seed):
             worst = max(worst, res.max_rel_err)
             assert res.ok, res
     elapsed = time.perf_counter() - t0

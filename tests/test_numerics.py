@@ -141,25 +141,20 @@ class TestCrossEntropy:
 class TestFiniteDifference:
     def test_quadratic(self):
         p = Parameter("w", np.array([[3.0]]))
-        grads = finite_difference_gradient(lambda: float(p.value[0, 0] ** 2), [p])
+        grads = finite_difference_gradient(lambda: float(p.value[0, 0] ** 2), [p], 1e-5)
         assert grads["w"][0, 0] == pytest.approx(6.0, abs=1e-8)
         assert p.value[0, 0] == 3.0  # restored
 
     def test_constant_function(self):
         p = Parameter("w", np.arange(6.0).reshape(2, 3))
-        grads = finite_difference_gradient(lambda: 1.5, [p])
+        grads = finite_difference_gradient(lambda: 1.5, [p], 1e-5)
         assert np.array_equal(grads["w"], np.zeros((2, 3)))
-
-    def test_bad_epsilon(self):
-        p = Parameter("w", np.zeros((1, 1)))
-        with pytest.raises(ValueError):
-            finite_difference_gradient(lambda: 0.0, [p], epsilon=0.0)
 
     def test_non_finite_loss_identifies_entry(self):
         p = Parameter("weird", np.zeros(2))
         with pytest.raises(NumericalError, match=r"weird\[1\]"):
             finite_difference_gradient(
-                lambda: float("nan") if p.value[1] != 0 else 0.0, [p]
+                lambda: float("nan") if p.value[1] != 0 else 0.0, [p], 1e-5
             )
 
 

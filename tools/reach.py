@@ -49,8 +49,6 @@ ALLOWED = {
         "_train runs each cache's backward once, right after its tag_loss",
     ("numerics.py", "Gradients.step", 'raise ValueError(f"a second gradient for {p.name}")'):
         "a backward pass hands each parameter's gradient over once",
-    ("numerics.py", "finite_difference_gradient", 'raise ValueError("epsilon must be positive")'):
-        "gradcheck's --epsilon is a FloatRange(min=0, min_open=True)",
     ("numerics.py", "finite_difference_gradient", "raise NumericalError("):
         "gradient_check's losses stay finite: a perturbed encoder that overflows "
         "raises in encode_batch, and one perturbed head weight cannot overflow a logit",
