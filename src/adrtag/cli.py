@@ -160,10 +160,10 @@ def _build_model_from_inputs(vocab, embeddings_path, settings, seed, drug_names=
     return model, table
 
 
-def _load_tagger(checkpoint, expected_hidden=None):
+def _load_tagger(checkpoint):
     """The checkpoint's model and the vocabulary it was trained with."""
     path = _ckpt_path(checkpoint)
-    model = training.load_checkpoint(path, expected_hidden=expected_hidden)
+    model = training.load_checkpoint(path)
     if model.vocab_tokens is None:
         raise CheckpointError(f"{path}: checkpoint carries no vocabulary")
     try:
@@ -176,6 +176,24 @@ def _echo_truncation(sequences, max_len):
     """Report the tweets that batching will cut to ``max_len`` tokens."""
     cut = sum(len(seq) > max_len for seq in sequences)
     click.echo(f"truncated: {cut} of {len(sequences)} tweets longer than max_len {max_len}")
+
+
+@contextlib.contextmanager
+def _writing(*outputs):
+    """Open every output before the command's work and yield one handle per
+    ``(flag, path, mode)``, None for a path not given; each file is renamed
+    into place only when the whole block completes. Two flags that name one
+    file are a usage error, raised before any file is opened."""
+    named = {}  # resolved path -> the first flag that names it
+    for flag, path, _ in outputs:
+        if not path:
+            continue
+        first = named.setdefault(Path(path).resolve(), flag)
+        if first != flag:
+            raise click.UsageError(f"{first} and {flag} name one file: {path}")
+    with contextlib.ExitStack() as stack:
+        yield [stack.enter_context(atomic_write(path, mode)) if path else None
+               for _, path, mode in outputs]
 
 
 @contextlib.contextmanager
@@ -270,25 +288,28 @@ def build_vocab(unlabeled, labeled, cap, out_path):
 def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, config_path,
              **flags):
     """Phase 1: train the encoder to predict the masked drug from context."""
-    settings = _resolve_settings(config_path, flags)
-    train_cfg = _train_config(training.pretrain_config, settings)
-    lex = text.DrugLexicon.load(lexicon)
-    if len(lex) < 2:
-        raise DataError(f"{lexicon}: drug lexicon must contain at least 2 names, has {len(lex)}")
-    vocab_obj = text.Vocabulary.load(vocab)
-    examples = []
-    for tweet_id, drug, tokens in _read_processed(corpus):
-        if drug not in lex.index:
-            raise DataError(f"{corpus}: unknown drug name {drug!r}")
-        examples.append((vocab_obj.indices(tokens), lex.index[drug], tweet_id))
-    model, table = _build_model_from_inputs(vocab_obj, embeddings, settings, train_cfg.seed,
-                                            lex.names)
-    click.echo(f"embedding coverage: {table.coverage:.3f}")
-    _echo_truncation([e[0] for e in examples], train_cfg.max_len)
-    log = training.pretrain(examples, model, train_cfg)
-    training.save_checkpoint(model, _ckpt_path(out_path))
-    if log_path:
-        training.write_log(log_path, log)
+    outputs = ("--out", _ckpt_path(out_path), "wb"), ("--log", log_path, "w")
+    with _writing(*outputs) as (out, log_file):
+        settings = _resolve_settings(config_path, flags)
+        train_cfg = _train_config(training.pretrain_config, settings)
+        lex = text.DrugLexicon.load(lexicon)
+        if len(lex) < 2:
+            raise DataError(f"{lexicon}: drug lexicon must contain at least 2 names, "
+                            f"has {len(lex)}")
+        vocab_obj = text.Vocabulary.load(vocab)
+        examples = []
+        for tweet_id, drug, tokens in _read_processed(corpus):
+            if drug not in lex.index:
+                raise DataError(f"{corpus}: unknown drug name {drug!r}")
+            examples.append((vocab_obj.indices(tokens), lex.index[drug], tweet_id))
+        model, table = _build_model_from_inputs(vocab_obj, embeddings, settings, train_cfg.seed,
+                                                lex.names)
+        click.echo(f"embedding coverage: {table.coverage:.3f}")
+        _echo_truncation([e[0] for e in examples], train_cfg.max_len)
+        log = training.pretrain(examples, model, train_cfg)
+        training.write_checkpoint(model, out)
+        if log_file:
+            training.write_log(log_file, log)
     if log:
         last = log[-1]
         acc = "n/a" if last["accuracy"] is None else f"{last['accuracy']:.3f}"
@@ -309,34 +330,37 @@ def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, config_path
 def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path,
           config_path, **flags):
     """Phase 2: supervised tagging, fresh or from a pretraining checkpoint."""
-    settings = _resolve_settings(config_path, flags)
-    train_cfg = _train_config(training.supervised_config, settings)
-    if init_checkpoint:
-        fixed = [flag for flag, given in (("--pooling", flags["pooling"] is not None),
-                                          ("--gate-biases", flags["gate_biases"] is True),
-                                          ("--no-gate-biases", flags["gate_biases"] is False),
-                                          ("--vocab", vocab is not None),
-                                          ("--embeddings", embeddings is not None))
-                 if given]
-        if fixed:
-            raise click.UsageError(f"{', '.join(fixed)}: the --init-checkpoint architecture, "
-                                   "vocabulary and embeddings are fixed")
-        model, vocab_obj = _load_tagger(init_checkpoint, settings.get("hidden"))
-    else:
-        if not (vocab and embeddings):
-            raise click.UsageError(
-                "--vocab and --embeddings are required without --init-checkpoint"
-            )
-        vocab_obj = text.Vocabulary.load(vocab)
-        model, _ = _build_model_from_inputs(vocab_obj, embeddings, settings, train_cfg.seed)
-    data = _encode_labeled(_read_sentences(labeled), vocab_obj)
-    click.echo(f"training tweets: {len(data)}")
-    _echo_truncation([d[0] for d in data], train_cfg.max_len)
-    log = [{"phase": "supervised", "event": "data", "train_tweets": len(data)}]
-    log += training.train_supervised(data, model, train_cfg)
-    training.save_checkpoint(model, _ckpt_path(out_path))
-    if log_path:
-        training.write_log(log_path, log)
+    outputs = ("--out", _ckpt_path(out_path), "wb"), ("--log", log_path, "w")
+    with _writing(*outputs) as (out, log_file):
+        settings = _resolve_settings(config_path, flags)
+        train_cfg = _train_config(training.supervised_config, settings)
+        if init_checkpoint:
+            fixed = [flag for flag, path in (("--vocab", vocab), ("--embeddings", embeddings))
+                     if path is not None]
+            if fixed:
+                raise click.UsageError(f"{', '.join(fixed)}: the --init-checkpoint vocabulary "
+                                       "and embeddings are fixed")
+            model, vocab_obj = _load_tagger(init_checkpoint)
+            for key in ("hidden", "pooling", "gate_biases"):
+                have = getattr(model, key)
+                if settings.get(key, have) != have:
+                    raise click.UsageError(f"{key}: {settings[key]} given, but --init-checkpoint "
+                                           f"{_ckpt_path(init_checkpoint)} has {have}")
+        else:
+            if not (vocab and embeddings):
+                raise click.UsageError(
+                    "--vocab and --embeddings are required without --init-checkpoint"
+                )
+            vocab_obj = text.Vocabulary.load(vocab)
+            model, _ = _build_model_from_inputs(vocab_obj, embeddings, settings, train_cfg.seed)
+        data = _encode_labeled(_read_sentences(labeled), vocab_obj)
+        click.echo(f"training tweets: {len(data)}")
+        _echo_truncation([d[0] for d in data], train_cfg.max_len)
+        log = [{"phase": "supervised", "event": "data", "train_tweets": len(data)}]
+        log += training.train_supervised(data, model, train_cfg)
+        training.write_checkpoint(model, out)
+        if log_file:
+            training.write_log(log_file, log)
     if len(log) > 1:
         click.echo(f"final loss {log[-1]['mean_loss']:.4f}, "
                    f"token accuracy {log[-1]['accuracy']:.3f}")
@@ -366,25 +390,25 @@ def evaluate(checkpoint, test_path, trials, labeled, epochs, max_len, seed,
     if trials == 1 and unused:
         raise click.UsageError(f"{', '.join(unused)}: only used to retrain when --trials > 1")
     retrain = training.supervised_config(epochs=epochs, max_len=max_len, seed=seed)
-    per_trial = []
-    for i in range(trials):
-        model, vocab_obj = _load_tagger(checkpoint)
-        if i == 0:  # every trial loads the same checkpoint, so the same vocabulary
-            test_data = _encode_labeled(_read_sentences(test_path), vocab_obj)
-            if trials > 1:
-                data = _encode_labeled(_read_sentences(labeled), vocab_obj)
-        with _naming_checkpoint(checkpoint):
-            if trials > 1:
-                training.train_supervised(data, model, replace(retrain, seed=seed + i))
-            per_trial.append(evaluation.prf(
-                evaluation.evaluate_tagging(model, test_data, label)))
-        del model  # gone before the next trial's model loads
-    report = evaluation.aggregate_trials(per_trial)
-    out = evaluation.format_report(report)
+    with _writing(("--report", report_path, "w")) as (report_file,):
+        per_trial = []
+        for i in range(trials):
+            model, vocab_obj = _load_tagger(checkpoint)
+            if i == 0:  # every trial loads the same checkpoint, so the same vocabulary
+                test_data = _encode_labeled(_read_sentences(test_path), vocab_obj)
+                if trials > 1:
+                    data = _encode_labeled(_read_sentences(labeled), vocab_obj)
+            with _naming_checkpoint(checkpoint):
+                if trials > 1:
+                    training.train_supervised(data, model, replace(retrain, seed=seed + i))
+                per_trial.append(evaluation.prf(
+                    evaluation.evaluate_tagging(model, test_data, label)))
+            del model  # gone before the next trial's model loads
+        report = evaluation.aggregate_trials(per_trial)
+        out = evaluation.format_report(report)
+        if report_file:
+            report_file.write(out + "\n")
     click.echo(out)
-    if report_path:
-        with atomic_write(report_path) as fh:
-            fh.write(out + "\n")
 
 
 @cli.command()

@@ -4,6 +4,7 @@ are never left half-written."""
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import os
 import sys
@@ -48,8 +49,10 @@ def atomic_write(path, mode: str = "w"):
     """Yield a file opened with ``mode`` beside ``path`` (UTF-8 in text mode)
     and rename it over ``path`` once the block completes. If the block fails,
     ``path`` keeps its previous content, or stays absent, and the temporary
-    file is removed."""
+    file is removed. An OSError from the output itself names ``path``."""
     path = os.fspath(path)
+    if os.path.isdir(path):  # else only the rename, after the block's work, refuses it
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
@@ -58,6 +61,7 @@ def atomic_write(path, mode: str = "w"):
     except BaseException as exc:
         with contextlib.suppress(OSError):  # never hide the error that got here
             os.remove(tmp)
-        if isinstance(exc, OSError):  # name the output, not its temporary file
+        # A failed write names no file; an error naming another file is not the output's.
+        if isinstance(exc, OSError) and exc.filename in (None, tmp):
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise

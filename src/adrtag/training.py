@@ -291,11 +291,10 @@ def train_supervised(
     return _train("supervised", model.tag_parameters(), config, data, step, accuracy)
 
 
-def write_log(path, records: Sequence[dict]) -> None:
-    """Line-delimited JSON training log."""
-    with atomic_write(path) as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+def write_log(fh, records: Sequence[dict]) -> None:
+    """Write the line-delimited JSON training log to the open text file ``fh``."""
+    for rec in records:
+        fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +319,21 @@ def _model_arrays(model: AdrModel):
 
 def save_checkpoint(model: AdrModel, path) -> None:
     """Write the checkpoint atomically: ``path`` is never half-written."""
+    with atomic_write(path, "wb") as fh:
+        write_checkpoint(model, fh)
+
+
+def write_checkpoint(model: AdrModel, fh) -> None:
+    """Write the checkpoint to the open binary file ``fh``."""
     arrays = _model_arrays(model)
     header = {key: getattr(model, key) for key in _HEADER_FIELDS if key != "arrays"}
     header.update(version=1, arrays=[{"name": n, "shape": list(a.shape)} for n, a in arrays])
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with atomic_write(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for _, a in arrays:  # from the array's own buffer, with no bytes copy
-            fh.write(memoryview(np.ascontiguousarray(a, dtype=np.float64)))
+    fh.write(CHECKPOINT_MAGIC)
+    fh.write(len(blob).to_bytes(8, "little"))
+    fh.write(blob)
+    for _, a in arrays:  # from the array's own buffer, with no bytes copy
+        fh.write(memoryview(np.ascontiguousarray(a, dtype=np.float64)))
 
 
 def _is_int(value) -> bool:
@@ -354,7 +358,7 @@ _HEADER_FIELDS = {
 }
 
 
-def load_checkpoint(path, expected_hidden: Optional[int] = None) -> AdrModel:
+def load_checkpoint(path) -> AdrModel:
     """One pass: sizes are checked against the file before any array is
     allocated or mapped. The frozen embedding table is mapped read-only from
     the file, so it is shared through the page cache and lives as long as the
@@ -379,10 +383,6 @@ def load_checkpoint(path, expected_hidden: Optional[int] = None) -> AdrModel:
         for key, valid in _HEADER_FIELDS.items():
             if key not in header or not valid(header[key]):
                 raise CheckpointError(f"{path}: header field {key!r} is missing or malformed")
-        if expected_hidden is not None and header["hidden"] != expected_hidden:
-            raise CheckpointError(
-                f"{path}: checkpoint hidden size {header['hidden']} != expected {expected_hidden}"
-            )
         listed = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
         described = fh.tell() + 8 * sum(math.prod(shape) for _, shape in listed)
         if size != described:

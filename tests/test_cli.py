@@ -549,13 +549,12 @@ def test_unknown_config_key_is_usage_error(workspace, monkeypatch, capsys, tmp_p
 
 
 @pytest.mark.parametrize(
-    "flags", [["--pooling", "mean"], ["--gate-biases"], ["--no-gate-biases"],
-              ["--vocab", "vocab.txt"], ["--embeddings", "emb.txt"]],
-    ids=["pooling", "gate-biases", "no-gate-biases", "vocab", "embeddings"],
+    "flags", [["--vocab", "vocab.txt"], ["--embeddings", "emb.txt"]],
+    ids=["vocab", "embeddings"],
 )
 def test_init_checkpoint_rejects_architecture_flags(workspace, monkeypatch, capsys,
                                                     tmp_path, flags):
-    """The checkpoint fixes the architecture, the vocabulary and the embeddings."""
+    """The checkpoint fixes the vocabulary and the embeddings."""
     ckpt = tmp_path / "init.ckpt"
     _save_tiny_checkpoint(ckpt)
     (workspace / "vocab.txt").write_text("<PAD>\n<UNK>\n<LINK>\n<USER>\n<DRUG>\nugh\n")
@@ -642,22 +641,99 @@ def test_output_under_a_regular_file_is_data_error(workspace, monkeypatch, capsy
     assert (tmp_path / "afile").read_text() == "not a directory\n"
 
 
-@pytest.mark.parametrize("hidden, expected", [(2, 0), (3, EXIT_DATA)])
-def test_init_checkpoint_checks_config_hidden(workspace, monkeypatch, capsys, tmp_path,
-                                              hidden, expected):
-    """Config values stay allowed with --init-checkpoint (the file may be
-    shared with pretrain), but a config hidden size must match."""
+@pytest.mark.parametrize("command", ["pretrain", "train"])
+@pytest.mark.parametrize("relative", [False, True], ids=["path", "checkpoint-dir"])
+def test_two_outputs_naming_one_file_are_usage_error(workspace, monkeypatch, capsys, tmp_path,
+                                                     command, relative):
+    """--out and --log naming one file, also through $ADR_CHECKPOINT_DIR,
+    would leave only the log there: a usage error naming both flags, raised
+    before any input (here a config that is not YAML) is read."""
+    inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, command)
+    (tmp_path / "cfg.yaml").write_text("hidden: [3\n")
+    same = tmp_path / "same.out"
+    if relative:
+        monkeypatch.setenv("ADR_CHECKPOINT_DIR", str(tmp_path))
+    listing = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run_cli(monkeypatch, capsys, command, *inputs,
+                             "--config", str(tmp_path / "cfg.yaml"),
+                             "--out", same.name if relative else str(same), "--log", str(same))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: --out and --log name one file: "), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+
+@pytest.mark.parametrize("directory", [False, True], ids=["in-missing-dir", "is-a-dir"])
+@pytest.mark.parametrize("command, flag", [("pretrain", "--out"), ("pretrain", "--log"),
+                                           ("train", "--out"), ("train", "--log"),
+                                           ("evaluate", "--report")])
+def test_output_that_cannot_be_written_fails_before_the_work(workspace, monkeypatch, capsys,
+                                                             tmp_path, command, flag,
+                                                             directory):
+    """Every output is opened before the command reads its inputs, so one
+    in a missing directory, or one that is a directory, is exit 2 naming
+    it, with nothing on stdout and no other output written."""
+    if command == "evaluate":
+        _save_tiny_checkpoint(tmp_path / "model.ckpt")
+        args = ["--checkpoint", str(tmp_path / "model.ckpt"), "--test", str(workspace / "test.tsv")]
+        outputs = {"--report": tmp_path / "report.txt"}
+    else:
+        args = _training_inputs(workspace, monkeypatch, capsys, tmp_path, command)
+        args += ["--hidden", "2", "--epochs", "1"]
+        outputs = {"--out": tmp_path / "x.ckpt", "--log": tmp_path / "x.jsonl"}
+    outputs[flag] = tmp_path / "nodir" / "x"
+    if directory:
+        outputs[flag].mkdir(parents=True)
+    listing = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run_cli(monkeypatch, capsys, command, *args,
+                             *(a for item in outputs.items() for a in map(str, item)))
+    assert (code, out) == (EXIT_DATA, "")
+    code = errno.EISDIR if directory else errno.ENOENT
+    assert err == f"error: [Errno {code}] {os.strerror(code)}: '{outputs[flag]}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+
+# setting -> (its flag and config forms equal to _save_tiny_checkpoint's, then different)
+_ARCHITECTURE = {
+    "hidden": ((["--hidden", "2"], "hidden: 2"), (["--hidden", "3"], "hidden: 3")),
+    "pooling": ((["--pooling", "mean"], "pooling: mean"), (["--pooling", "sum"], "pooling: sum")),
+    "gate_biases": ((["--gate-biases"], "gate_biases: true"),
+                    (["--no-gate-biases"], "gate_biases: false")),
+}
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["equal", "different"])
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("setting", sorted(_ARCHITECTURE))
+def test_init_checkpoint_architecture_setting_must_match(workspace, monkeypatch, capsys,
+                                                         tmp_path, setting, form, same):
+    """A hidden, pooling or gate_biases given with --init-checkpoint, as a
+    flag or in --config, must equal the checkpoint's: equal changes nothing,
+    different is a usage error naming the setting and both values."""
     ckpt = tmp_path / "init.ckpt"
     _save_tiny_checkpoint(ckpt)
-    config = tmp_path / "cfg.yaml"
-    config.write_text(f"hidden: {hidden}\npooling: sum\ngate_biases: false\n")
-    code, _, err = run_cli(monkeypatch, capsys, "train", "--config", str(config),
-                           "--labeled", str(workspace / "train.tsv"),
-                           "--init-checkpoint", str(ckpt),
-                           "--epochs", "0", "--out", str(tmp_path / "x.ckpt"))
-    assert code == expected, err
-    if expected:
-        assert "hidden size 2 != expected 3" in err
+    flags, line = _ARCHITECTURE[setting][0 if same else 1]
+    if form == "config":
+        (tmp_path / "cfg.yaml").write_text(line + "\n")
+        flags = ["--config", str(tmp_path / "cfg.yaml")]
+
+    def train(out, *extra):
+        return run_cli(monkeypatch, capsys, "train", "--labeled", str(workspace / "train.tsv"),
+                       "--init-checkpoint", str(ckpt), "--epochs", "1", "--out", str(out),
+                       "--log", str(out) + ".jsonl", *extra)
+
+    assert train(tmp_path / "plain.ckpt")[0] == 0
+    listing = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = train(tmp_path / "x.ckpt", *flags)
+    if same:
+        assert (code, err) == (0, ""), err
+        assert (tmp_path / "x.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
+    else:
+        given = {"hidden": 3, "pooling": "sum", "gate_biases": False}[setting]
+        have = {"hidden": 2, "pooling": "mean", "gate_biases": True}[setting]
+        assert code == EXIT_USAGE and out == ""
+        assert err == (f"error: {setting}: {given} given, but --init-checkpoint {ckpt} "
+                       f"has {have}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == listing
 
 
 class TestGradcheckCommand:
@@ -1294,7 +1370,17 @@ FAILURES = {
                                  ["learning_rate"]),
     "architecture-flag-with-init-checkpoint": (
         {}, "train --labeled {ws}/train.tsv --init-checkpoint {ws}/model.ckpt --pooling sum",
-        click.UsageError, ["--pooling"]),
+        click.UsageError, ["pooling: sum given, but --init-checkpoint", "model.ckpt has mean"]),
+    "architecture-config-with-init-checkpoint": (
+        {"cfg.yaml": "gate_biases: false\n"},
+        "train --labeled {ws}/train.tsv --init-checkpoint {ws}/model.ckpt --config {ws}/cfg.yaml",
+        click.UsageError, ["gate_biases: False given, but --init-checkpoint",
+                           "model.ckpt has True"]),
+    "init-checkpoint-missing": (
+        {}, "train --labeled {ws}/train.tsv --init-checkpoint {ws}/missing.ckpt", OSError,
+        ["missing.ckpt"]),
+    "outputs-name-one-file": ({}, _TRAIN + " --log {ws}/out", click.UsageError,
+                              ["--out and --log name one file"]),
     "retraining-flag-with-one-trial": (
         {}, "evaluate --checkpoint {ws}/model.ckpt --test {ws}/test.tsv --seed 3"
         " --report {ws}/out", click.UsageError, ["--seed"]),
@@ -1453,7 +1539,7 @@ FAILURES = {
         ["bad.ckpt: header field 'vocab_tokens' is missing or malformed"]),
     "checkpoint-hidden-mismatch": (
         {}, "train --labeled {ws}/train.tsv --init-checkpoint {ws}/model.ckpt --hidden 3",
-        CheckpointError, ["model.ckpt: checkpoint hidden size 2 != expected 3"]),
+        click.UsageError, ["hidden: 3 given, but --init-checkpoint", "model.ckpt has 2"]),
     "overflow-in-predict": ({"huge.ckpt": _huge_embeddings_checkpoint},
                             _PREDICT + " {ws}/huge.ckpt", NumericalError,
                             ["huge.ckpt: encoder forward overflowed"]),
