@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -265,15 +265,16 @@ def build_vocab(unlabeled, labeled, cap, out_path):
             for tokens, _ in _read_sentences(labeled):
                 yield [text.normalize_token(t) for t in tokens]
 
-    try:
-        vocab = text.Vocabulary.build(streams(), cap=cap)
-    except DataError:  # a reader's, raised while build counts
-        raise
-    except ValueError:  # not the cap, which click checked: no token but sentinels
-        inputs = " and ".join(p for p in (unlabeled, labeled) if p)
-        raise DataError(f"{inputs}: no token to keep; each is a sentinel or a word that "
-                        f"normalizes to {text.UNK}") from None
-    vocab.save(out_path)
+    with atomic_write(out_path) as fh:
+        try:
+            vocab = text.Vocabulary.build(streams(), cap=cap)
+        except DataError:  # a reader's, raised while build counts
+            raise
+        except ValueError:  # not the cap, which click checked: no token but sentinels
+            inputs = " and ".join(p for p in (unlabeled, labeled) if p)
+            raise DataError(f"{inputs}: no token to keep; each is a sentinel or a word that "
+                            f"normalizes to {text.UNK}") from None
+        vocab.write(fh)
     click.echo(f"vocabulary size={len(vocab)} (cap {cap} + {len(text.SENTINELS)} sentinels)")
 
 
@@ -367,43 +368,26 @@ def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path,
 
 
 @cli.command()
-@click.option("--checkpoint", required=True, type=click.Path())
+@click.option("--checkpoint", "checkpoints", multiple=True, required=True, type=click.Path(),
+              help="a trained tagger; repeat for one trial per checkpoint")
 @click.option("--test", "test_path", required=True, type=click.Path(exists=True))
-@click.option("--trials", default=1, show_default=True, type=click.IntRange(min=1))
-@click.option("--labeled", type=click.Path(exists=True),
-              help="training TSV, required when --trials > 1")
-@click.option("--epochs", type=int, default=training.TrainConfig.epochs, show_default=True)
-@click.option("--max-len", type=int, default=training.TrainConfig.max_len, show_default=True)
-@click.option("--seed", type=int, default=training.TrainConfig.seed, show_default=True)
 @click.option("--label", type=click.Choice(["ADR", "IND"]), default="ADR",
               show_default=True, help="span label to score")
 @click.option("--report", "report_path", type=click.Path())
-def evaluate(checkpoint, test_path, trials, labeled, epochs, max_len, seed,
-             label, report_path):
-    """Approximate-match P/R/F1 on ADR spans; with --trials > 1, retrain from
-    the checkpoint with per-trial seeds (seed+i) and report mean ± std."""
-    if trials > 1 and not labeled:
-        raise click.UsageError("--labeled is required when --trials > 1")
-    source = click.get_current_context().get_parameter_source
-    unused = [f"--{name.replace('_', '-')}" for name in ("labeled", "epochs", "max_len", "seed")
-              if source(name) is not click.core.ParameterSource.DEFAULT]
-    if trials == 1 and unused:
-        raise click.UsageError(f"{', '.join(unused)}: only used to retrain when --trials > 1")
-    retrain = training.supervised_config(epochs=epochs, max_len=max_len, seed=seed)
+def evaluate(checkpoints, test_path, label, report_path):
+    """Approximate-match P/R/F1 on ADR spans, one trial per --checkpoint in
+    the order given, and their mean ± std."""
     with _writing(("--report", report_path, "w")) as (report_file,):
         per_trial = []
-        for i in range(trials):
+        for checkpoint in checkpoints:
             model, vocab_obj = _load_tagger(checkpoint)
-            if i == 0:  # every trial loads the same checkpoint, so the same vocabulary
-                test_data = _encode_labeled(_read_sentences(test_path), vocab_obj)
-                if trials > 1:
-                    data = _encode_labeled(_read_sentences(labeled), vocab_obj)
+            if not per_trial:  # read once, after the first checkpoint loads
+                sentences = _read_sentences(test_path)
+            test_data = _encode_labeled(sentences, vocab_obj)  # by this checkpoint's vocabulary
             with _naming_checkpoint(checkpoint):
-                if trials > 1:
-                    training.train_supervised(data, model, replace(retrain, seed=seed + i))
                 per_trial.append(evaluation.prf(
                     evaluation.evaluate_tagging(model, test_data, label)))
-            del model  # gone before the next trial's model loads
+            del model  # gone before the next checkpoint's model loads
         report = evaluation.aggregate_trials(per_trial)
         out = evaluation.format_report(report)
         if report_file:

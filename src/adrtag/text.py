@@ -12,7 +12,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DataError
-from .files import atomic_write, reading
+from .files import reading
 
 PAD = "<PAD>"
 UNK = "<UNK>"
@@ -229,10 +229,10 @@ class Vocabulary:
         get, unk = self.token_to_index.get, self.unk_index
         return [get(t, unk) for t in tokens]
 
-    def save(self, path):
-        with atomic_write(path) as fh:
-            for tok in self.index_to_token:
-                fh.write(tok + "\n")
+    def write(self, fh):
+        """Write one token per line to the open text file ``fh``."""
+        for tok in self.index_to_token:
+            fh.write(tok + "\n")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

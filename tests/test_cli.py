@@ -256,8 +256,10 @@ class TestPipeline:
         assert tags and all(t in {"I-ADR", "I-IND", "O"} for t in tags)
 
     def test_multi_trial_evaluation(self, workspace, monkeypatch, capsys, tmp_path):
+        """One trial per --checkpoint: three taggers trained from one model
+        with seeds 0, 1 and 2, then evaluated together."""
         vocab = tmp_path / "vocab.txt"
-        ckpt = tmp_path / "fresh.ckpt"
+        init = tmp_path / "init.ckpt"
         run_cli(monkeypatch, capsys, "build-vocab",
                 "--labeled", str(workspace / "train.tsv"),
                 "--cap", "100", "--out", str(vocab))
@@ -265,28 +267,33 @@ class TestPipeline:
                 "--labeled", str(workspace / "train.tsv"),
                 "--vocab", str(vocab), "--embeddings", str(workspace / "emb.txt"),
                 "--hidden", "5", "--epochs", "0", "--max-len", "12",
-                "--out", str(ckpt))
-        code, out, _ = run_cli(monkeypatch, capsys, "evaluate",
-                               "--checkpoint", str(ckpt),
+                "--out", str(init))
+        checkpoints = []
+        for seed in range(3):
+            checkpoints += ["--checkpoint", str(tmp_path / f"t{seed}.ckpt")]
+            code, _, err = run_cli(monkeypatch, capsys, "train",
+                                   "--labeled", str(workspace / "train.tsv"),
+                                   "--init-checkpoint", str(init), "--epochs", "1",
+                                   "--max-len", "12", "--seed", str(seed),
+                                   "--out", checkpoints[-1])
+            assert (code, err) == (0, "")
+        code, out, _ = run_cli(monkeypatch, capsys, "evaluate", *checkpoints,
                                "--test", str(workspace / "test.tsv"),
-                               "--trials", "3", "--labeled", str(workspace / "train.tsv"),
-                               "--epochs", "1", "--max-len", "12",
                                "--report", str(tmp_path / "report.txt"))
         assert code == 0
         assert len(out.strip().splitlines()) == 5  # header + 3 trials + summary
-        assert (tmp_path / "report.txt").exists()
+        assert (tmp_path / "report.txt").read_text() == out
+
+    @staticmethod
+    def _three_checkpoints(tmp_path):
+        """--checkpoint flags naming three files of one tiny tagger."""
+        flags = []
+        for i in range(3):
+            _save_tiny_checkpoint(tmp_path / f"t{i}.ckpt")
+            flags += ["--checkpoint", str(tmp_path / f"t{i}.ckpt")]
+        return flags
 
     def test_trials_never_hold_two_models(self, workspace, monkeypatch, capsys, tmp_path):
-        vocab = tmp_path / "vocab.txt"
-        ckpt = tmp_path / "fresh.ckpt"
-        run_cli(monkeypatch, capsys, "build-vocab",
-                "--labeled", str(workspace / "train.tsv"),
-                "--cap", "100", "--out", str(vocab))
-        run_cli(monkeypatch, capsys, "train",
-                "--labeled", str(workspace / "train.tsv"),
-                "--vocab", str(vocab), "--embeddings", str(workspace / "emb.txt"),
-                "--hidden", "5", "--epochs", "0", "--max-len", "12",
-                "--out", str(ckpt))
         load, loaded = cli_module._load_tagger, []
 
         def checked_load(*args, **kwargs):
@@ -296,25 +303,12 @@ class TestPipeline:
             return model, vocab_obj
 
         monkeypatch.setattr(cli_module, "_load_tagger", checked_load)
-        code, _, err = run_cli(monkeypatch, capsys, "evaluate",
-                               "--checkpoint", str(ckpt),
-                               "--test", str(workspace / "test.tsv"),
-                               "--trials", "3", "--labeled", str(workspace / "train.tsv"),
-                               "--epochs", "1", "--max-len", "12")
+        code, _, err = run_cli(monkeypatch, capsys, "evaluate", *self._three_checkpoints(tmp_path),
+                               "--test", str(workspace / "test.tsv"))
         assert (code, err) == (0, "")
         assert len(loaded) == 3
 
     def test_trials_read_each_file_once(self, workspace, monkeypatch, capsys, tmp_path):
-        vocab = tmp_path / "vocab.txt"
-        ckpt = tmp_path / "fresh.ckpt"
-        run_cli(monkeypatch, capsys, "build-vocab",
-                "--labeled", str(workspace / "train.tsv"),
-                "--cap", "100", "--out", str(vocab))
-        run_cli(monkeypatch, capsys, "train",
-                "--labeled", str(workspace / "train.tsv"),
-                "--vocab", str(vocab), "--embeddings", str(workspace / "emb.txt"),
-                "--hidden", "5", "--epochs", "0", "--max-len", "12",
-                "--out", str(ckpt))
         read, reads = cli_module.encoding.read_conll, []
 
         def counted_read(path, *args, **kwargs):
@@ -323,13 +317,11 @@ class TestPipeline:
 
         monkeypatch.setattr(cli_module.encoding, "read_conll", counted_read)
         code, out, err = run_cli(monkeypatch, capsys, "evaluate",
-                                 "--checkpoint", str(ckpt),
-                                 "--test", str(workspace / "test.tsv"),
-                                 "--trials", "3", "--labeled", str(workspace / "train.tsv"),
-                                 "--epochs", "1", "--max-len", "12")
+                                 *self._three_checkpoints(tmp_path),
+                                 "--test", str(workspace / "test.tsv"))
         assert (code, err) == (0, "")
         assert len(out.strip().splitlines()) == 5  # header + 3 trials + summary
-        assert sorted(reads) == ["test.tsv", "train.tsv"]
+        assert reads == ["test.tsv"]
 
     def test_seed_repeat_identical_checkpoint(self, workspace, monkeypatch, capsys, tmp_path):
         processed = tmp_path / "p.tsv"
@@ -420,14 +412,6 @@ class TestErrors:
         code, _, err = run_cli(monkeypatch, capsys, "train",
                                "--labeled", str(workspace / "train.tsv"),
                                "--out", str(tmp_path / "x.ckpt"))
-        assert code == EXIT_USAGE
-
-    def test_evaluate_trials_require_labeled(self, workspace, monkeypatch, capsys,
-                                             tmp_path):
-        code, _, _ = run_cli(monkeypatch, capsys, "evaluate",
-                             "--checkpoint", str(tmp_path / "none.ckpt"),
-                             "--test", str(workspace / "test.tsv"),
-                             "--trials", "2")
         assert code == EXIT_USAGE
 
 
@@ -588,20 +572,25 @@ def test_checkpoint_without_vocabulary_is_data_error(workspace, monkeypatch, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("command", ["predict", "evaluate", "evaluate-second"])
 def test_overflow_in_inference_is_numerical_error(workspace, monkeypatch, capsys, tmp_path,
                                                   command):
     """Finite but huge embedding rows overflow the encoder: exit 3 naming the
-    checkpoint, no traceback, no tags and no report."""
+    checkpoint, also when it is the second one evaluated, no traceback, no
+    tags and no report."""
     ckpt = tmp_path / "huge.ckpt"
     _huge_embeddings_checkpoint(ckpt)
+    _save_tiny_checkpoint(tmp_path / "fine.ckpt")
     report = tmp_path / "report.txt"
+    evaluate = ["evaluate", "--checkpoint", str(ckpt), "--test", str(workspace / "test.tsv"),
+                "--report", str(report)]
     args = {
-        "predict": ["--checkpoint", str(ckpt), "--text", "ugh so dizzy"],
-        "evaluate": ["--checkpoint", str(ckpt), "--test", str(workspace / "test.tsv"),
-                     "--report", str(report)],
+        "predict": ["predict", "--checkpoint", str(ckpt), "--text", "ugh so dizzy"],
+        "evaluate": evaluate,
+        "evaluate-second": ["evaluate", "--checkpoint", str(tmp_path / "fine.ckpt"),
+                            *evaluate[1:]],
     }[command]
-    code, out, err = run_cli(monkeypatch, capsys, command, *args)
+    code, out, err = run_cli(monkeypatch, capsys, *args)
     assert code == EXIT_NUMERICAL, err
     assert f"{ckpt}: encoder forward overflowed" in err
     assert "Traceback" not in err and out == ""
@@ -665,7 +654,7 @@ def test_two_outputs_naming_one_file_are_usage_error(workspace, monkeypatch, cap
 @pytest.mark.parametrize("directory", [False, True], ids=["in-missing-dir", "is-a-dir"])
 @pytest.mark.parametrize("command, flag", [("pretrain", "--out"), ("pretrain", "--log"),
                                            ("train", "--out"), ("train", "--log"),
-                                           ("evaluate", "--report")])
+                                           ("evaluate", "--report"), ("build-vocab", "--out")])
 def test_output_that_cannot_be_written_fails_before_the_work(workspace, monkeypatch, capsys,
                                                              tmp_path, command, flag,
                                                              directory):
@@ -676,6 +665,10 @@ def test_output_that_cannot_be_written_fails_before_the_work(workspace, monkeypa
         _save_tiny_checkpoint(tmp_path / "model.ckpt")
         args = ["--checkpoint", str(tmp_path / "model.ckpt"), "--test", str(workspace / "test.tsv")]
         outputs = {"--report": tmp_path / "report.txt"}
+    elif command == "build-vocab":
+        monkeypatch.setattr(cli_module.text.Vocabulary, "build",
+                            lambda *a, **kw: pytest.fail("vocabulary built"))
+        args, outputs = ["--labeled", str(workspace / "train.tsv")], {"--out": tmp_path / "v.txt"}
     else:
         args = _training_inputs(workspace, monkeypatch, capsys, tmp_path, command)
         args += ["--hidden", "2", "--epochs", "1"]
@@ -809,13 +802,8 @@ FLAG_SURFACE = {
         "gate_biases": (("--gate-biases",), ("--no-gate-biases",), "boolean", (), False, None),
     },
     "evaluate": {
-        "checkpoint": (("--checkpoint",), (), "path", (), True, None),
+        "checkpoints": (("--checkpoint",), (), "path", (), True, None),
         "test_path": (("--test",), (), "path", (), True, None),
-        "trials": (("--trials",), (), "integer range", (), False, 1),
-        "labeled": (("--labeled",), (), "path", (), False, None),
-        "epochs": (("--epochs",), (), "integer", (), False, 5),
-        "max_len": (("--max-len",), (), "integer", (), False, 40),
-        "seed": (("--seed",), (), "integer", (), False, 0),
         "label": (("--label",), (), "choice", ("ADR", "IND"), False, "ADR"),
         "report_path": (("--report",), (), "path", (), False, None),
     },
@@ -1045,15 +1033,15 @@ def test_out_of_range_setting_is_usage_error(workspace, monkeypatch, capsys, tmp
 ], ids=["labeled", "default-epochs", "out-of-range"])
 def test_evaluate_rejects_retraining_flags_with_one_trial(workspace, monkeypatch, capsys,
                                                           tmp_path, flags):
-    """Given with --trials 1, a flag that only retraining reads is a usage
-    error naming it, even at its default value."""
+    """`evaluate` scores each checkpoint as `train` left it, so a flag that
+    only retraining would read is no option of it, even at a value that was
+    once its default."""
     args = [str(workspace / f) if f.endswith(".tsv") else f for f in flags]
-    code, _, err = run_cli(monkeypatch, capsys, "evaluate",
-                           "--checkpoint", str(tmp_path / "none.ckpt"),
-                           "--test", str(workspace / "test.tsv"), *args)
-    assert code == EXIT_USAGE
-    assert all(f in err for f in flags[::2]) and "--trials > 1" in err
-    assert "Traceback" not in err
+    code, out, err = run_cli(monkeypatch, capsys, "evaluate",
+                             "--checkpoint", str(tmp_path / "none.ckpt"),
+                             "--test", str(workspace / "test.tsv"), *args)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "No such option" in err and flags[0] in err and "Traceback" not in err
 
 
 def test_every_train_config_field_is_a_training_setting():
@@ -1104,8 +1092,6 @@ EMPTY_INPUT_RUNS = {
                        " --embeddings {ws}/emb.txt --lexicon {ws}/drugs.txt --out {ws}/out",
     "train-labeled": "train --labeled {empty} --vocab {ws}/vocab.txt --embeddings {ws}/emb.txt"
                      " --out {ws}/out",
-    "evaluate-labeled": "evaluate --checkpoint {ws}/model.ckpt --test {ws}/test.tsv --trials 2"
-                        " --labeled {empty} --report {ws}/out",
     "evaluate-test": "evaluate --checkpoint {ws}/model.ckpt --test {empty} --report {ws}/out",
     "build-vocab-labeled": "build-vocab --labeled {empty} --out {ws}/out",
     "build-vocab-unlabeled": "build-vocab --unlabeled {empty} --out {ws}/out",
@@ -1220,6 +1206,46 @@ def test_evaluate_matches_each_predicted_span_once(monkeypatch, capsys, tmp_path
     assert out.splitlines()[1] == "1\t1.0000\t0.5000\t0.6667"
 
 
+def test_each_checkpoint_is_one_trial(workspace, monkeypatch, capsys, tmp_path):
+    """Each trial row of two checkpoints is that checkpoint's row evaluated
+    alone, over the test file encoded by its own vocabulary; one checkpoint
+    given twice is two equal trials, with std 0."""
+    rng = np.random.default_rng(4)
+    words = ["ugh", "feel", "so", "dizzy", "today", "bad"]
+    for name, count in (("train.tsv", 40), ("test.tsv", 20)):  # "dizzy" alone is an ADR
+        (tmp_path / name).write_text("\n".join(
+            "".join(f"{w}\t{'I-ADR' if w == 'dizzy' else 'O'}\n" for w in rng.choice(words, 5))
+            for _ in range(count)))
+    a, b, vocab = tmp_path / "a.ckpt", tmp_path / "b.ckpt", tmp_path / "vocab.txt"
+    run_cli(monkeypatch, capsys, "build-vocab", "--labeled", str(tmp_path / "train.tsv"),
+            "--out", str(vocab))
+    code, _, err = run_cli(monkeypatch, capsys, "train", "--labeled", str(tmp_path / "train.tsv"),
+                           "--vocab", str(vocab), "--embeddings", str(workspace / "emb.txt"),
+                           "--hidden", "3", "--epochs", "5", "--learning-rate", "0.05",
+                           "--out", str(a))
+    assert (code, err) == (0, "")
+    _save_tiny_checkpoint(b)  # a 7-token vocabulary, unlike a's
+    _rewrite_checkpoint(b, _tags_every_token_adr)
+
+    def evaluate(*checkpoints):
+        """The trial rows without their numbers, and the summary row."""
+        code, out, err = run_cli(monkeypatch, capsys, "evaluate", "--test",
+                                 str(tmp_path / "test.tsv"),
+                                 *(f for c in checkpoints for f in ("--checkpoint", str(c))))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        return [line.split("\t", 1)[1] for line in lines[1:-1]], lines[-1]
+
+    (row_a,), _ = evaluate(a)
+    (row_b,), _ = evaluate(b)
+    assert row_a != row_b
+    assert evaluate(a, b)[0] == [row_a, row_b]
+    assert evaluate(b, a)[0] == [row_b, row_a]
+    rows, summary = evaluate(a, a)
+    assert rows == [row_a, row_a]
+    assert summary.count(" ± 0.0000") == 3
+
+
 def test_init_checkpoint_may_be_the_output(workspace, monkeypatch, capsys, tmp_path):
     """Training over the checkpoint whose table it has mapped writes what
     training into another file writes: the rename replaces the file, not
@@ -1250,8 +1276,8 @@ def _mappings(path) -> int:
 def test_checkpoint_is_mapped_exactly_while_its_model_lives(workspace, monkeypatch, capsys,
                                                             tmp_path):
     """A loaded model holds one mapping of its file, which goes with the
-    model; evaluate's trials each load the checkpoint after the previous
-    trial's model is gone."""
+    model; evaluate loads each checkpoint after the previous one's model is
+    gone."""
     ckpt = tmp_path / "m.ckpt"
     _save_tiny_checkpoint(ckpt)
     model = load_checkpoint(ckpt)
@@ -1259,23 +1285,25 @@ def test_checkpoint_is_mapped_exactly_while_its_model_lives(workspace, monkeypat
     del model
     assert _mappings(ckpt) == 0
 
-    held = []  # mappings before and after each load
+    ckpts = [tmp_path / f"t{i}.ckpt" for i in range(3)]
+    for path in ckpts:
+        _save_tiny_checkpoint(path)
+    held = []  # mappings of the three files before and after each load
     real = cli_module.training.load_checkpoint
 
     def load_counting(path, **kw):
-        held.append(_mappings(ckpt))
+        held.append(sum(map(_mappings, ckpts)))
         loaded = real(path, **kw)
-        held.append(_mappings(ckpt))
+        held.append(sum(map(_mappings, ckpts)))
         return loaded
 
     monkeypatch.setattr(cli_module.training, "load_checkpoint", load_counting)
-    code, _, err = run_cli(monkeypatch, capsys, "evaluate", "--checkpoint", str(ckpt),
-                           "--test", str(workspace / "test.tsv"),
-                           "--labeled", str(workspace / "train.tsv"),
-                           "--trials", "3", "--epochs", "1")
+    code, _, err = run_cli(monkeypatch, capsys, "evaluate",
+                           *(a for path in ckpts for a in ("--checkpoint", str(path))),
+                           "--test", str(workspace / "test.tsv"))
     assert (code, err) == (0, "")
     assert held == [0, 1] * 3
-    assert _mappings(ckpt) == 0
+    assert sum(map(_mappings, ckpts)) == 0
 
 
 def test_checkpoint_that_cannot_be_mapped_is_data_error(monkeypatch, capsys, tmp_path):
@@ -1381,15 +1409,9 @@ FAILURES = {
         ["missing.ckpt"]),
     "outputs-name-one-file": ({}, _TRAIN + " --log {ws}/out", click.UsageError,
                               ["--out and --log name one file"]),
-    "retraining-flag-with-one-trial": (
-        {}, "evaluate --checkpoint {ws}/model.ckpt --test {ws}/test.tsv --seed 3"
-        " --report {ws}/out", click.UsageError, ["--seed"]),
-    "trials-below-one": (
-        {}, "evaluate --checkpoint {ws}/model.ckpt --test {ws}/test.tsv --trials 0"
-        " --report {ws}/out", click.UsageError, ["--trials"]),
-    "trials-without-labeled": (
+    "trials-is-no-option": (
         {}, "evaluate --checkpoint {ws}/model.ckpt --test {ws}/test.tsv --trials 2"
-        " --report {ws}/out", click.UsageError, ["--labeled"]),
+        " --report {ws}/out", click.UsageError, ["No such option", "--trials"]),
     "vocab-cap-below-one": ({}, "build-vocab --labeled {ws}/train.tsv --cap 0 --out {ws}/out",
                             click.UsageError, ["--cap"]),
     "build-vocab-without-input": ({}, "build-vocab --out {ws}/out", click.UsageError,
@@ -1551,9 +1573,6 @@ FAILURES = {
         "train --labeled {ws}/train.tsv --init-checkpoint {ws}/huge.ckpt --epochs 1",
         NumericalError, ["supervised epoch 0", "non-finite gradient for parameter fwd.w",
                          "on the batch of tweets sent-"]),
-    "retrain-setting-out-of-range": (
-        {}, "evaluate --checkpoint {ws}/missing.ckpt --test {ws}/test.tsv --labeled {ws}/train.tsv"
-        " --trials 2 --epochs -1 --report {ws}/out", ValueError, ["epochs must be >= 0"]),
 }
 
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adrtag import text as text_module
+from adrtag.files import atomic_write
 from adrtag.text import (
     DRUG,
     LINK,
@@ -219,7 +220,8 @@ class TestVocabulary:
     def test_save_load_round_trip(self, tmp_path):
         v = Vocabulary.build([["a", "b", "a"]], cap=5)
         path = tmp_path / "vocab.txt"
-        v.save(path)
+        with atomic_write(path) as fh:
+            v.write(fh)
         w = Vocabulary.load(path)
         assert w.index_to_token == v.index_to_token
 
@@ -242,11 +244,12 @@ class TestVocabulary:
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
         path = tmp_path / "vocab.txt"
-        Vocabulary.build([["a"]], cap=5).save(path)
+        with atomic_write(path) as fh:
+            Vocabulary.build([["a"]], cap=5).write(fh)
         before = path.read_bytes()
         bad = Vocabulary(list(SENTINELS) + ["fine", "lone\ud800surrogate"])
-        with pytest.raises(UnicodeEncodeError):
-            bad.save(path)
+        with pytest.raises(UnicodeEncodeError), atomic_write(path) as fh:
+            bad.write(fh)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
 

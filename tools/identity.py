@@ -64,8 +64,14 @@ COMMANDS = [
      None),
     ("evaluate-ind", "evaluate --checkpoint tagger-b4.ckpt --test test.tsv --label IND"
      " --report eval-ind.txt", None),
-    ("evaluate-3-trials", "evaluate --checkpoint tagger-b1.ckpt --test test.tsv --trials 3"
-     " --labeled train.tsv --epochs 2 --report eval3.txt", None),
+    ("trial-0", "train --labeled train.tsv --init-checkpoint tagger-b1.ckpt --epochs 2"
+     " --seed 0 --out trial-0.ckpt", None),
+    ("trial-1", "train --labeled train.tsv --init-checkpoint tagger-b1.ckpt --epochs 2"
+     " --seed 1 --out trial-1.ckpt", None),
+    ("trial-2", "train --labeled train.tsv --init-checkpoint tagger-b1.ckpt --epochs 2"
+     " --seed 2 --out trial-2.ckpt", None),
+    ("evaluate-3-checkpoints", "evaluate --checkpoint trial-0.ckpt --checkpoint trial-1.ckpt"
+     " --checkpoint trial-2.ckpt --test test.tsv --report eval3.txt", None),
     ("predict-text", "predict --checkpoint tagger-b4.ckpt"
      " --text 'this cymbalta gives me a headache and weird dreams'", None),
     ("predict-stdin", "predict --checkpoint tagger-b1.ckpt", "ugh effexor made me so dizzy\n"),

@@ -32,7 +32,7 @@ ALLOWED = {
     ("cli.py", "<module>", "main()"):
         "runs only as `python -m adrtag.cli`; the tests call main() directly",
     ("evaluation.py", "aggregate_trials", 'raise ValueError("no trials to aggregate")'):
-        "evaluate's --trials is an IntRange(min=1)",
+        "evaluate's --checkpoint is required, so there is at least one trial",
     ("model.py", "AdrModel.encode_batch", 'raise ValueError("valid lengths must be in [1, T]")'):
         "every caller pads with pad_batch, whose lengths lie in [1, T]",
     ("model.py", "AdrModel.backward_drug",
