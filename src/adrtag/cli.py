@@ -36,7 +36,6 @@ TRAINING_SETTINGS = {
     "seed": click.INT,
     "learning_rate": click.FLOAT,
     "pooling": click.Choice(["mean", "sum"]),
-    "gate_biases": click.BOOL,
 }
 
 
@@ -52,8 +51,6 @@ def _training_options(command):
     """Add --config and one flag per TRAINING_SETTINGS entry, None when not given."""
     for name, kind in reversed(TRAINING_SETTINGS.items()):
         flag = "--" + name.replace("_", "-")
-        if kind is click.BOOL:
-            flag += f"/--no-{flag[2:]}"
         command = click.option(flag, name, type=kind, default=None)(command)
     return click.option("--config", "config_path", type=click.Path(exists=True))(command)
 
@@ -155,7 +152,7 @@ def _build_model_from_inputs(vocab, embeddings_path, settings, seed, drug_names=
         seed=seed,
         vocab_tokens=vocab.index_to_token,
         drug_names=drug_names,
-        **{k: settings[k] for k in ("pooling", "gate_biases") if k in settings},
+        **{k: v for k, v in settings.items() if k == "pooling"},
     )
     return model, table
 
@@ -218,10 +215,10 @@ def cli():
 @click.option("--drug-mask/--no-drug-mask", default=True, show_default=True)
 def preprocess(input_path, lexicon, stopwords, out_path, drug_mask):
     """Normalize raw tweets and keep those with exactly one drug mention."""
-    lex = text.DrugLexicon.load(lexicon)
-    stop = text.load_stopwords(stopwords) if stopwords else text.default_stopwords()
     kept = no_drug = multi_drug = empty = 0
     with atomic_write(out_path) as fh:
+        lex = text.DrugLexicon.load(lexicon)
+        stop = text.load_stopwords(stopwords) if stopwords else text.default_stopwords()
         for tweet_id, raw in _read_unlabeled(input_path):
             tokens = text.remove_stopwords(text.tokenize(text.normalize(raw)), stop)
             if not tokens:
@@ -342,7 +339,7 @@ def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path,
                 raise click.UsageError(f"{', '.join(fixed)}: the --init-checkpoint vocabulary "
                                        "and embeddings are fixed")
             model, vocab_obj = _load_tagger(init_checkpoint)
-            for key in ("hidden", "pooling", "gate_biases"):
+            for key in ("hidden", "pooling"):
                 have = getattr(model, key)
                 if settings.get(key, have) != have:
                     raise click.UsageError(f"{key}: {settings[key]} given, but --init-checkpoint "

@@ -43,24 +43,22 @@ class LSTMCellParams:
         hidden: int,
         emb: int,
         rng: Optional[np.random.Generator],
-        gate_biases: bool = True,
     ):
         self.hidden = hidden
         self.emb = emb
-        self.gate_biases = gate_biases
         w, i = np.empty((4 * hidden, hidden)), np.empty((4 * hidden, emb))
         if rng is not None:
             for k in range(len(GATES)):  # one draw per gate block, w before i
                 w[k * hidden : (k + 1) * hidden] = glorot(rng, hidden, hidden)
                 i[k * hidden : (k + 1) * hidden] = glorot(rng, hidden, emb)
         b = np.zeros(4 * hidden)
-        b[hidden : 2 * hidden] = FORGET_BIAS if gate_biases else 0.0
+        b[hidden : 2 * hidden] = FORGET_BIAS
         self.w = Parameter(f"{prefix}.w", w)
         self.i = Parameter(f"{prefix}.i", i)
         self.b = Parameter(f"{prefix}.b", b)
 
     def params(self) -> List[Parameter]:
-        return [self.w, self.i, self.b] if self.gate_biases else [self.w, self.i]
+        return [self.w, self.i, self.b]
 
 
 class LinearHead:
@@ -224,8 +222,7 @@ def _backprop_encoder(cells: Sequence[LSTMCellParams], enc: EncodeCache, dh: np.
         da = enc.gates[:, d]
         sink.step(cell.w, np.matmul(da.T, enc.states[h_in, d], out=sink.buffer(cell.w)))
         sink.step(cell.i, np.matmul(da.T, enc.emb[enc.ids[:, d]], out=sink.buffer(cell.i)))
-        if cell.gate_biases:
-            sink.step(cell.b, np.sum(da, axis=0, out=sink.buffer(cell.b)))
+        sink.step(cell.b, np.sum(da, axis=0, out=sink.buffer(cell.b)))
 
 
 class AdrModel:
@@ -241,7 +238,6 @@ class AdrModel:
         hidden: int,
         drug_count: int,
         seed: int,
-        gate_biases: bool = True,
         pooling: str = "mean",
         vocab_tokens: Optional[List[str]] = None,
         drug_names: Optional[List[str]] = None,
@@ -260,13 +256,12 @@ class AdrModel:
         self.drug_count = drug_count
         self.seed = seed
         self.pooling = pooling
-        self.gate_biases = gate_biases
         self.vocab_tokens = vocab_tokens
         self.drug_names = drug_names
         rng = np.random.default_rng(seed) if _draw_weights else None
         self.cells = (  # forward, then backward direction
-            LSTMCellParams("fwd", hidden, self.emb, rng, gate_biases),
-            LSTMCellParams("bwd", hidden, self.emb, rng, gate_biases),
+            LSTMCellParams("fwd", hidden, self.emb, rng),
+            LSTMCellParams("bwd", hidden, self.emb, rng),
         )
         self.drug_head = LinearHead("drug", drug_count, 2 * hidden, rng)
         self.tag_head = LinearHead("tag", len(TagLabel), 2 * hidden, rng)

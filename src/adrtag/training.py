@@ -326,8 +326,9 @@ def save_checkpoint(model: AdrModel, path) -> None:
 def write_checkpoint(model: AdrModel, fh) -> None:
     """Write the checkpoint to the open binary file ``fh``."""
     arrays = _model_arrays(model)
-    header = {key: getattr(model, key) for key in _HEADER_FIELDS if key != "arrays"}
-    header.update(version=1, arrays=[{"name": n, "shape": list(a.shape)} for n, a in arrays])
+    header = {key: getattr(model, key) for key in _MODEL_FIELDS}
+    header.update(version=1, gate_biases=True,
+                  arrays=[{"name": n, "shape": list(a.shape)} for n, a in arrays])
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     fh.write(CHECKPOINT_MAGIC)
     fh.write(len(blob).to_bytes(8, "little"))
@@ -340,21 +341,24 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# The header's fields besides "version", with their validators: save_checkpoint
-# writes the array list and the model attribute of each other name, and
-# load_checkpoint checks each field.
-_HEADER_FIELDS = {
+# The header's fields besides "version", with their validators: the model
+# attributes, which write_checkpoint copies, then "gate_biases", always true
+# as every direction stores its b_* arrays, and the array list.
+_MODEL_FIELDS = {
     **dict.fromkeys(("hidden", "emb", "drug_count", "seed"), _is_int),
     "pooling": lambda v: isinstance(v, str),
-    "gate_biases": lambda v: isinstance(v, bool),
+    **dict.fromkeys(("vocab_tokens", "drug_names"), lambda v: v is None or (
+        isinstance(v, list) and all(isinstance(t, str) for t in v))),
+}
+_HEADER_FIELDS = {
+    **_MODEL_FIELDS,
+    "gate_biases": lambda v: v is True,
     "arrays": lambda v: isinstance(v, list) and all(
         isinstance(e, dict) and isinstance(e.get("name"), str)
         and isinstance(e.get("shape"), list)
         and all(_is_int(d) and d >= 0 for d in e["shape"])
         for e in v
     ),
-    **dict.fromkeys(("vocab_tokens", "drug_names"), lambda v: v is None or (
-        isinstance(v, list) and all(isinstance(t, str) for t in v))),
 }
 
 
@@ -402,7 +406,7 @@ def load_checkpoint(path) -> AdrModel:
                     f"array list gives {shapes.get(name)}"
                 )
         rows = listed[0][1][0] if listed and listed[0][1] else 0
-        kwargs = {k: header[k] for k in _HEADER_FIELDS if k not in ("emb", "arrays")}
+        kwargs = {k: header[k] for k in _MODEL_FIELDS if k != "emb"}
         try:  # a placeholder table of the file's shape, which allocates nothing
             model = AdrModel(np.broadcast_to(0.0, (rows, E)), **kwargs, _draw_weights=False)
         except ValueError as exc:

@@ -223,8 +223,7 @@ def _backprop_direction(cell: LSTMCellParams, cache: _DirectionCache, dhs: np.nd
     h_in = cache.h[np.arange(len(da)) + np.repeat(starts - offsets, live)]
     grads[cell.w.name] = da.T @ h_in
     grads[cell.i.name] = da.T @ cache.emb[cache.ids]
-    if cell.gate_biases:
-        grads[cell.b.name] = da.sum(axis=0)
+    grads[cell.b.name] = da.sum(axis=0)
 
 
 def packed_oracle(model: AdrModel, indices, lengths, labels, tags) -> dict:

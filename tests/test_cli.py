@@ -416,7 +416,7 @@ class TestErrors:
 
 
 def _save_tiny_checkpoint(path, vocabulary=True):
-    """A hidden=2, mean-pooled, gate-biased model over a 7-token vocabulary."""
+    """A hidden=2, mean-pooled model over a 7-token vocabulary."""
     tokens = ["<PAD>", "<UNK>", "<LINK>", "<USER>", "<DRUG>", "ugh", "dizzy"]
     model = AdrModel(np.random.default_rng(0).normal(size=(len(tokens), 3)),
                      hidden=2, drug_count=2, seed=0,
@@ -492,6 +492,16 @@ def _rewrite_checkpoint(path, edit):
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob
                      + b"".join(a.tobytes() for a in arrays.values()))
+
+
+def _without_gate_biases(header, arrays):
+    """A _rewrite_checkpoint edit: a model without gate biases, as
+    `--no-gate-biases` wrote it: the header says false, and no direction
+    has its b_* arrays."""
+    header["gate_biases"] = False
+    for name in [n for n in arrays if ".b_" in n]:
+        del arrays[name]
+    header["arrays"] = [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()]
 
 
 def _rewrite_header(path, edit):
@@ -654,7 +664,8 @@ def test_two_outputs_naming_one_file_are_usage_error(workspace, monkeypatch, cap
 @pytest.mark.parametrize("directory", [False, True], ids=["in-missing-dir", "is-a-dir"])
 @pytest.mark.parametrize("command, flag", [("pretrain", "--out"), ("pretrain", "--log"),
                                            ("train", "--out"), ("train", "--log"),
-                                           ("evaluate", "--report"), ("build-vocab", "--out")])
+                                           ("evaluate", "--report"), ("build-vocab", "--out"),
+                                           ("preprocess", "--out")])
 def test_output_that_cannot_be_written_fails_before_the_work(workspace, monkeypatch, capsys,
                                                              tmp_path, command, flag,
                                                              directory):
@@ -669,6 +680,11 @@ def test_output_that_cannot_be_written_fails_before_the_work(workspace, monkeypa
         monkeypatch.setattr(cli_module.text.Vocabulary, "build",
                             lambda *a, **kw: pytest.fail("vocabulary built"))
         args, outputs = ["--labeled", str(workspace / "train.tsv")], {"--out": tmp_path / "v.txt"}
+    elif command == "preprocess":
+        monkeypatch.setattr(cli_module.text.DrugLexicon, "load",
+                            lambda *a, **kw: pytest.fail("lexicon loaded"))
+        args = ["--input", str(workspace / "raw.tsv"), "--lexicon", str(workspace / "drugs.txt")]
+        outputs = {"--out": tmp_path / "p.tsv"}
     else:
         args = _training_inputs(workspace, monkeypatch, capsys, tmp_path, command)
         args += ["--hidden", "2", "--epochs", "1"]
@@ -689,8 +705,6 @@ def test_output_that_cannot_be_written_fails_before_the_work(workspace, monkeypa
 _ARCHITECTURE = {
     "hidden": ((["--hidden", "2"], "hidden: 2"), (["--hidden", "3"], "hidden: 3")),
     "pooling": ((["--pooling", "mean"], "pooling: mean"), (["--pooling", "sum"], "pooling: sum")),
-    "gate_biases": ((["--gate-biases"], "gate_biases: true"),
-                    (["--no-gate-biases"], "gate_biases: false")),
 }
 
 
@@ -699,7 +713,7 @@ _ARCHITECTURE = {
 @pytest.mark.parametrize("setting", sorted(_ARCHITECTURE))
 def test_init_checkpoint_architecture_setting_must_match(workspace, monkeypatch, capsys,
                                                          tmp_path, setting, form, same):
-    """A hidden, pooling or gate_biases given with --init-checkpoint, as a
+    """A hidden or pooling given with --init-checkpoint, as a
     flag or in --config, must equal the checkpoint's: equal changes nothing,
     different is a usage error naming the setting and both values."""
     ckpt = tmp_path / "init.ckpt"
@@ -721,8 +735,8 @@ def test_init_checkpoint_architecture_setting_must_match(workspace, monkeypatch,
         assert (code, err) == (0, ""), err
         assert (tmp_path / "x.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
     else:
-        given = {"hidden": 3, "pooling": "sum", "gate_biases": False}[setting]
-        have = {"hidden": 2, "pooling": "mean", "gate_biases": True}[setting]
+        given = {"hidden": 3, "pooling": "sum"}[setting]
+        have = {"hidden": 2, "pooling": "mean"}[setting]
         assert code == EXIT_USAGE and out == ""
         assert err == (f"error: {setting}: {given} given, but --init-checkpoint {ckpt} "
                        f"has {have}\n")
@@ -782,7 +796,6 @@ FLAG_SURFACE = {
         "seed": (("--seed",), (), "integer", (), False, None),
         "learning_rate": (("--learning-rate",), (), "float", (), False, None),
         "pooling": (("--pooling",), (), "choice", ("mean", "sum"), False, None),
-        "gate_biases": (("--gate-biases",), ("--no-gate-biases",), "boolean", (), False, None),
     },
     "train": {
         "config_path": (("--config",), (), "path", (), False, None),
@@ -799,7 +812,6 @@ FLAG_SURFACE = {
         "seed": (("--seed",), (), "integer", (), False, None),
         "learning_rate": (("--learning-rate",), (), "float", (), False, None),
         "pooling": (("--pooling",), (), "choice", ("mean", "sum"), False, None),
-        "gate_biases": (("--gate-biases",), ("--no-gate-biases",), "boolean", (), False, None),
     },
     "evaluate": {
         "checkpoints": (("--checkpoint",), (), "path", (), True, None),
@@ -844,7 +856,7 @@ def _training_inputs(workspace, monkeypatch, capsys, tmp_path, command):
 
 @pytest.mark.parametrize("command", ["pretrain", "train"])
 @pytest.mark.parametrize("line", ["hidden: abc", "learning_rate: abc", "seed: [1]",
-                                  "batch_size: 2.5", "gate_biases: maybe"],
+                                  "batch_size: 2.5", "pooling: max"],
                          ids=lambda line: line.split(":")[0])
 def test_mistyped_config_value_is_usage_error(workspace, monkeypatch, capsys, tmp_path,
                                               command, line):
@@ -944,14 +956,14 @@ def test_empty_config_sets_nothing(workspace, monkeypatch, capsys, tmp_path, tex
 def test_config_values_parse_like_flags_and_flags_win(workspace, monkeypatch, capsys,
                                                       tmp_path, command):
     config = tmp_path / "cfg.yaml"
-    config.write_text("hidden: 3\nepochs: 1\nmax_len: '12'\ngate_biases: 'false'\n")
+    config.write_text("hidden: 3\nepochs: 1\nmax_len: '12'\npooling: sum\n")
     inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, command)
     ckpt = tmp_path / "x.ckpt"
     code, _, err = run_cli(monkeypatch, capsys, command, "--config", str(config), *inputs,
                            "--hidden", "4", "--out", str(ckpt))
     assert code == 0, err
     model = load_checkpoint(ckpt)
-    assert (model.hidden, model.gate_biases) == (4, False)
+    assert (model.hidden, model.pooling) == (4, "sum")
     code, _, err = run_cli(monkeypatch, capsys, "predict", "--checkpoint", str(ckpt),
                            "--text", "ugh so dizzy")
     assert code == 0, err
@@ -1048,7 +1060,7 @@ def test_every_train_config_field_is_a_training_setting():
     """A TrainConfig field exists only as a setting `pretrain` and `train`
     take by flag and config key; the other settings build the model."""
     assert ({f.name for f in fields(TrainConfig)}
-            == set(cli_module.TRAINING_SETTINGS) - {"hidden", "pooling", "gate_biases"})
+            == set(cli_module.TRAINING_SETTINGS) - {"hidden", "pooling"})
 
 
 _VOCAB = "<PAD>\n<UNK>\n<LINK>\n<USER>\n<DRUG>\nugh\ndizzy\n"
@@ -1400,10 +1412,15 @@ FAILURES = {
         {}, "train --labeled {ws}/train.tsv --init-checkpoint {ws}/model.ckpt --pooling sum",
         click.UsageError, ["pooling: sum given, but --init-checkpoint", "model.ckpt has mean"]),
     "architecture-config-with-init-checkpoint": (
-        {"cfg.yaml": "gate_biases: false\n"},
+        {"cfg.yaml": "pooling: sum\n"},
         "train --labeled {ws}/train.tsv --init-checkpoint {ws}/model.ckpt --config {ws}/cfg.yaml",
-        click.UsageError, ["gate_biases: False given, but --init-checkpoint",
-                           "model.ckpt has True"]),
+        click.UsageError, ["pooling: sum given, but --init-checkpoint", "model.ckpt has mean"]),
+    **{f"{flag[2:]}-is-no-option-of-{command}": (
+        {}, f"{command} {flag}", click.UsageError, ["No such option", flag])
+       for command in ("pretrain", "train") for flag in ("--gate-biases", "--no-gate-biases")},
+    "gate-biases-is-no-config-key": ({"cfg.yaml": "gate_biases: true\n"},
+                                     _TRAIN + " --config {ws}/cfg.yaml", click.UsageError,
+                                     ["cfg.yaml: unknown config key(s) gate_biases"]),
     "init-checkpoint-missing": (
         {}, "train --labeled {ws}/train.tsv --init-checkpoint {ws}/missing.ckpt", OSError,
         ["missing.ckpt"]),
@@ -1534,6 +1551,12 @@ FAILURES = {
     "checkpoint-version-2": ({"bad.ckpt": _edited_checkpoint(lambda h, a: h.update(version=2))},
                              _PREDICT + " {ws}/bad.ckpt", CheckpointError,
                              ["bad.ckpt: unsupported version 2"]),
+    **{f"checkpoint-without-gate-biases-{name}": (
+        {"bad.ckpt": _edited_checkpoint(_without_gate_biases)}, command, CheckpointError,
+        ["bad.ckpt: header field 'gate_biases' is missing or malformed"])
+       for name, command in [("predict", _PREDICT + " {ws}/bad.ckpt"),
+                             ("init-checkpoint", "train --labeled {ws}/train.tsv"
+                              " --init-checkpoint {ws}/bad.ckpt")]},
     "checkpoint-unknown-pooling": (
         {"bad.ckpt": _edited_checkpoint(lambda h, a: h.update(pooling="max"))},
         _PREDICT + " {ws}/bad.ckpt", CheckpointError, ["bad.ckpt: unknown pooling 'max'"]),

@@ -24,12 +24,12 @@ from reference import (
 )
 
 
-def make_cell(hidden, emb, seed=0, gate_biases=True):
-    return LSTMCellParams("cell", hidden, emb, np.random.default_rng(seed), gate_biases)
+def make_cell(hidden, emb, seed=0):
+    return LSTMCellParams("cell", hidden, emb, np.random.default_rng(seed))
 
 
 def zero_cell(hidden, emb):
-    cell = make_cell(hidden, emb, gate_biases=True)
+    cell = make_cell(hidden, emb)
     for p in cell.params():
         p.value[...] = 0.0
     return cell
@@ -374,13 +374,9 @@ class TestFusedLayout:
 
     def test_three_parameters_per_direction(self):
         emb = np.zeros((5, 2))
-        with_b = AdrModel(emb, hidden=3, drug_count=2, seed=0)
-        without_b = AdrModel(emb, hidden=3, drug_count=2, seed=0, gate_biases=False)
-        assert [p.name for p in with_b.encoder_parameters()] == [
+        model = AdrModel(emb, hidden=3, drug_count=2, seed=0)
+        assert [p.name for p in model.encoder_parameters()] == [
             "fwd.w", "fwd.i", "fwd.b", "bwd.w", "bwd.i", "bwd.b"
-        ]
-        assert [p.name for p in without_b.encoder_parameters()] == [
-            "fwd.w", "fwd.i", "bwd.w", "bwd.i"
         ]
 
 

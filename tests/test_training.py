@@ -815,10 +815,18 @@ def _v1_arrays(H, E, gate_biases):
 
 @pytest.mark.parametrize("gate_biases", [True, False])
 def test_per_gate_v1_checkpoint_fills_fused_blocks(tmp_path, gate_biases):
+    """A version-1 file fills the fused blocks and saves back byte for byte.
+    A file whose header says gate_biases false, with no b_* arrays, as a
+    model without gate biases was once written, is refused naming the field."""
     H, E = 3, 4
     arrays = _v1_arrays(H, E, gate_biases)
     path = tmp_path / "v1.ckpt"
     _write_v1_checkpoint(path, arrays, H, E, gate_biases)
+    if not gate_biases:
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: header field 'gate_biases' is missing or malformed")):
+            load_checkpoint(path)
+        return
 
     model = load_checkpoint(path)
     by_name = dict(arrays)
@@ -827,8 +835,7 @@ def test_per_gate_v1_checkpoint_fills_fused_blocks(tmp_path, gate_biases):
             rows = slice(k * H, (k + 1) * H)
             assert np.array_equal(cell.w.value[rows], by_name[f"{prefix}.w_{g}"])
             assert np.array_equal(cell.i.value[rows], by_name[f"{prefix}.i_{g}"])
-            if gate_biases:
-                assert np.array_equal(cell.b.value[rows], by_name[f"{prefix}.b_{g}"])
+            assert np.array_equal(cell.b.value[rows], by_name[f"{prefix}.b_{g}"])
     resaved = tmp_path / "resaved.ckpt"
     save_checkpoint(model, resaved)
     assert resaved.read_bytes() == path.read_bytes()

@@ -48,10 +48,9 @@ COMMANDS = [
     ("pretrain-mean", "pretrain --corpus corpus.tsv --vocab vocab.txt --embeddings emb.txt"
      " --lexicon drugs.txt --hidden 6 --epochs 2 --batch-size 16 --out pre-mean.ckpt"
      " --log pre-mean.jsonl", None),
-    ("pretrain-sum-no-biases", "pretrain --corpus corpus.tsv --vocab vocab.txt"
+    ("pretrain-sum", "pretrain --corpus corpus.tsv --vocab vocab.txt"
      " --embeddings emb.txt --lexicon drugs.txt --hidden 6 --epochs 2 --batch-size 16"
-     " --pooling sum --no-gate-biases --max-len 8 --out pre-sum.ckpt --log pre-sum.jsonl",
-     None),
+     " --pooling sum --max-len 8 --out pre-sum.ckpt --log pre-sum.jsonl", None),
     ("train-b1-from-pretrained", "train --labeled train.tsv --init-checkpoint pre-mean.ckpt"
      " --epochs 5 --batch-size 1 --learning-rate 0.02 --out tagger-b1.ckpt"
      " --log tagger-b1.jsonl", None),
@@ -108,7 +107,7 @@ def write_inputs(directory: Path):
     (directory / "drugs.txt").write_text("\n".join(DRUGS) + "\n", encoding="utf-8")
     (directory / "stop.txt").write_text("so\nthe\n", encoding="utf-8")
     # The architecture of pre-mean.ckpt, shared with `train --init-checkpoint`.
-    (directory / "train.yaml").write_text("hidden: 6\npooling: mean\ngate_biases: true\n"
+    (directory / "train.yaml").write_text("hidden: 6\npooling: mean\n"
                                           "epochs: 2\nlearning_rate: 0.02\n", encoding="utf-8")
 
     def conll(gen, n):
