@@ -19,7 +19,7 @@ import yaml
 from . import encoding, evaluation, text, training
 from .errors import CheckpointError, DataError, NumericalError
 from .files import atomic_write, read_stdin, reading
-from .model import AdrModel, gradient_check
+from .model import POOLINGS, AdrModel, gradient_check
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -35,7 +35,7 @@ TRAINING_SETTINGS = {
     "max_len": click.INT,
     "seed": click.INT,
     "learning_rate": click.FLOAT,
-    "pooling": click.Choice(["mean", "sum"]),
+    "pooling": click.Choice(POOLINGS),
 }
 
 
@@ -212,8 +212,7 @@ def cli():
 @click.option("--lexicon", required=True, type=click.Path(exists=True))
 @click.option("--stopwords", type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--drug-mask/--no-drug-mask", default=True, show_default=True)
-def preprocess(input_path, lexicon, stopwords, out_path, drug_mask):
+def preprocess(input_path, lexicon, stopwords, out_path):
     """Normalize raw tweets and keep those with exactly one drug mention."""
     kept = no_drug = multi_drug = empty = 0
     with atomic_write(out_path) as fh:
@@ -225,7 +224,7 @@ def preprocess(input_path, lexicon, stopwords, out_path, drug_mask):
                 empty += 1
                 continue
             try:
-                ex = text.mask_drug(text.TokenizedTweet(tokens, tweet_id), lex, mask=drug_mask)
+                ex = text.mask_drug(text.TokenizedTweet(tokens, tweet_id), lex)
             except text.NoDrugMention:
                 no_drug += 1
                 continue

@@ -24,6 +24,7 @@ from .numerics import (PROB_FLOOR, Gradients, Parameter, finite_difference_gradi
 
 GATES = ("u", "f", "c", "o")  # row-block order of the fused gate arrays
 FORGET_BIAS = 1.0
+POOLINGS = ("mean", "sum")  # how the drug head pools the encoder states
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -248,7 +249,7 @@ class AdrModel:
             raise ValueError("hidden must be >= 1")
         if drug_count < 2:
             raise ValueError("drug catalog must contain at least 2 names")
-        if pooling not in ("mean", "sum"):
+        if pooling not in POOLINGS:
             raise ValueError(f"unknown pooling {pooling!r}")
         self.embeddings = np.asarray(embeddings, dtype=np.float64)
         self.emb = self.embeddings.shape[1]

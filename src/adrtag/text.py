@@ -49,7 +49,7 @@ class TokenizedTweet:
 
 @dataclass
 class DrugContextExample:
-    """A tweet with its (masked) drug mention and the drug's catalog index."""
+    """A tweet with its masked drug mention and the drug's catalog index."""
 
     tokens: List[str]
     drug_label: int
@@ -165,14 +165,10 @@ class DrugLexicon:
         return cls(list(first))
 
 
-def mask_drug(
-    tweet: TokenizedTweet, lexicon: DrugLexicon, mask: bool = True
-) -> DrugContextExample:
+def mask_drug(tweet: TokenizedTweet, lexicon: DrugLexicon) -> DrugContextExample:
     """Replace the tweet's single drug mention with the DRUG sentinel.
 
-    Tweets with zero or more than one lexicon match are rejected; the
-    ``mask=False`` ablation keeps the drug token in place but still requires
-    exactly one match to define the label.
+    Tweets with zero or more than one lexicon match are rejected.
     """
     hits = [i for i, t in enumerate(tweet.tokens) if t.lower() in lexicon.index]
     if not hits:
@@ -182,8 +178,7 @@ def mask_drug(
     pos = hits[0]
     label = lexicon.index[tweet.tokens[pos].lower()]
     tokens = list(tweet.tokens)
-    if mask:
-        tokens[pos] = DRUG
+    tokens[pos] = DRUG
     return DrugContextExample(tokens=tokens, drug_label=label, source_id=tweet.source_id)
 
 

@@ -405,6 +405,11 @@ def load_checkpoint(path) -> AdrModel:
                     f"{path}: header implies {name} of shape {shape}, "
                     f"array list gives {shapes.get(name)}"
                 )
+        names, count = header["drug_names"], header["drug_count"]
+        if names is not None and not len(set(names)) == len(names) == count:
+            raise CheckpointError(f"{path}: header field 'drug_names' must hold drug_count "
+                                  f"({count}) distinct names, not {len(set(names))} of "
+                                  f"{len(names)}")
         rows = listed[0][1][0] if listed and listed[0][1] else 0
         kwargs = {k: header[k] for k in _MODEL_FIELDS if k != "emb"}
         try:  # a placeholder table of the file's shape, which allocates nothing

@@ -191,18 +191,6 @@ class TestPreprocess:
                                         "t2\tstjohns\t<DRUG> wort great\n"
                                         "t3\teffexor\t<DRUG> dreams\n")
 
-    def test_no_mask_keeps_drug_token(self, workspace, monkeypatch, capsys, tmp_path):
-        masked = tmp_path / "masked.tsv"
-        unmasked = tmp_path / "unmasked.tsv"
-        run_cli(monkeypatch, capsys, "preprocess", "--input", str(workspace / "raw.tsv"),
-                "--lexicon", str(workspace / "drugs.txt"), "--out", str(masked))
-        run_cli(monkeypatch, capsys, "preprocess", "--input", str(workspace / "raw.tsv"),
-                "--lexicon", str(workspace / "drugs.txt"), "--out", str(unmasked),
-                "--no-drug-mask")
-        assert "<DRUG>" in masked.read_text()
-        assert "<DRUG>" not in unmasked.read_text()
-        assert "effexor" in unmasked.read_text()
-
 
 class TestPipeline:
     def test_end_to_end(self, workspace, monkeypatch, capsys, tmp_path):
@@ -452,7 +440,7 @@ def _tags_every_token_adr(header, arrays):
 def _one_drug(header, arrays):
     """A _rewrite_checkpoint edit: a drug catalog of one name, the file
     consistent with it."""
-    header["drug_count"] = 1
+    header.update(drug_count=1, drug_names=["a"])
     for name in ("drug.w", "drug.b"):
         arrays[name] = arrays[name][:1]
     header["arrays"] = [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()]
@@ -781,6 +769,18 @@ class TestGradcheckCommand:
 # recorded before the flags of `pretrain` and `train` came from one settings table;
 # `gradcheck`'s shape, step and tolerance are constants in adrtag.model, not flags.
 FLAG_SURFACE = {
+    "preprocess": {
+        "input_path": (("--input",), (), "path", (), True, None),
+        "lexicon": (("--lexicon",), (), "path", (), True, None),
+        "stopwords": (("--stopwords",), (), "path", (), False, None),
+        "out_path": (("--out",), (), "path", (), True, None),
+    },
+    "build-vocab": {
+        "unlabeled": (("--unlabeled",), (), "path", (), False, None),
+        "labeled": (("--labeled",), (), "path", (), False, None),
+        "cap": (("--cap",), (), "integer range", (), False, 15000),
+        "out_path": (("--out",), (), "path", (), True, None),
+    },
     "pretrain": {
         "config_path": (("--config",), (), "path", (), False, None),
         "corpus": (("--corpus",), (), "path", (), True, None),
@@ -818,6 +818,10 @@ FLAG_SURFACE = {
         "test_path": (("--test",), (), "path", (), True, None),
         "label": (("--label",), (), "choice", ("ADR", "IND"), False, "ADR"),
         "report_path": (("--report",), (), "path", (), False, None),
+    },
+    "predict": {
+        "checkpoint": (("--checkpoint",), (), "path", (), True, None),
+        "raw_text": (("--text",), (), "text", (), False, None),
     },
     "gradcheck": {
         "seeds": (("--seeds",), (), "integer range", (), False, 10),
@@ -1418,6 +1422,9 @@ FAILURES = {
     **{f"{flag[2:]}-is-no-option-of-{command}": (
         {}, f"{command} {flag}", click.UsageError, ["No such option", flag])
        for command in ("pretrain", "train") for flag in ("--gate-biases", "--no-gate-biases")},
+    **{f"{flag[2:]}-is-no-option-of-preprocess": (
+        {}, f"{_PREPROCESS} {flag}", click.UsageError, ["No such option", flag])
+       for flag in ("--drug-mask", "--no-drug-mask")},
     "gate-biases-is-no-config-key": ({"cfg.yaml": "gate_biases: true\n"},
                                      _TRAIN + " --config {ws}/cfg.yaml", click.UsageError,
                                      ["cfg.yaml: unknown config key(s) gate_biases"]),
@@ -1554,6 +1561,17 @@ FAILURES = {
     **{f"checkpoint-without-gate-biases-{name}": (
         {"bad.ckpt": _edited_checkpoint(_without_gate_biases)}, command, CheckpointError,
         ["bad.ckpt: header field 'gate_biases' is missing or malformed"])
+       for name, command in [("predict", _PREDICT + " {ws}/bad.ckpt"),
+                             ("init-checkpoint", "train --labeled {ws}/train.tsv"
+                              " --init-checkpoint {ws}/bad.ckpt")]},
+    **{f"checkpoint-drug-names-{case}-{name}": (
+        {"bad.ckpt": _edited_checkpoint(lambda h, a, names=names: h.update(drug_names=names))},
+        command, CheckpointError,
+        ["bad.ckpt: header field 'drug_names' must hold drug_count (2) distinct names, "
+         f"not {held}"])
+       for case, names, held in [("too-many", ["a", "b", "c"], "3 of 3"),
+                                 ("repeated", ["a", "a"], "1 of 2"),
+                                 ("too-few", ["a"], "1 of 1")]
        for name, command in [("predict", _PREDICT + " {ws}/bad.ckpt"),
                              ("init-checkpoint", "train --labeled {ws}/train.tsv"
                               " --init-checkpoint {ws}/bad.ckpt")]},

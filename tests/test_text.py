@@ -164,13 +164,6 @@ class TestMaskDrug:
         with pytest.raises(NoDrugMention):
             mask_drug(TokenizedTweet(["feeling", "fine"], "t4"), lexicon)
 
-    def test_mask_disabled_keeps_token(self, lexicon):
-        ex = mask_drug(
-            TokenizedTweet(["this", "effexor", "sucks"], "t5"), lexicon, mask=False
-        )
-        assert ex.tokens == ["this", "effexor", "sucks"]
-        assert ex.drug_label == 0
-
     def test_postconditions(self, lexicon):
         ex = mask_drug(TokenizedTweet(["a", "effexor", "b"], "t6"), lexicon)
         assert sum(t == DRUG for t in ex.tokens) == 1

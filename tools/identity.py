@@ -36,8 +36,8 @@ THREADS = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # that starts with the input set; later commands read earlier outputs.
 COMMANDS = [
     ("preprocess", "preprocess --input raw.tsv --lexicon drugs.txt --out corpus.tsv", None),
-    ("preprocess-no-mask", "preprocess --input raw.tsv --lexicon drugs.txt --no-drug-mask"
-     " --stopwords stop.txt --out corpus-nomask.tsv", None),
+    ("preprocess-stopwords", "preprocess --input raw.tsv --lexicon drugs.txt"
+     " --stopwords stop.txt --out corpus-stop.tsv", None),
     ("preprocess-in-place", "preprocess --input inplace.tsv --lexicon drugs.txt"
      " --out inplace.tsv", None),
     ("build-vocab-unlabeled", "build-vocab --unlabeled corpus.tsv --cap 60"
