@@ -142,8 +142,9 @@ def _encode_labeled(sentences, vocab):
 
 
 def _build_model_from_inputs(vocab, embeddings_path, settings, seed, drug_names=None):
-    """A fresh model over ``vocab`` and the embeddings file; ``seed`` draws
-    the missing embedding rows and the weights."""
+    """A fresh model over ``vocab`` and the embeddings file, whose coverage
+    of ``vocab`` it prints; ``seed`` draws the missing embedding rows and the
+    weights."""
     table = text.load_embeddings(embeddings_path, vocab, seed=seed)
     model = AdrModel(
         table.vectors,
@@ -154,7 +155,8 @@ def _build_model_from_inputs(vocab, embeddings_path, settings, seed, drug_names=
         drug_names=drug_names,
         **{k: v for k, v in settings.items() if k == "pooling"},
     )
-    return model, table
+    click.echo(f"embedding coverage: {table.coverage:.3f}")
+    return model
 
 
 def _load_tagger(checkpoint):
@@ -299,9 +301,8 @@ def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, config_path
             if drug not in lex.index:
                 raise DataError(f"{corpus}: unknown drug name {drug!r}")
             examples.append((vocab_obj.indices(tokens), lex.index[drug], tweet_id))
-        model, table = _build_model_from_inputs(vocab_obj, embeddings, settings, train_cfg.seed,
-                                                lex.names)
-        click.echo(f"embedding coverage: {table.coverage:.3f}")
+        model = _build_model_from_inputs(vocab_obj, embeddings, settings, train_cfg.seed,
+                                         lex.names)
         _echo_truncation([e[0] for e in examples], train_cfg.max_len)
         log = training.pretrain(examples, model, train_cfg)
         training.write_checkpoint(model, out)
@@ -349,7 +350,7 @@ def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path,
                     "--vocab and --embeddings are required without --init-checkpoint"
                 )
             vocab_obj = text.Vocabulary.load(vocab)
-            model, _ = _build_model_from_inputs(vocab_obj, embeddings, settings, train_cfg.seed)
+            model = _build_model_from_inputs(vocab_obj, embeddings, settings, train_cfg.seed)
         data = _encode_labeled(_read_sentences(labeled), vocab_obj)
         click.echo(f"training tweets: {len(data)}")
         _echo_truncation([d[0] for d in data], train_cfg.max_len)

@@ -321,21 +321,13 @@ def load_embeddings(path, vocab: Vocabulary, seed: int = 0) -> EmbeddingTable:
     if vectors is None:
         vectors = np.zeros((len(vocab), dim), dtype=np.float64)
 
-    rng = np.random.default_rng(seed)
-    found = 0
-    vocab_words = 0
-    for i, tok in enumerate(vocab.index_to_token):
-        if tok not in _PROTECTED:
-            vocab_words += 1
-        if tok == PAD:
-            continue
-        if in_file[i]:
-            if tok not in _PROTECTED:
-                found += 1
-        else:
-            vectors[i] = rng.uniform(-0.05, 0.05, size=dim)
-    coverage = found / vocab_words if vocab_words else 0.0
-    return EmbeddingTable(vectors=vectors, coverage=coverage)
+    # One draw for every missing row gives the stream per-row draws would, in
+    # row order; PAD, index 0, keeps its zero row.
+    missing = ~in_file
+    missing[0] = False
+    vectors[missing] = np.random.default_rng(seed).uniform(-0.05, 0.05, size=(missing.sum(), dim))
+    words = in_file[len(SENTINELS):]  # a Vocabulary holds each sentinel once, first
+    return EmbeddingTable(vectors=vectors, coverage=float(words.mean()) if words.size else 0.0)
 
 
 def _sorted_hashes(tokens: Sequence[str]) -> np.ndarray:

@@ -64,10 +64,11 @@ class Adam:
     gradient, so a step never holds the group's whole gradient.
 
     The optimizer owns the step counter ``t``, the moments ``m`` and ``v``,
-    one array per parameter, and one gradient workspace the size of the
-    group's largest parameter. :meth:`update` allocates the moments as zeros
-    on the first step, so every optimizer starts from zero moments, and
-    :meth:`release` drops the moments and the workspace."""
+    one array per parameter, one gradient workspace the size of the group's
+    largest parameter, and one chunk of update scratch. The first
+    :meth:`update` allocates the scratch and the moments, the moments as
+    zeros, so every optimizer starts from zero moments; :meth:`release`
+    drops all three."""
 
     def __init__(self, params: Sequence[Parameter], learning_rate: float):
         self.params = list(params)
@@ -76,6 +77,7 @@ class Adam:
         self.m: List[np.ndarray] = []
         self.v: List[np.ndarray] = []
         self.workspace: Optional[np.ndarray] = None
+        self.scratch: Optional[np.ndarray] = None
         self._slot = {id(p): k for k, p in enumerate(self.params)}
 
     def update(self, backward):
@@ -84,6 +86,7 @@ class Adam:
         if not self.m:
             self.m = [np.zeros_like(p.value) for p in self.params]
             self.v = [np.zeros_like(p.value) for p in self.params]
+            self.scratch = np.empty(min(ADAM_CHUNK, max(p.value.size for p in self.params)))
         self.t += 1
         backward(self)
 
@@ -115,11 +118,10 @@ class Adam:
         # v = b2*v + ((1-b2)*g)*g, w -= (lr*m_hat) / (sqrt(v_hat) + eps);
         # the spent gradient is the second scratch.
         # Every operation is element-wise, so slicing changes no result.
-        scratch = np.empty(min(ADAM_CHUNK, grad.size))
         for start in range(0, grad.size, ADAM_CHUNK):
             chunk = slice(start, start + ADAM_CHUNK)
             g, mc, vc = grad[chunk], m[chunk], v[chunk]
-            s = scratch[: len(g)]
+            s = self.scratch[: len(g)]
             mc *= BETA1
             mc += np.multiply(1.0 - BETA1, g, out=s)
             vc *= BETA2
@@ -133,8 +135,8 @@ class Adam:
             w[chunk] -= np.divide(s, g, out=s)
 
     def release(self):
-        """Drop the moments and the workspace, leaving only weights."""
-        self.m, self.v, self.workspace = [], [], None
+        """Drop the moments, the workspace and the scratch: only weights stay."""
+        self.m, self.v, self.workspace, self.scratch = [], [], None, None
 
 
 INFERENCE_BATCH = 64  # sequences per forward when scoring held-out or test data

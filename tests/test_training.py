@@ -553,9 +553,9 @@ class TestTrainingBuffers:
     def test_a_b1_step_holds_the_moments_and_one_gradient_workspace(self):
         """A B=1 supervised step, the paper's fine-tuning setting, peaks above
         the weights at Adam's two moments, one workspace the size of the
-        largest parameter and a stated slack: Adam's per-parameter scratch,
-        at most the largest parameter, and 128 KiB for the step's activations
-        (about 70 KiB here).
+        largest parameter and a stated slack: Adam's update scratch, one
+        chunk of at most the largest parameter, and 128 KiB for the step's
+        activations (about 70 KiB here).
         Holding every gradient of the group at once would need more."""
         vocab, _, model = tiny_setup(emb_dim=64, hidden=64)
         data = synthetic.labeled_examples(vocab, 3, 1, seed=4)
