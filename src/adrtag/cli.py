@@ -14,7 +14,6 @@ from dataclasses import fields
 from pathlib import Path
 
 import click
-import yaml
 
 from . import encoding, evaluation, text, training
 from .errors import CheckpointError, DataError, NumericalError
@@ -25,8 +24,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-# The settings `pretrain` and `train` share. Each is a flag on both commands
-# and a key of their --config file, whose value is checked with the same type.
+# The settings `pretrain` and `train` share, each a flag on both commands.
 # A setting that is not given keeps the default of the code that reads it.
 TRAINING_SETTINGS = {
     "hidden": click.INT,
@@ -48,39 +46,11 @@ def _ckpt_path(path) -> Path:
 
 
 def _training_options(command):
-    """Add --config and one flag per TRAINING_SETTINGS entry, None when not given."""
+    """Add one flag per TRAINING_SETTINGS entry, None when not given."""
     for name, kind in reversed(TRAINING_SETTINGS.items()):
         flag = "--" + name.replace("_", "-")
         command = click.option(flag, name, type=kind, default=None)(command)
-    return click.option("--config", "config_path", type=click.Path(exists=True))(command)
-
-
-def _resolve_settings(config_path, flags) -> dict:
-    """The training settings given in --config or as flags; a flag wins. A
-    config value must parse as the text of its flag would."""
-    settings = {}
-    if config_path is not None:
-        with reading(config_path) as fh:
-            try:
-                cfg = yaml.safe_load(fh)
-            except yaml.YAMLError as exc:
-                raise click.UsageError(f"{config_path}: not valid YAML: {exc}") from exc
-        if cfg is None:  # an empty document
-            cfg = {}
-        if not isinstance(cfg, dict):
-            raise click.UsageError(f"{config_path}: config must be a mapping")
-        unknown = sorted(str(k) for k in cfg if k not in TRAINING_SETTINGS)
-        if unknown:
-            raise click.UsageError(
-                f"{config_path}: unknown config key(s) {', '.join(unknown)}"
-            )
-        for key, value in cfg.items():
-            try:
-                settings[key] = TRAINING_SETTINGS[key].convert(str(value), None, None)
-            except click.BadParameter as exc:
-                raise click.UsageError(f"{config_path}: {key}: {exc.message}") from exc
-    settings.update((k, v) for k, v in flags.items() if v is not None)
-    return settings
+    return command
 
 
 def _train_config(factory, settings) -> training.TrainConfig:
@@ -284,12 +254,11 @@ def build_vocab(unlabeled, labeled, cap, out_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--log", "log_path", type=click.Path())
 @_training_options
-def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, config_path,
-             **flags):
+def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, **flags):
     """Phase 1: train the encoder to predict the masked drug from context."""
     outputs = ("--out", _ckpt_path(out_path), "wb"), ("--log", log_path, "w")
     with _writing(*outputs) as (out, log_file):
-        settings = _resolve_settings(config_path, flags)
+        settings = {k: v for k, v in flags.items() if v is not None}
         train_cfg = _train_config(training.pretrain_config, settings)
         lex = text.DrugLexicon.load(lexicon)
         if len(lex) < 2:
@@ -325,12 +294,11 @@ def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, config_path
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--log", "log_path", type=click.Path())
 @_training_options
-def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path,
-          config_path, **flags):
+def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path, **flags):
     """Phase 2: supervised tagging, fresh or from a pretraining checkpoint."""
     outputs = ("--out", _ckpt_path(out_path), "wb"), ("--log", log_path, "w")
     with _writing(*outputs) as (out, log_file):
-        settings = _resolve_settings(config_path, flags)
+        settings = {k: v for k, v in flags.items() if v is not None}
         train_cfg = _train_config(training.supervised_config, settings)
         if init_checkpoint:
             fixed = [flag for flag, path in (("--vocab", vocab), ("--embeddings", embeddings))

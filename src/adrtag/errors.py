@@ -1,7 +1,7 @@
 """The errors that decide how the ``adr`` command ends.
 
-Exit codes: 0 success; 1 a usage or configuration error (click's errors and
-any other ``ValueError``); 2 a :class:`DataError` or an ``OSError``, naming
+Exit codes: 0 success; 1 a usage error (click's errors and any other
+``ValueError``); 2 a :class:`DataError` or an ``OSError``, naming
 the file; 3 a :class:`NumericalError`.
 """
 

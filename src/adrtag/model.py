@@ -260,10 +260,13 @@ class AdrModel:
         self.vocab_tokens = vocab_tokens
         self.drug_names = drug_names
         rng = np.random.default_rng(seed) if _draw_weights else None
-        self.cells = (  # forward, then backward direction
-            LSTMCellParams("fwd", hidden, self.emb, rng),
-            LSTMCellParams("bwd", hidden, self.emb, rng),
-        )
+        try:
+            self.cells = (  # forward, then backward direction
+                LSTMCellParams("fwd", hidden, self.emb, rng),
+                LSTMCellParams("bwd", hidden, self.emb, rng),
+            )
+        except (MemoryError, ValueError) as exc:  # numpy refuses a 4H x H array that large
+            raise ValueError(f"hidden {hidden} is too large: {exc}") from None
         self.drug_head = LinearHead("drug", drug_count, 2 * hidden, rng)
         self.tag_head = LinearHead("tag", len(TagLabel), 2 * hidden, rng)
 

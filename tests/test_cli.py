@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import adrtag
 from adrtag import cli as cli_module
 from adrtag.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_USAGE, main
 from adrtag.errors import CheckpointError, DataError, NumericalError
@@ -509,27 +511,6 @@ def test_vocabulary_longer_than_embeddings_is_data_error(monkeypatch, capsys, tm
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["pretrain", "train"])
-def test_unknown_config_key_is_usage_error(workspace, monkeypatch, capsys, tmp_path,
-                                           command):
-    config = tmp_path / "cfg.yaml"
-    config.write_text("epochs: 1\nhiden: 50\n")
-    inputs = {
-        "pretrain": ["--corpus", str(workspace / "raw.tsv"),
-                     "--lexicon", str(workspace / "drugs.txt")],
-        "train": ["--labeled", str(workspace / "train.tsv")],
-    }[command]
-    vocab = tmp_path / "v.txt"
-    vocab.write_text("<PAD>\n<UNK>\n<LINK>\n<USER>\n<DRUG>\nugh\n")
-    code, _, err = run_cli(monkeypatch, capsys, command, "--config", str(config),
-                           *inputs, "--vocab", str(vocab),
-                           "--embeddings", str(workspace / "emb.txt"),
-                           "--out", str(tmp_path / "x.ckpt"))
-    assert code == EXIT_USAGE
-    assert "cfg.yaml" in err and "hiden" in err
-    assert not (tmp_path / "x.ckpt").exists()
-
-
 @pytest.mark.parametrize(
     "flags", [["--vocab", "vocab.txt"], ["--embeddings", "emb.txt"]],
     ids=["vocab", "embeddings"],
@@ -634,15 +615,15 @@ def test_two_outputs_naming_one_file_are_usage_error(workspace, monkeypatch, cap
                                                      command, relative):
     """--out and --log naming one file, also through $ADR_CHECKPOINT_DIR,
     would leave only the log there: a usage error naming both flags, raised
-    before any input (here a config that is not YAML) is read."""
+    before any input (here each is not UTF-8) is read."""
     inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, command)
-    (tmp_path / "cfg.yaml").write_text("hidden: [3\n")
+    for path in inputs[1::2]:
+        Path(path).write_bytes(b"\xff\n")
     same = tmp_path / "same.out"
     if relative:
         monkeypatch.setenv("ADR_CHECKPOINT_DIR", str(tmp_path))
     listing = sorted(p.name for p in tmp_path.iterdir())
     code, out, err = run_cli(monkeypatch, capsys, command, *inputs,
-                             "--config", str(tmp_path / "cfg.yaml"),
                              "--out", same.name if relative else str(same), "--log", str(same))
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: --out and --log name one file: "), err
@@ -689,27 +670,23 @@ def test_output_that_cannot_be_written_fails_before_the_work(workspace, monkeypa
     assert sorted(p.name for p in tmp_path.iterdir()) == listing
 
 
-# setting -> (its flag and config forms equal to _save_tiny_checkpoint's, then different)
+# setting -> (its flags equal to _save_tiny_checkpoint's, then different)
 _ARCHITECTURE = {
-    "hidden": ((["--hidden", "2"], "hidden: 2"), (["--hidden", "3"], "hidden: 3")),
-    "pooling": ((["--pooling", "mean"], "pooling: mean"), (["--pooling", "sum"], "pooling: sum")),
+    "hidden": (["--hidden", "2"], ["--hidden", "3"]),
+    "pooling": (["--pooling", "mean"], ["--pooling", "sum"]),
 }
 
 
-@pytest.mark.parametrize("same", [True, False], ids=["equal", "different"])
-@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("same", [True, False], ids=["flag-equal", "flag-different"])
 @pytest.mark.parametrize("setting", sorted(_ARCHITECTURE))
 def test_init_checkpoint_architecture_setting_must_match(workspace, monkeypatch, capsys,
-                                                         tmp_path, setting, form, same):
-    """A hidden or pooling given with --init-checkpoint, as a
-    flag or in --config, must equal the checkpoint's: equal changes nothing,
-    different is a usage error naming the setting and both values."""
+                                                         tmp_path, setting, same):
+    """A hidden or pooling flag given with --init-checkpoint must equal the
+    checkpoint's: equal changes nothing, different is a usage error naming
+    the setting and both values."""
     ckpt = tmp_path / "init.ckpt"
     _save_tiny_checkpoint(ckpt)
-    flags, line = _ARCHITECTURE[setting][0 if same else 1]
-    if form == "config":
-        (tmp_path / "cfg.yaml").write_text(line + "\n")
-        flags = ["--config", str(tmp_path / "cfg.yaml")]
+    flags = _ARCHITECTURE[setting][0 if same else 1]
 
     def train(out, *extra):
         return run_cli(monkeypatch, capsys, "train", "--labeled", str(workspace / "train.tsv"),
@@ -782,7 +759,6 @@ FLAG_SURFACE = {
         "out_path": (("--out",), (), "path", (), True, None),
     },
     "pretrain": {
-        "config_path": (("--config",), (), "path", (), False, None),
         "corpus": (("--corpus",), (), "path", (), True, None),
         "vocab": (("--vocab",), (), "path", (), True, None),
         "embeddings": (("--embeddings",), (), "path", (), True, None),
@@ -798,7 +774,6 @@ FLAG_SURFACE = {
         "pooling": (("--pooling",), (), "choice", ("mean", "sum"), False, None),
     },
     "train": {
-        "config_path": (("--config",), (), "path", (), False, None),
         "labeled": (("--labeled",), (), "path", (), True, None),
         "vocab": (("--vocab",), (), "path", (), False, None),
         "embeddings": (("--embeddings",), (), "path", (), False, None),
@@ -841,8 +816,17 @@ def test_flag_surface_is_unchanged(name):
     assert surface == FLAG_SURFACE[name]
 
 
+def test_cli_imports_no_yaml():
+    """Training settings come only from flags, so no config parser is loaded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(adrtag.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", "import sys, adrtag.cli; "
+                           "print('yaml' in sys.modules)"], env=env, capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def _training_inputs(workspace, monkeypatch, capsys, tmp_path, command):
-    """Valid input flags for `pretrain` or `train`, so only the config can fail."""
+    """Valid input flags for `pretrain` or `train`, so only the flags under test can fail."""
     vocab = tmp_path / "v.txt"
     if command == "train":
         run_cli(monkeypatch, capsys, "build-vocab", "--labeled", str(workspace / "train.tsv"),
@@ -856,22 +840,6 @@ def _training_inputs(workspace, monkeypatch, capsys, tmp_path, command):
                 "--cap", "50", "--out", str(vocab))
         inputs = ["--corpus", str(processed), "--lexicon", str(workspace / "drugs.txt")]
     return inputs + ["--vocab", str(vocab), "--embeddings", str(workspace / "emb.txt")]
-
-
-@pytest.mark.parametrize("command", ["pretrain", "train"])
-@pytest.mark.parametrize("line", ["hidden: abc", "learning_rate: abc", "seed: [1]",
-                                  "batch_size: 2.5", "pooling: max"],
-                         ids=lambda line: line.split(":")[0])
-def test_mistyped_config_value_is_usage_error(workspace, monkeypatch, capsys, tmp_path,
-                                              command, line):
-    config = tmp_path / "cfg.yaml"
-    config.write_text(f"epochs: 1\nmax_len: 12\n{line}\n")
-    inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, command)
-    code, _, err = run_cli(monkeypatch, capsys, command, "--config", str(config), *inputs,
-                           "--out", str(tmp_path / "x.ckpt"))
-    assert code == EXIT_USAGE
-    assert f"cfg.yaml: {line.split(':')[0]}:" in err and "Traceback" not in err
-    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_embeddings_with_a_duplicate_token_is_data_error(workspace, monkeypatch, capsys,
@@ -925,52 +893,6 @@ def test_truncation_at_max_len_is_reported(workspace, monkeypatch, capsys, tmp_p
     cut = sum(n > 4 for n in lengths)
     assert cut > 0
     assert f"truncated: {cut} of {len(lengths)} tweets longer than max_len 4\n" in out
-
-
-@pytest.mark.parametrize("text", ["hidden: [3", "- hidden\n- 3"], ids=["not-yaml", "list"])
-def test_config_that_is_not_a_mapping_is_usage_error(workspace, monkeypatch, capsys,
-                                                     tmp_path, text):
-    config = tmp_path / "cfg.yaml"
-    config.write_text(text + "\n")
-    inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, "train")
-    code, _, err = run_cli(monkeypatch, capsys, "train", "--config", str(config), *inputs,
-                           "--out", str(tmp_path / "x.ckpt"))
-    assert code == EXIT_USAGE
-    assert "cfg.yaml" in err and "Traceback" not in err
-    assert not (tmp_path / "x.ckpt").exists()
-
-
-@pytest.mark.parametrize("text", ["", "# nothing set\n"], ids=["empty", "comment-only"])
-def test_empty_config_sets_nothing(workspace, monkeypatch, capsys, tmp_path, text):
-    """An empty YAML document is the one config that is not a mapping and is
-    accepted: training runs as with no --config at all."""
-    config = tmp_path / "cfg.yaml"
-    config.write_text(text)
-    inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, "train")
-    args = [*inputs, "--hidden", "3", "--epochs", "1"]
-    plain, configured = tmp_path / "plain.ckpt", tmp_path / "configured.ckpt"
-    assert run_cli(monkeypatch, capsys, "train", *args, "--out", str(plain))[0] == 0
-    code, _, err = run_cli(monkeypatch, capsys, "train", "--config", str(config), *args,
-                           "--out", str(configured))
-    assert code == 0, err
-    assert configured.read_bytes() == plain.read_bytes()
-
-
-@pytest.mark.parametrize("command", ["pretrain", "train"])
-def test_config_values_parse_like_flags_and_flags_win(workspace, monkeypatch, capsys,
-                                                      tmp_path, command):
-    config = tmp_path / "cfg.yaml"
-    config.write_text("hidden: 3\nepochs: 1\nmax_len: '12'\npooling: sum\n")
-    inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, command)
-    ckpt = tmp_path / "x.ckpt"
-    code, _, err = run_cli(monkeypatch, capsys, command, "--config", str(config), *inputs,
-                           "--hidden", "4", "--out", str(ckpt))
-    assert code == 0, err
-    model = load_checkpoint(ckpt)
-    assert (model.hidden, model.pooling) == (4, "sum")
-    code, _, err = run_cli(monkeypatch, capsys, "predict", "--checkpoint", str(ckpt),
-                           "--text", "ugh so dizzy")
-    assert code == 0, err
 
 
 def test_preprocess_leaves_no_output_when_all_rejected(workspace, monkeypatch, capsys,
@@ -1062,7 +984,7 @@ def test_evaluate_rejects_retraining_flags_with_one_trial(workspace, monkeypatch
 
 def test_every_train_config_field_is_a_training_setting():
     """A TrainConfig field exists only as a setting `pretrain` and `train`
-    take by flag and config key; the other settings build the model."""
+    take by flag; the other settings build the model."""
     assert ({f.name for f in fields(TrainConfig)}
             == set(cli_module.TRAINING_SETTINGS) - {"hidden", "pooling"})
 
@@ -1398,36 +1320,27 @@ FAILURES = {
     "missing-required-flag": ({}, "train --out {ws}/out", click.UsageError, ["--labeled"]),
     "missing-input-file": ({}, "train --labeled {ws}/nope.tsv --out {ws}/out",
                            click.UsageError, ["nope.tsv"]),
-    "unknown-config-key": ({"cfg.yaml": "hiden: 3\n"}, _TRAIN + " --config {ws}/cfg.yaml",
-                           click.UsageError, ["cfg.yaml", "hiden"]),
-    "mistyped-config-value": ({"cfg.yaml": "batch_size: 2.5\n"},
-                              _TRAIN + " --config {ws}/cfg.yaml", click.UsageError,
-                              ["cfg.yaml: batch_size:"]),
-    "config-not-yaml": ({"cfg.yaml": "hidden: [3\n"}, _TRAIN + " --config {ws}/cfg.yaml",
-                        click.UsageError, ["cfg.yaml: not valid YAML"]),
-    **{f"config-not-a-mapping{suffix}": ({"cfg.yaml": body}, _TRAIN + " --config {ws}/cfg.yaml",
-                                         click.UsageError, ["cfg.yaml: config must be a mapping"])
-       for suffix, body in [("", "- 3\n"), ("-empty-list", "[]\n"), ("-zero", "0\n"),
-                            ("-false", "false\n"), ("-empty-string", "''\n")]},
     "setting-out-of-range": ({}, _TRAIN + " --max-len 0", ValueError, ["max_len"]),
     "learning-rate-not-finite": ({}, _PRETRAIN + " --learning-rate nan", ValueError,
                                  ["learning_rate"]),
+    # numpy refuses the encoder's 4H x H arrays at once, so no memory is touched.
+    **{f"hidden-{value}-of-{command}": ({}, f"{base} --hidden {value}", ValueError,
+                                        [f"hidden {value} is too large: "])
+       for command, base in (("pretrain", _PRETRAIN), ("train", _TRAIN))
+       for value in ("100000000", "100000000000000000000")},
     "architecture-flag-with-init-checkpoint": (
         {}, "train --labeled {ws}/train.tsv --init-checkpoint {ws}/model.ckpt --pooling sum",
         click.UsageError, ["pooling: sum given, but --init-checkpoint", "model.ckpt has mean"]),
-    "architecture-config-with-init-checkpoint": (
-        {"cfg.yaml": "pooling: sum\n"},
-        "train --labeled {ws}/train.tsv --init-checkpoint {ws}/model.ckpt --config {ws}/cfg.yaml",
-        click.UsageError, ["pooling: sum given, but --init-checkpoint", "model.ckpt has mean"]),
+    **{f"config-is-no-option-of-{command}": (
+        {"cfg.yaml": "hidden: 3\n"}, f"{base} --config {{ws}}/cfg.yaml", click.UsageError,
+        ["No such option", "--config"])
+       for command, base in (("pretrain", _PRETRAIN), ("train", _TRAIN))},
     **{f"{flag[2:]}-is-no-option-of-{command}": (
         {}, f"{command} {flag}", click.UsageError, ["No such option", flag])
        for command in ("pretrain", "train") for flag in ("--gate-biases", "--no-gate-biases")},
     **{f"{flag[2:]}-is-no-option-of-preprocess": (
         {}, f"{_PREPROCESS} {flag}", click.UsageError, ["No such option", flag])
        for flag in ("--drug-mask", "--no-drug-mask")},
-    "gate-biases-is-no-config-key": ({"cfg.yaml": "gate_biases: true\n"},
-                                     _TRAIN + " --config {ws}/cfg.yaml", click.UsageError,
-                                     ["cfg.yaml: unknown config key(s) gate_biases"]),
     "init-checkpoint-missing": (
         {}, "train --labeled {ws}/train.tsv --init-checkpoint {ws}/missing.ckpt", OSError,
         ["missing.ckpt"]),
@@ -1467,9 +1380,6 @@ FAILURES = {
                        DataError, ["vocab.txt: line 8: not UTF-8"]),
     "embeddings-not-utf8": ({"emb.txt": _bytes(b"1 2\nugh\x80 0.1 0.2\n")}, _TRAIN, DataError,
                             ["emb.txt: line 2: not UTF-8"]),
-    "config-not-utf8": ({"cfg.yaml": _bytes(b"hidden: 3\n# \xff\n")},
-                        _TRAIN + " --config {ws}/cfg.yaml", DataError,
-                        ["cfg.yaml: line 2: not UTF-8"]),
     "lexicon-duplicate-name": ({"drugs.txt": "effexor\nEffexor\n"}, _PREPROCESS, DataError,
                                ["drugs.txt: line 2: duplicate drug name"]),
     "lexicon-duplicate-once-normalized": (

@@ -54,8 +54,6 @@ COMMANDS = [
     ("train-b1-from-pretrained", "train --labeled train.tsv --init-checkpoint pre-mean.ckpt"
      " --epochs 5 --batch-size 1 --learning-rate 0.02 --out tagger-b1.ckpt"
      " --log tagger-b1.jsonl", None),
-    ("train-from-pretrained-config", "train --labeled train.tsv --init-checkpoint pre-mean.ckpt"
-     " --config train.yaml --out tagger-cfg.ckpt --log tagger-cfg.jsonl", None),
     ("train-b4-fresh", "train --labeled train.tsv --vocab vocab.txt --embeddings emb.txt"
      " --hidden 6 --epochs 10 --batch-size 4 --learning-rate 0.05 --out tagger-b4.ckpt"
      " --log tagger-b4.jsonl", None),
@@ -106,9 +104,6 @@ def write_inputs(directory: Path):
     (directory / "inplace.tsv").write_text("".join(raw[:40]), encoding="utf-8")
     (directory / "drugs.txt").write_text("\n".join(DRUGS) + "\n", encoding="utf-8")
     (directory / "stop.txt").write_text("so\nthe\n", encoding="utf-8")
-    # The architecture of pre-mean.ckpt, shared with `train --init-checkpoint`.
-    (directory / "train.yaml").write_text("hidden: 6\npooling: mean\n"
-                                          "epochs: 2\nlearning_rate: 0.02\n", encoding="utf-8")
 
     def conll(gen, n):
         sentences = []
