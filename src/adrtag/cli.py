@@ -2,13 +2,11 @@
 evaluate, plus ad-hoc predict and the gradient self-check.
 
 Each error family ends the command with its own exit code (see ``errors``).
-Relative checkpoint paths are resolved against $ADR_CHECKPOINT_DIR when set.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -35,14 +33,6 @@ TRAINING_SETTINGS = {
     "learning_rate": click.FLOAT,
     "pooling": click.Choice(POOLINGS),
 }
-
-
-def _ckpt_path(path) -> Path:
-    base = os.environ.get("ADR_CHECKPOINT_DIR")
-    p = Path(path)
-    if base and not p.is_absolute():
-        return Path(base) / p
-    return p
 
 
 def _training_options(command):
@@ -131,14 +121,13 @@ def _build_model_from_inputs(vocab, embeddings_path, settings, seed, drug_names=
 
 def _load_tagger(checkpoint):
     """The checkpoint's model and the vocabulary it was trained with."""
-    path = _ckpt_path(checkpoint)
-    model = training.load_checkpoint(path)
+    model = training.load_checkpoint(checkpoint)
     if model.vocab_tokens is None:
-        raise CheckpointError(f"{path}: checkpoint carries no vocabulary")
+        raise CheckpointError(f"{checkpoint}: checkpoint carries no vocabulary")
     try:
         return model, text.Vocabulary(model.vocab_tokens)
     except DataError as exc:
-        raise CheckpointError(f"{path}: vocab_tokens: {exc}") from None
+        raise CheckpointError(f"{checkpoint}: vocab_tokens: {exc}") from None
 
 
 def _echo_truncation(sequences, max_len):
@@ -171,7 +160,7 @@ def _naming_checkpoint(checkpoint):
     try:
         yield
     except NumericalError as exc:
-        raise NumericalError(f"{_ckpt_path(checkpoint)}: {exc}") from exc
+        raise NumericalError(f"{checkpoint}: {exc}") from exc
 
 
 @click.group()
@@ -256,7 +245,7 @@ def build_vocab(unlabeled, labeled, cap, out_path):
 @_training_options
 def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, **flags):
     """Phase 1: train the encoder to predict the masked drug from context."""
-    outputs = ("--out", _ckpt_path(out_path), "wb"), ("--log", log_path, "w")
+    outputs = ("--out", out_path, "wb"), ("--log", log_path, "w")
     with _writing(*outputs) as (out, log_file):
         settings = {k: v for k, v in flags.items() if v is not None}
         train_cfg = _train_config(training.pretrain_config, settings)
@@ -296,7 +285,7 @@ def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, **flags):
 @_training_options
 def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path, **flags):
     """Phase 2: supervised tagging, fresh or from a pretraining checkpoint."""
-    outputs = ("--out", _ckpt_path(out_path), "wb"), ("--log", log_path, "w")
+    outputs = ("--out", out_path, "wb"), ("--log", log_path, "w")
     with _writing(*outputs) as (out, log_file):
         settings = {k: v for k, v in flags.items() if v is not None}
         train_cfg = _train_config(training.supervised_config, settings)
@@ -311,7 +300,7 @@ def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path, **fla
                 have = getattr(model, key)
                 if settings.get(key, have) != have:
                     raise click.UsageError(f"{key}: {settings[key]} given, but --init-checkpoint "
-                                           f"{_ckpt_path(init_checkpoint)} has {have}")
+                                           f"{init_checkpoint} has {have}")
         else:
             if not (vocab and embeddings):
                 raise click.UsageError(

@@ -284,6 +284,16 @@ class AdrModel:
     # -- shared encoder -----------------------------------------------------
 
     def encode_batch(self, indices: np.ndarray, lengths: np.ndarray) -> EncodeCache:
+        """Both encoder directions over a padded batch: the one forward. Both
+        heads and ``predict_*`` call it, and perfbench times it as ``model.encode``.
+
+        ``indices`` is (B, T) token ids; an entry past its row's length is
+        never read, so any id may pad. ``lengths`` is (B,), each in [1, T],
+        else ValueError. Returns the batch's :class:`EncodeCache`: its N real
+        positions packed time-major, rows longest first, with the gate
+        activations, cell states and outputs that the heads read and BPTT
+        consumes. A huge but finite embedding row that overflows the gate
+        sums raises NumericalError, never NaN states."""
         indices = np.asarray(indices)
         lengths = np.asarray(lengths)
         B, T = indices.shape

@@ -349,22 +349,31 @@ class TestPipeline:
         v_labeled = set(labeled_only.read_text().split())
         assert v_labeled < v_both  # masked-corpus-only words are missing
 
-    def test_checkpoint_dir_env_var(self, workspace, monkeypatch, capsys, tmp_path):
-        ckpt_dir = tmp_path / "ckpts"
-        ckpt_dir.mkdir()
-        monkeypatch.setenv("ADR_CHECKPOINT_DIR", str(ckpt_dir))
+    def test_relative_checkpoint_path_is_read_as_typed(self, workspace, monkeypatch, capsys,
+                                                       tmp_path):
+        """A relative checkpoint path names a file in the working directory,
+        whatever the environment holds: $ADR_CHECKPOINT_DIR is not read."""
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.setenv("ADR_CHECKPOINT_DIR", str(elsewhere))
+        monkeypatch.chdir(tmp_path)
         vocab = tmp_path / "v.txt"
         run_cli(monkeypatch, capsys, "build-vocab",
                 "--labeled", str(workspace / "train.tsv"), "--cap", "50",
                 "--out", str(vocab))
-        code, _, _ = run_cli(monkeypatch, capsys, "train",
-                             "--labeled", str(workspace / "train.tsv"),
-                             "--vocab", str(vocab),
-                             "--embeddings", str(workspace / "emb.txt"),
-                             "--hidden", "4", "--epochs", "0", "--max-len", "12",
-                             "--out", "rel.ckpt")
-        assert code == 0
-        assert (ckpt_dir / "rel.ckpt").exists()
+        code, _, err = run_cli(monkeypatch, capsys, "train",
+                               "--labeled", str(workspace / "train.tsv"),
+                               "--vocab", str(vocab),
+                               "--embeddings", str(workspace / "emb.txt"),
+                               "--hidden", "4", "--epochs", "0", "--max-len", "12",
+                               "--out", "rel.ckpt")
+        assert code == 0, err
+        assert (tmp_path / "rel.ckpt").exists()
+        assert list(elsewhere.iterdir()) == []
+        code, out, err = run_cli(monkeypatch, capsys, "predict", "--checkpoint", "rel.ckpt",
+                                 "--text", "ugh so dizzy")
+        assert code == 0, err
+        assert out.startswith("ugh\t")
 
 
 class TestErrors:
@@ -576,6 +585,21 @@ def test_overflow_in_inference_is_numerical_error(workspace, monkeypatch, capsys
     assert not report.exists()
 
 
+def test_missing_second_checkpoint_is_data_error(workspace, monkeypatch, capsys, tmp_path):
+    """A second --checkpoint that does not exist is exit 2 naming it, once
+    the first trial has run: no trial line is printed and no report written."""
+    _save_tiny_checkpoint(tmp_path / "fine.ckpt")
+    report = tmp_path / "r.txt"
+    code, out, err = run_cli(monkeypatch, capsys, "evaluate",
+                             "--checkpoint", str(tmp_path / "fine.ckpt"),
+                             "--checkpoint", str(tmp_path / "missing.ckpt"),
+                             "--test", str(workspace / "test.tsv"), "--report", str(report))
+    assert code == EXIT_DATA, err
+    assert err.startswith("error: ") and "missing.ckpt" in err and "Traceback" not in err
+    assert out == ""
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("command", ["preprocess", "evaluate"])
 def test_failed_output_write_keeps_previous_file(workspace, monkeypatch, capsys, tmp_path,
                                                  disk_fills_up, command):
@@ -610,21 +634,18 @@ def test_output_under_a_regular_file_is_data_error(workspace, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("command", ["pretrain", "train"])
-@pytest.mark.parametrize("relative", [False, True], ids=["path", "checkpoint-dir"])
 def test_two_outputs_naming_one_file_are_usage_error(workspace, monkeypatch, capsys, tmp_path,
-                                                     command, relative):
-    """--out and --log naming one file, also through $ADR_CHECKPOINT_DIR,
-    would leave only the log there: a usage error naming both flags, raised
-    before any input (here each is not UTF-8) is read."""
+                                                     command):
+    """--out and --log naming one file would leave only the log there: a
+    usage error naming both flags, raised before any input (here each is not
+    UTF-8) is read."""
     inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, command)
     for path in inputs[1::2]:
         Path(path).write_bytes(b"\xff\n")
     same = tmp_path / "same.out"
-    if relative:
-        monkeypatch.setenv("ADR_CHECKPOINT_DIR", str(tmp_path))
     listing = sorted(p.name for p in tmp_path.iterdir())
     code, out, err = run_cli(monkeypatch, capsys, command, *inputs,
-                             "--out", same.name if relative else str(same), "--log", str(same))
+                             "--out", str(same), "--log", str(same))
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: --out and --log name one file: "), err
     assert sorted(p.name for p in tmp_path.iterdir()) == listing

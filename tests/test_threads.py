@@ -50,7 +50,7 @@ def _write_inputs(directory: Path):
 
 
 def _adr(directory: Path, threads: int, *args) -> str:
-    env = {k: v for k, v in os.environ.items() if k != "ADR_CHECKPOINT_DIR"}
+    env = dict(os.environ)
     env.update(PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=str(threads),
                OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
     proc = subprocess.run([sys.executable, "-m", "adrtag.cli", *args], cwd=directory, env=env,

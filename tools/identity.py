@@ -166,6 +166,8 @@ def _snapshot(directory: Path) -> dict:
 def run_side(src: Path, inputs: Path, work: Path) -> dict:
     """Run COMMANDS with ``src`` on the package path in a copy of ``inputs``."""
     shutil.copytree(inputs, work)
+    # A parent revision that predates the path-as-typed rule still resolves
+    # relative checkpoint paths against $ADR_CHECKPOINT_DIR.
     env = {k: v for k, v in os.environ.items() if k != "ADR_CHECKPOINT_DIR"}
     env.update(THREADS, PYTHONPATH=str(src))
     results = {}
