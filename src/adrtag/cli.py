@@ -16,7 +16,7 @@ import click
 from . import encoding, evaluation, text, training
 from .errors import CheckpointError, DataError, NumericalError
 from .files import atomic_write, read_stdin, reading
-from .model import POOLINGS, AdrModel, gradient_check
+from .model import AdrModel, gradient_check
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -31,7 +31,6 @@ TRAINING_SETTINGS = {
     "max_len": click.INT,
     "seed": click.INT,
     "learning_rate": click.FLOAT,
-    "pooling": click.Choice(POOLINGS),
 }
 
 
@@ -113,7 +112,6 @@ def _build_model_from_inputs(vocab, embeddings_path, settings, seed, drug_names=
         seed=seed,
         vocab_tokens=vocab.index_to_token,
         drug_names=drug_names,
-        **{k: v for k, v in settings.items() if k == "pooling"},
     )
     click.echo(f"embedding coverage: {table.coverage:.3f}")
     return model
@@ -296,11 +294,9 @@ def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path, **fla
                 raise click.UsageError(f"{', '.join(fixed)}: the --init-checkpoint vocabulary "
                                        "and embeddings are fixed")
             model, vocab_obj = _load_tagger(init_checkpoint)
-            for key in ("hidden", "pooling"):
-                have = getattr(model, key)
-                if settings.get(key, have) != have:
-                    raise click.UsageError(f"{key}: {settings[key]} given, but --init-checkpoint "
-                                           f"{init_checkpoint} has {have}")
+            if settings.get("hidden", model.hidden) != model.hidden:
+                raise click.UsageError(f"hidden: {settings['hidden']} given, but --init-checkpoint "
+                                       f"{init_checkpoint} has {model.hidden}")
         else:
             if not (vocab and embeddings):
                 raise click.UsageError(

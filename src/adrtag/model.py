@@ -24,7 +24,6 @@ from .numerics import (PROB_FLOOR, Gradients, Parameter, finite_difference_gradi
 
 GATES = ("u", "f", "c", "o")  # row-block order of the fused gate arrays
 FORGET_BIAS = 1.0
-POOLINGS = ("mean", "sum")  # how the drug head pools the encoder states
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -239,7 +238,6 @@ class AdrModel:
         hidden: int,
         drug_count: int,
         seed: int,
-        pooling: str = "mean",
         vocab_tokens: Optional[List[str]] = None,
         drug_names: Optional[List[str]] = None,
         *,
@@ -249,14 +247,11 @@ class AdrModel:
             raise ValueError("hidden must be >= 1")
         if drug_count < 2:
             raise ValueError("drug catalog must contain at least 2 names")
-        if pooling not in POOLINGS:
-            raise ValueError(f"unknown pooling {pooling!r}")
         self.embeddings = np.asarray(embeddings, dtype=np.float64)
         self.emb = self.embeddings.shape[1]
         self.hidden = hidden
         self.drug_count = drug_count
         self.seed = seed
-        self.pooling = pooling
         self.vocab_tokens = vocab_tokens
         self.drug_names = drug_names
         rng = np.random.default_rng(seed) if _draw_weights else None
@@ -325,8 +320,8 @@ class AdrModel:
     # -- drug-prediction head -----------------------------------------------
 
     def _drug_logits(self, enc: EncodeCache) -> tuple:
-        """Pooled encoder states (B, 2H) over real positions and the drug
-        head's logits (B, D)."""
+        """Mean-pooled encoder states (B, 2H) over real positions and the
+        drug head's logits (B, D)."""
         live = enc.live
         B = live[0]
         # Each row's states are added left to right: step 0 of every row,
@@ -342,8 +337,7 @@ class AdrModel:
             summed[:n, 1] += hs[enc.rev[o : o + n], 1]
         pooled = np.empty((B, 2 * self.hidden))
         pooled[enc.rows[:B]] = summed.reshape(B, -1)
-        if self.pooling == "mean":
-            pooled /= enc.lengths[:, None]
+        pooled /= enc.lengths[:, None]
         return pooled, pooled @ self.drug_head.w.value.T + self.drug_head.b.value
 
     def drug_loss(self, indices, lengths, labels) -> tuple:
@@ -373,8 +367,7 @@ class AdrModel:
         dpooled = dlogits @ head.w.value  # read before the sink may update the head
         sink.step(head.w, np.matmul(dlogits.T, cache.pooled, out=sink.buffer(head.w)))
         sink.step(head.b, np.sum(dlogits, axis=0, out=sink.buffer(head.b)))
-        if self.pooling == "mean":
-            dpooled = dpooled / cache.enc.lengths[:, None]
+        dpooled /= cache.enc.lengths[:, None]
         # Step t's live rows are the sorted prefix rows[:n] in both directions.
         dh = dpooled[cache.enc.rows[:B]].reshape(B, 2, self.hidden)
         _backprop_encoder(self.cells, cache.enc, dh, sink, shared_rows=True)

@@ -106,7 +106,8 @@ class Adam:
         makes it non-finite, and so does a norm above about 1.3e154, whose
         square overflows. An entry that large would overflow the
         bias-corrected ``v``, which is ``g*g`` at the first step, and
-        silently zero its update."""
+        silently zero its update. An update that overflows raises
+        NumericalError too, after the chunks before it have changed."""
         k = self._slot[id(param)]
         t = self.t
         w, m, v, grad = (a.reshape(-1) for a in (param.value, self.m[k], self.v[k], grad))
@@ -118,21 +119,25 @@ class Adam:
         # v = b2*v + ((1-b2)*g)*g, w -= (lr*m_hat) / (sqrt(v_hat) + eps);
         # the spent gradient is the second scratch.
         # Every operation is element-wise, so slicing changes no result.
-        for start in range(0, grad.size, ADAM_CHUNK):
-            chunk = slice(start, start + ADAM_CHUNK)
-            g, mc, vc = grad[chunk], m[chunk], v[chunk]
-            s = self.scratch[: len(g)]
-            mc *= BETA1
-            mc += np.multiply(1.0 - BETA1, g, out=s)
-            vc *= BETA2
-            np.multiply(1.0 - BETA2, g, out=s)
-            vc += np.multiply(s, g, out=s)
-            np.divide(mc, 1.0 - BETA1**t, out=s)
-            s *= self.learning_rate
-            np.divide(vc, 1.0 - BETA2**t, out=g)
-            np.sqrt(g, out=g)
-            g += EPSILON
-            w[chunk] -= np.divide(s, g, out=s)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for start in range(0, grad.size, ADAM_CHUNK):
+                    chunk = slice(start, start + ADAM_CHUNK)
+                    g, mc, vc = grad[chunk], m[chunk], v[chunk]
+                    s = self.scratch[: len(g)]
+                    mc *= BETA1
+                    mc += np.multiply(1.0 - BETA1, g, out=s)
+                    vc *= BETA2
+                    np.multiply(1.0 - BETA2, g, out=s)
+                    vc += np.multiply(s, g, out=s)
+                    np.divide(mc, 1.0 - BETA1**t, out=s)
+                    s *= self.learning_rate
+                    np.divide(vc, 1.0 - BETA2**t, out=g)
+                    np.sqrt(g, out=g)
+                    g += EPSILON
+                    w[chunk] -= np.divide(s, g, out=s)
+        except FloatingPointError as exc:
+            raise NumericalError(f"update of parameter {param.name} overflowed: {exc}") from exc
 
     def release(self):
         """Drop the moments, the workspace and the scratch: only weights stay."""
@@ -185,9 +190,9 @@ def _train(phase: str, params: Sequence[Parameter], config: TrainConfig,
     permutation from ``config.seed``, one Adam step over ``params`` a batch.
     ``step(chosen)`` runs a batch's forward pass and returns its loss and the
     backward pass to run, which takes the optimizer as its gradient sink. A
-    non-finite loss, a forward pass that overflows, or a gradient that Adam
-    refuses stops training, naming the phase, the epoch and the tweets. On
-    every exit the optimizer releases the training state."""
+    non-finite loss, an overflow, or a gradient that Adam refuses stops
+    training, naming the phase, the epoch and the tweets or the held-out
+    pass. On every exit the optimizer releases the training state."""
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(params, config.learning_rate)
     log = []
@@ -207,11 +212,15 @@ def _train(phase: str, params: Sequence[Parameter], config: TrainConfig,
                     raise NumericalError(
                         f"{phase} epoch {epoch}: {exc} on the batch of tweets {ids}") from exc
                 total_loss += loss * len(chosen)
+            try:
+                acc = accuracy()
+            except NumericalError as exc:
+                raise NumericalError(f"{phase} epoch {epoch}, held-out pass: {exc}") from exc
             log.append({
                 "phase": phase,
                 "epoch": epoch,
                 "mean_loss": total_loss / len(items),
-                "accuracy": accuracy(),
+                "accuracy": acc,
                 "wall_time": time.perf_counter() - t0,
             })
     finally:
@@ -329,7 +338,7 @@ def write_checkpoint(model: AdrModel, fh) -> None:
     """Write the checkpoint to the open binary file ``fh``."""
     arrays = _model_arrays(model)
     header = {key: getattr(model, key) for key in _MODEL_FIELDS}
-    header.update(version=1, gate_biases=True,
+    header.update(version=1, gate_biases=True, pooling="mean",
                   arrays=[{"name": n, "shape": list(a.shape)} for n, a in arrays])
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     fh.write(CHECKPOINT_MAGIC)
@@ -344,17 +353,18 @@ def _is_int(value) -> bool:
 
 
 # The header's fields besides "version", with their validators: the model
-# attributes, which write_checkpoint copies, then "gate_biases", always true
-# as every direction stores its b_* arrays, and the array list.
+# attributes, which write_checkpoint copies, then the two constants of the
+# architecture that every file states (each direction stores its b_* arrays,
+# and the drug head averages the encoder states), and the array list.
 _MODEL_FIELDS = {
     **dict.fromkeys(("hidden", "emb", "drug_count", "seed"), _is_int),
-    "pooling": lambda v: isinstance(v, str),
     **dict.fromkeys(("vocab_tokens", "drug_names"), lambda v: v is None or (
         isinstance(v, list) and all(isinstance(t, str) for t in v))),
 }
 _HEADER_FIELDS = {
     **_MODEL_FIELDS,
     "gate_biases": lambda v: v is True,
+    "pooling": lambda v: v == "mean",
     "arrays": lambda v: isinstance(v, list) and all(
         isinstance(e, dict) and isinstance(e.get("name"), str)
         and isinstance(e.get("shape"), list)

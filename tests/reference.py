@@ -254,7 +254,8 @@ def packed_oracle(model: AdrModel, indices, lengths, labels, tags) -> dict:
         _backprop_direction(bwd_cell, bwd, dh[rev, H:], grads)
         return grads
 
-    # Drug head: pooled left to right, one add per step over its live rows.
+    # Drug head: summed left to right, one add per step over its live rows,
+    # then averaged.
     h, fwd, bwd = encode()
     out["h"] = h
     summed = h[: live[0]].copy()
@@ -262,17 +263,14 @@ def packed_oracle(model: AdrModel, indices, lengths, labels, tags) -> dict:
         summed[:n] += h[o : o + n]
     pooled = np.empty_like(summed)
     pooled[rows[: live[0]]] = summed
-    if model.pooling == "mean":
-        pooled /= lengths[:, None]
+    pooled /= lengths[:, None]
     head = model.drug_head
     probs = softmax_rows(pooled @ head.w.value.T + head.b.value)
     out["drug_loss"] = float(-np.log(np.maximum(probs[np.arange(B), labels], PROB_FLOOR)).mean())
     dlogits = probs.copy()
     dlogits[np.arange(B), labels] -= 1.0
     dlogits /= B
-    dpooled = dlogits @ head.w.value
-    if model.pooling == "mean":
-        dpooled = dpooled / lengths[:, None]
+    dpooled = dlogits @ head.w.value / lengths[:, None]
     out["drug"] = backprop(fwd, bwd, dpooled[rows], {
         head.w.name: dlogits.T @ pooled, head.b.name: dlogits.sum(axis=0)})
 

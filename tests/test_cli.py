@@ -694,7 +694,6 @@ def test_output_that_cannot_be_written_fails_before_the_work(workspace, monkeypa
 # setting -> (its flags equal to _save_tiny_checkpoint's, then different)
 _ARCHITECTURE = {
     "hidden": (["--hidden", "2"], ["--hidden", "3"]),
-    "pooling": (["--pooling", "mean"], ["--pooling", "sum"]),
 }
 
 
@@ -702,7 +701,7 @@ _ARCHITECTURE = {
 @pytest.mark.parametrize("setting", sorted(_ARCHITECTURE))
 def test_init_checkpoint_architecture_setting_must_match(workspace, monkeypatch, capsys,
                                                          tmp_path, setting, same):
-    """A hidden or pooling flag given with --init-checkpoint must equal the
+    """A hidden flag given with --init-checkpoint must equal the
     checkpoint's: equal changes nothing, different is a usage error naming
     the setting and both values."""
     ckpt = tmp_path / "init.ckpt"
@@ -721,11 +720,8 @@ def test_init_checkpoint_architecture_setting_must_match(workspace, monkeypatch,
         assert (code, err) == (0, ""), err
         assert (tmp_path / "x.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
     else:
-        given = {"hidden": 3, "pooling": "sum"}[setting]
-        have = {"hidden": 2, "pooling": "mean"}[setting]
         assert code == EXIT_USAGE and out == ""
-        assert err == (f"error: {setting}: {given} given, but --init-checkpoint {ckpt} "
-                       f"has {have}\n")
+        assert err == f"error: {setting}: 3 given, but --init-checkpoint {ckpt} has 2\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == listing
 
 
@@ -792,7 +788,6 @@ FLAG_SURFACE = {
         "max_len": (("--max-len",), (), "integer", (), False, None),
         "seed": (("--seed",), (), "integer", (), False, None),
         "learning_rate": (("--learning-rate",), (), "float", (), False, None),
-        "pooling": (("--pooling",), (), "choice", ("mean", "sum"), False, None),
     },
     "train": {
         "labeled": (("--labeled",), (), "path", (), True, None),
@@ -807,7 +802,6 @@ FLAG_SURFACE = {
         "max_len": (("--max-len",), (), "integer", (), False, None),
         "seed": (("--seed",), (), "integer", (), False, None),
         "learning_rate": (("--learning-rate",), (), "float", (), False, None),
-        "pooling": (("--pooling",), (), "choice", ("mean", "sum"), False, None),
     },
     "evaluate": {
         "checkpoints": (("--checkpoint",), (), "path", (), True, None),
@@ -1005,9 +999,9 @@ def test_evaluate_rejects_retraining_flags_with_one_trial(workspace, monkeypatch
 
 def test_every_train_config_field_is_a_training_setting():
     """A TrainConfig field exists only as a setting `pretrain` and `train`
-    take by flag; the other settings build the model."""
+    take by flag; the other setting, hidden, builds the model."""
     assert ({f.name for f in fields(TrainConfig)}
-            == set(cli_module.TRAINING_SETTINGS) - {"hidden", "pooling"})
+            == set(cli_module.TRAINING_SETTINGS) - {"hidden"})
 
 
 _VOCAB = "<PAD>\n<UNK>\n<LINK>\n<USER>\n<DRUG>\nugh\ndizzy\n"
@@ -1312,6 +1306,10 @@ _PRETRAIN = ("pretrain --corpus {ws}/corpus.tsv --vocab {ws}/vocab.txt --embeddi
              " --lexicon {ws}/drugs.txt")
 _PREPROCESS = "preprocess --input {ws}/raw.tsv --lexicon {ws}/drugs.txt"
 _PREDICT = "predict --text ugh_so_dizzy --checkpoint"
+# (name, command) of the two commands that load a checkpoint "{ws}/bad.ckpt"
+_ON_BAD_CHECKPOINT = [("predict", _PREDICT + " {ws}/bad.ckpt"),
+                      ("init-checkpoint",
+                       "train --labeled {ws}/train.tsv --init-checkpoint {ws}/bad.ckpt")]
 
 
 def _bytes(data: bytes):
@@ -1350,15 +1348,16 @@ FAILURES = {
        for command, base in (("pretrain", _PRETRAIN), ("train", _TRAIN))
        for value in ("100000000", "100000000000000000000")},
     "architecture-flag-with-init-checkpoint": (
-        {}, "train --labeled {ws}/train.tsv --init-checkpoint {ws}/model.ckpt --pooling sum",
-        click.UsageError, ["pooling: sum given, but --init-checkpoint", "model.ckpt has mean"]),
+        {}, "train --labeled {ws}/train.tsv --init-checkpoint {ws}/model.ckpt --hidden 3",
+        click.UsageError, ["hidden: 3 given, but --init-checkpoint", "model.ckpt has 2"]),
     **{f"config-is-no-option-of-{command}": (
         {"cfg.yaml": "hidden: 3\n"}, f"{base} --config {{ws}}/cfg.yaml", click.UsageError,
         ["No such option", "--config"])
        for command, base in (("pretrain", _PRETRAIN), ("train", _TRAIN))},
     **{f"{flag[2:]}-is-no-option-of-{command}": (
         {}, f"{command} {flag}", click.UsageError, ["No such option", flag])
-       for command in ("pretrain", "train") for flag in ("--gate-biases", "--no-gate-biases")},
+       for command in ("pretrain", "train")
+       for flag in ("--gate-biases", "--no-gate-biases", "--pooling")},
     **{f"{flag[2:]}-is-no-option-of-preprocess": (
         {}, f"{_PREPROCESS} {flag}", click.UsageError, ["No such option", flag])
        for flag in ("--drug-mask", "--no-drug-mask")},
@@ -1489,12 +1488,15 @@ FAILURES = {
     "checkpoint-version-2": ({"bad.ckpt": _edited_checkpoint(lambda h, a: h.update(version=2))},
                              _PREDICT + " {ws}/bad.ckpt", CheckpointError,
                              ["bad.ckpt: unsupported version 2"]),
-    **{f"checkpoint-without-gate-biases-{name}": (
-        {"bad.ckpt": _edited_checkpoint(_without_gate_biases)}, command, CheckpointError,
-        ["bad.ckpt: header field 'gate_biases' is missing or malformed"])
-       for name, command in [("predict", _PREDICT + " {ws}/bad.ckpt"),
-                             ("init-checkpoint", "train --labeled {ws}/train.tsv"
-                              " --init-checkpoint {ws}/bad.ckpt")]},
+    # The architecture's two constants: every direction has its gate biases,
+    # and the drug head mean-pools.
+    **{f"checkpoint-{case}-{name}": (
+        {"bad.ckpt": _edited_checkpoint(edit)}, command, CheckpointError,
+        [f"bad.ckpt: header field {field!r} is missing or malformed"])
+       for case, field, edit in [("without-gate-biases", "gate_biases", _without_gate_biases),
+                                 ("sum-pooling", "pooling",
+                                  lambda h, a: h.update(pooling="sum"))]
+       for name, command in _ON_BAD_CHECKPOINT},
     **{f"checkpoint-drug-names-{case}-{name}": (
         {"bad.ckpt": _edited_checkpoint(lambda h, a, names=names: h.update(drug_names=names))},
         command, CheckpointError,
@@ -1503,12 +1505,7 @@ FAILURES = {
        for case, names, held in [("too-many", ["a", "b", "c"], "3 of 3"),
                                  ("repeated", ["a", "a"], "1 of 2"),
                                  ("too-few", ["a"], "1 of 1")]
-       for name, command in [("predict", _PREDICT + " {ws}/bad.ckpt"),
-                             ("init-checkpoint", "train --labeled {ws}/train.tsv"
-                              " --init-checkpoint {ws}/bad.ckpt")]},
-    "checkpoint-unknown-pooling": (
-        {"bad.ckpt": _edited_checkpoint(lambda h, a: h.update(pooling="max"))},
-        _PREDICT + " {ws}/bad.ckpt", CheckpointError, ["bad.ckpt: unknown pooling 'max'"]),
+       for name, command in _ON_BAD_CHECKPOINT},
     "checkpoint-one-drug": ({"bad.ckpt": _edited_checkpoint(_one_drug)},
                             _PREDICT + " {ws}/bad.ckpt", CheckpointError,
                             ["bad.ckpt: drug catalog must contain at least 2 names"]),
@@ -1540,6 +1537,17 @@ FAILURES = {
     "overflow-in-training": ({"emb.txt": "2 2\nugh 1.7e308 1.7e308\ndizzy 1.7e308 -1.7e308\n"},
                              _TRAIN + " --hidden 2 --epochs 1", NumericalError,
                              ["supervised epoch 0", "on the batch of tweets sent-"]),
+    # Only the held-out tweet t9 reads the huge row.
+    "overflow-in-held-out-pass": (
+        {"corpus.tsv": "t1\teffexor\tugh <DRUG>\nt9\teffexor\tdizzy <DRUG>\n",
+         "emb.txt": "2 2\nugh 0.1 0.2\ndizzy 1.7e308 1.7e308\n"},
+        _PRETRAIN + " --hidden 2 --epochs 1", NumericalError,
+        ["pretrain epoch 0, held-out pass: encoder forward overflowed"]),
+    "update-overflow-in-training": (
+        {}, "train --labeled {ws}/train.tsv --init-checkpoint {ws}/model.ckpt --epochs 1"
+        " --batch-size 100 --learning-rate 1e308", NumericalError,
+        ["supervised epoch 0", "update of parameter", "overflowed",
+         "on the batch of tweets sent-"]),
     "gradient-overflow-in-training": (
         {"huge.ckpt": _edited_checkpoint(_huge_tag_head)},
         "train --labeled {ws}/train.tsv --init-checkpoint {ws}/huge.ckpt --epochs 1",
@@ -1552,8 +1560,8 @@ FAILURES = {
 def test_every_documented_failure_exits_by_its_error_class(workspace, monkeypatch, capsys,
                                                            case):
     """Each documented failure raises its error class, which alone decides the
-    exit code; its message names the file, line, record or flag; there is no
-    traceback and no output file."""
+    exit code; its message, the one line on stderr, names the file, line,
+    record or flag; there is no traceback and no output file."""
     (workspace / "vocab.txt").write_text(_VOCAB)
     (workspace / "corpus.tsv").write_text("t1\teffexor\tugh <DRUG> dizzy\n")
     _save_tiny_checkpoint(workspace / "model.ckpt")
@@ -1570,7 +1578,7 @@ def test_every_documented_failure_exits_by_its_error_class(workspace, monkeypatc
         cli_module.cli.main(argv, standalone_mode=False)
     code, out, err = run_cli(monkeypatch, capsys, *argv)
     assert code == _exit_code_of(error), err
-    assert err.startswith("error: "), err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert all(needle in err for needle in needles), err
     assert "Traceback" not in err
     assert not (workspace / "out").exists()

@@ -596,8 +596,7 @@ class TestLockstepMatchesPerDirectionLoops:
     def test_bit_identical(self, batch, hidden, seed):
         rng = np.random.default_rng(100 * batch + hidden + seed)
         V, T, D = 20, 9, 4
-        model = AdrModel(rng.normal(size=(V, 6)), hidden=hidden, drug_count=D, seed=seed,
-                         pooling=("mean", "sum")[seed])
+        model = AdrModel(rng.normal(size=(V, 6)), hidden=hidden, drug_count=D, seed=seed)
         model.drug_head.b.value[...] = rng.normal(size=D)
         model.tag_head.b.value[...] = rng.normal(size=len(TagLabel))
         lengths = rng.integers(1, T + 1, size=batch)

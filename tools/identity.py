@@ -48,9 +48,9 @@ COMMANDS = [
     ("pretrain-mean", "pretrain --corpus corpus.tsv --vocab vocab.txt --embeddings emb.txt"
      " --lexicon drugs.txt --hidden 6 --epochs 2 --batch-size 16 --out pre-mean.ckpt"
      " --log pre-mean.jsonl", None),
-    ("pretrain-sum", "pretrain --corpus corpus.tsv --vocab vocab.txt"
+    ("pretrain-truncated", "pretrain --corpus corpus.tsv --vocab vocab.txt"
      " --embeddings emb.txt --lexicon drugs.txt --hidden 6 --epochs 2 --batch-size 16"
-     " --pooling sum --max-len 8 --out pre-sum.ckpt --log pre-sum.jsonl", None),
+     " --max-len 8 --out pre-truncated.ckpt --log pre-truncated.jsonl", None),
     ("train-b1-from-pretrained", "train --labeled train.tsv --init-checkpoint pre-mean.ckpt"
      " --epochs 5 --batch-size 1 --learning-rate 0.02 --out tagger-b1.ckpt"
      " --log tagger-b1.jsonl", None),
@@ -78,6 +78,8 @@ COMMANDS = [
      " --lexicon drugs.txt --out never.ckpt", None),
     ("fail-numerical", "train --labeled train.tsv --vocab vocab.txt --embeddings huge.txt"
      " --hidden 2 --epochs 1 --out never.ckpt", None),
+    ("fail-numerical-update", "train --labeled train.tsv --init-checkpoint pre-mean.ckpt"
+     " --epochs 1 --batch-size 100 --learning-rate 1e308 --out big.ckpt", None),
 ]
 
 DRUGS = ["effexor", "cymbalta", "seroquel", "lyrica"]
