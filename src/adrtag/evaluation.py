@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from . import training
-from .encoding import ADR, Span, TagLabel, decode_spans
+from .encoding import ADR, Span, decode_spans
 
 
 @dataclass
@@ -95,20 +95,12 @@ def format_report(report: EvalReport) -> str:
 
 
 def evaluate_tagging(model, data, label: str = ADR) -> MatchCounts:
-    """Micro-averaged counts of a tagger over (token indices, gold tag ids)
-    pairs; spans are decoded from the predicted and gold tag sequences.
-
-    Records are tagged in length-sorted chunks of ``INFERENCE_BATCH``, each
-    padded to its own longest record, so nothing is truncated."""
-    order = sorted(range(len(data)), key=lambda i: len(data[i][0]))
+    """Micro-averaged counts of a tagger over (token ids, gold tag ids, tweet
+    id) records, tagged length-sorted by :func:`training.predict_chunks`, each
+    chunk padded to its own longest record, so nothing is truncated."""
     total = MatchCounts()
-    for start in range(0, len(order), training.INFERENCE_BATCH):
-        chunk = [data[i] for i in order[start : start + training.INFERENCE_BATCH]]
-        seqs = [ids for ids, _, _ in chunk]
-        idx, lengths = training.pad_batch(seqs, max_len=max(map(len, seqs)))
-        pred = model.predict_tag_batch(idx, lengths)
-        for row, n, (_, gold_tags, _) in zip(pred, lengths, chunk):
-            pred_spans = decode_spans([TagLabel(int(t)) for t in row[:n]])
-            gold_spans = decode_spans([TagLabel(t) for t in gold_tags])
-            total = total + approximate_match(pred_spans, gold_spans, label)
+    records = sorted(data, key=lambda r: len(r[0]))
+    for chunk, lengths, pred in training.predict_chunks(model.predict_tag_batch, records):
+        for row, n, (_, gold, _) in zip(pred, lengths, chunk):
+            total += approximate_match(decode_spans(row[:n].tolist()), decode_spans(gold), label)
     return total

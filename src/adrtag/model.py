@@ -88,7 +88,6 @@ class EncodeCache:
     # directions side by side on axis 1 (forward, backward): step t holds the
     # live prefix of the length-sorted rows at positions
     # offsets[t]:offsets[t]+live[t], in the forward direction's order on axis 0.
-    indices: np.ndarray
     lengths: np.ndarray
     rows: np.ndarray  # (N,) batch row of each position; rows[:B] sorts the rows longest first
     cols: np.ndarray  # (N,) its column, which is also its forward step
@@ -304,9 +303,8 @@ class AdrModel:
         rows = order[k]
         rev = offsets[lengths[rows] - 1 - cols] + k
         ids = indices[rows, cols]
-        enc = EncodeCache(indices=indices, lengths=lengths, rows=rows, cols=cols, rev=rev,
-                          live=live, offsets=offsets,
-                          starts=np.concatenate(([0], live[0] + offsets[:-1])),
+        enc = EncodeCache(lengths=lengths, rows=rows, cols=cols, rev=rev, live=live,
+                          offsets=offsets, starts=np.concatenate(([0], live[0] + offsets[:-1])),
                           emb=self.embeddings, ids=np.stack((ids, ids[rev]), axis=1))
         # A huge but finite embedding row can overflow the gate sums to inf,
         # and then to NaN states that would tag silently.
@@ -390,8 +388,8 @@ class AdrModel:
         """
         enc = self.encode_batch(indices, lengths)
         tags = np.asarray(tags)
-        if tags.shape != enc.indices.shape:
-            raise ValueError(f"tags {tags.shape} must align with tokens {enc.indices.shape}")
+        if tags.shape != np.shape(indices):
+            raise ValueError(f"tags {tags.shape} must align with tokens {np.shape(indices)}")
         tags = tags[enc.rows, enc.cols]
         if tags.min() < 0 or tags.max() >= int(TagLabel.PAD):
             raise ValueError("a tag at a real position must be I-ADR, I-IND or O (0, 1 or 2)")
@@ -421,7 +419,7 @@ class AdrModel:
     def predict_tag_batch(self, indices, lengths) -> np.ndarray:
         """Greedy tag ids (B, T) for a padded batch; PAD past a row's length."""
         enc = self.encode_batch(indices, lengths)
-        out = np.full(enc.indices.shape, int(TagLabel.PAD))
+        out = np.full(np.shape(indices), int(TagLabel.PAD))
         out[enc.rows, enc.cols] = self._tag_logits(enc).argmax(axis=1)
         return out
 

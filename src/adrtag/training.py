@@ -165,6 +165,21 @@ def pad_batch(examples: Sequence[Sequence[int]], max_len: int) -> Tuple[np.ndarr
     return out, lengths
 
 
+def predict_chunks(predict, records: Sequence[tuple], max_len: Optional[int] = None):
+    """Yield ``(chunk, lengths, predict(ids, lengths))`` per chunk of ``INFERENCE_BATCH``
+    ``records`` (token ids first, tweet id last), in order, padded to its longest record
+    or to ``max_len``; a NumericalError from ``predict`` names the chunk's tweets."""
+    for start in range(0, len(records), INFERENCE_BATCH):
+        chunk = records[start : start + INFERENCE_BATCH]
+        ids, lengths = pad_batch([r[0] for r in chunk], max_len or max(len(r[0]) for r in chunk))
+        try:
+            out = predict(ids, lengths)
+        except NumericalError as exc:
+            names = ", ".join(str(r[-1]) for r in chunk)
+            raise NumericalError(f"{exc} on the tweets {names}") from exc
+        yield chunk, lengths, out
+
+
 def heldout_split(ids: Sequence[str]):
     """Deterministic ~1/HELDOUT_DENOMINATOR held-out split keyed on a stable
     hash of the example id (independent of corpus order and process salt)."""
@@ -250,21 +265,16 @@ def pretrain(
         loss, cache = model.drug_loss(idx, lengths, np.array([c[1] for c in chosen]))
         return loss, partial(model.backward_drug, cache)
 
+    held = [examples[i] for i in held_idx]
     return _train("pretrain", model.drug_parameters(), config,
                   [examples[i] for i in train_idx], step,
-                  lambda: _drug_accuracy(model, examples, held_idx, config.max_len))
+                  lambda: _drug_accuracy(model, held, config.max_len))
 
 
-def _drug_accuracy(model, examples, indices, max_len) -> Optional[float]:
-    if not indices:
-        return None
-    correct = 0
-    for start in range(0, len(indices), INFERENCE_BATCH):
-        chosen = [examples[i] for i in indices[start : start + INFERENCE_BATCH]]
-        idx, lengths = pad_batch([c[0] for c in chosen], max_len)
-        probs = model.predict_drug_batch(idx, lengths)
-        correct += int((probs.argmax(axis=1) == [c[1] for c in chosen]).sum())
-    return correct / len(indices)
+def _drug_accuracy(model, held, max_len) -> Optional[float]:
+    chunks = predict_chunks(model.predict_drug_batch, held, max_len)
+    correct = sum(int((p.argmax(axis=1) == [c[1] for c in chunk]).sum()) for chunk, _, p in chunks)
+    return correct / len(held) if held else None
 
 
 def train_supervised(

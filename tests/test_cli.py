@@ -581,6 +581,8 @@ def test_overflow_in_inference_is_numerical_error(workspace, monkeypatch, capsys
     code, out, err = run_cli(monkeypatch, capsys, *args)
     assert code == EXIT_NUMERICAL, err
     assert f"{ckpt}: encoder forward overflowed" in err
+    if command != "predict":
+        assert "on the tweets sent-" in err
     assert "Traceback" not in err and out == ""
     assert not report.exists()
 
@@ -1347,9 +1349,6 @@ FAILURES = {
                                         [f"hidden {value} is too large: "])
        for command, base in (("pretrain", _PRETRAIN), ("train", _TRAIN))
        for value in ("100000000", "100000000000000000000")},
-    "architecture-flag-with-init-checkpoint": (
-        {}, "train --labeled {ws}/train.tsv --init-checkpoint {ws}/model.ckpt --hidden 3",
-        click.UsageError, ["hidden: 3 given, but --init-checkpoint", "model.ckpt has 2"]),
     **{f"config-is-no-option-of-{command}": (
         {"cfg.yaml": "hidden: 3\n"}, f"{base} --config {{ws}}/cfg.yaml", click.UsageError,
         ["No such option", "--config"])
@@ -1542,7 +1541,7 @@ FAILURES = {
         {"corpus.tsv": "t1\teffexor\tugh <DRUG>\nt9\teffexor\tdizzy <DRUG>\n",
          "emb.txt": "2 2\nugh 0.1 0.2\ndizzy 1.7e308 1.7e308\n"},
         _PRETRAIN + " --hidden 2 --epochs 1", NumericalError,
-        ["pretrain epoch 0, held-out pass: encoder forward overflowed"]),
+        ["pretrain epoch 0, held-out pass: encoder forward overflowed", "t9"]),
     "update-overflow-in-training": (
         {}, "train --labeled {ws}/train.tsv --init-checkpoint {ws}/model.ckpt --epochs 1"
         " --batch-size 100 --learning-rate 1e308", NumericalError,

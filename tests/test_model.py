@@ -91,10 +91,11 @@ class TestCellStep:
             lstm_cell_step(cell, np.zeros(4), np.zeros(3), np.zeros(2))
 
 
-def padded_states(enc):
-    """The packed encoder states ``enc.h`` scattered to (B, T, 2H) by
-    position; zero where a row has no token."""
-    h = np.zeros(enc.indices.shape + enc.h.shape[1:])
+def padded_states(model, indices, lengths):
+    """The packed encoder states ``enc.h`` of the batch scattered to
+    (B, T, 2H) by position; zero where a row has no token."""
+    enc = model.encode_batch(indices, lengths)
+    h = np.zeros(np.shape(indices) + enc.h.shape[1:])
     h[enc.rows, enc.cols] = enc.h
     return h
 
@@ -141,7 +142,7 @@ class TestBiLSTM:
         )
         indices = np.array([[1, 2, 3, 4], [5, 6, 0, 0]])
         lengths = np.array([4, 2])
-        h = padded_states(model.encode_batch(indices, lengths))
+        h = padded_states(model, indices, lengths)
         for b in range(2):
             seq = [model.embeddings[i] for i in indices[b, : lengths[b]]]
             ref = bilstm_forward(model.cells, seq)
@@ -504,10 +505,10 @@ class TestPacking:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_each_row_matches_itself_alone(self, seed):
         model, ids, idx, n = self.setup_batch(seed)
-        h = padded_states(model.encode_batch(idx, n))
+        h = padded_states(model, idx, n)
         pred = model.predict_tag_batch(idx, n)
         for b, row in enumerate(ids):
-            alone = padded_states(model.encode_batch([row], [len(row)]))[0]
+            alone = padded_states(model, [row], [len(row)])[0]
             np.testing.assert_allclose(h[b, : len(row)], alone, rtol=0, atol=1e-13)
             alone_pred = model.predict_tag_batch([row], [len(row)])[0]
             assert np.array_equal(pred[b, : len(row)], alone_pred)
@@ -516,8 +517,8 @@ class TestPacking:
     def test_permuting_rows_permutes_states(self):
         model, _, idx, n = self.setup_batch()
         perm = np.random.default_rng(5).permutation(len(n))
-        h = padded_states(model.encode_batch(idx, n))
-        np.testing.assert_allclose(padded_states(model.encode_batch(idx[perm], n[perm])),
+        h = padded_states(model, idx, n)
+        np.testing.assert_allclose(padded_states(model, idx[perm], n[perm]),
                                    h[perm], rtol=0, atol=1e-13)
 
     def test_states_are_kept_at_real_positions_only(self):
@@ -621,31 +622,58 @@ class TestLockstepMatchesPerDirectionLoops:
                 assert np.array_equal(g, want[head][name]), (head, name)
 
 
-def test_evaluate_tagging_batches_by_length(monkeypatch):
-    """More records than one chunk: one ``predict_tag_batch`` call per chunk,
-    none to ``predict_tags``, and the per-tweet counts."""
+@pytest.mark.parametrize("inference", ["evaluate_tagging", "held-out-pass"])
+def test_inference_runs_in_chunks(monkeypatch, inference):
+    """More records than two chunks: one batched forward per chunk of
+    ``INFERENCE_BATCH``, none to ``predict_tags``, and the result a per-tweet
+    pass gives. ``evaluate_tagging`` chunks its records in length order, each
+    padded to its longest; ``pretrain``'s held-out pass chunks the held-out
+    tweets in corpus order, each cut at ``max_len``."""
+    B = training.INFERENCE_BATCH
     rng = np.random.default_rng(3)
     model = AdrModel(rng.normal(size=(12, 4)), hidden=3, drug_count=2, seed=3)
     model.tag_head.b.value[...] = [0.5, -0.5, 0.0, 0.0]
-    records = []
-    for r in range(2 * training.INFERENCE_BATCH + 5):
-        length = int(rng.integers(1, 13))
-        records.append(
-            (list(rng.integers(1, 12, size=length)),
-             list(rng.integers(0, int(TagLabel.PAD), size=length)), f"r{r}")
-        )
-    expected = _per_tweet_counts(model, records)
-    assert expected.predicted > 0 and expected.gold > 0
-
-    shapes = []
-    batched = model.predict_tag_batch
+    name = "predict_tag_batch" if inference == "evaluate_tagging" else "predict_drug_batch"
+    batched, calls = getattr(model, name), []
 
     def recording(idx, n):
-        shapes.append(idx.shape)
+        calls.append(np.array(idx))
         return batched(idx, n)
 
-    monkeypatch.setattr(model, "predict_tag_batch", recording)
-    monkeypatch.setattr(model, "predict_tags", None)
-    assert evaluate_tagging(model, records) == expected
-    assert [b for b, _ in shapes] == [training.INFERENCE_BATCH] * 2 + [5]
-    assert [t for _, t in shapes] == sorted(t for _, t in shapes)
+    if inference == "evaluate_tagging":
+        records = []
+        for r in range(2 * B + 5):
+            length = int(rng.integers(1, 13))
+            records.append(
+                (list(rng.integers(1, 12, size=length)),
+                 list(rng.integers(0, int(TagLabel.PAD), size=length)), f"r{r}")
+            )
+        expected = _per_tweet_counts(model, records)
+        assert expected.predicted > 0 and expected.gold > 0
+        monkeypatch.setattr(model, name, recording)
+        monkeypatch.setattr(model, "predict_tags", None)
+        got = evaluate_tagging(model, records)
+        scored, max_len = sorted(records, key=lambda r: len(r[0])), None
+    else:
+        train_idx, held_idx = training.heldout_split([f"r{r}" for r in range(3000)])
+        records = [(list(rng.integers(1, 12, size=int(rng.integers(1, 13)))),
+                    int(rng.integers(0, 2)), f"r{r}")
+                   for r in sorted(held_idx[: 2 * B + 5] + train_idx[:20])]
+        monkeypatch.setattr(model, name, recording)
+        monkeypatch.setattr(model, "predict_tags", None)
+        max_len = 6
+        config = training.pretrain_config(epochs=1, max_len=max_len)
+        got = training.pretrain(records, model, config)[0]["accuracy"]
+        scored = [records[i] for i in training.heldout_split([r[2] for r in records])[1]]
+        hits = sum(int(batched([ids[:max_len]], [min(len(ids), max_len)]).argmax() == label)
+                   for ids, label, _ in scored)
+        expected = hits / len(scored)
+        assert 0 < expected < 1
+    assert got == expected
+    assert [len(idx) for idx in calls] == [B, B, 5]
+    cut = [list(r[0][:max_len]) for r in scored]
+    for k, idx in enumerate(calls):
+        chunk = cut[k * B : (k + 1) * B]
+        assert idx.shape[1] == max(map(len, chunk))
+        for row, ids in zip(idx, chunk):
+            assert list(row[: len(ids)]) == ids

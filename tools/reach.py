@@ -39,7 +39,7 @@ ALLOWED = {
      'raise RuntimeError("backward_drug requires the cache from drug_loss")'):
         "_train runs each cache's backward once, right after its drug_loss",
     ("model.py", "AdrModel.tag_loss",
-     'raise ValueError(f"tags {tags.shape} must align with tokens {enc.indices.shape}")'):
+     'raise ValueError(f"tags {tags.shape} must align with tokens {np.shape(indices)}")'):
         "train_supervised pads tags and tokens of equal lengths alike",
     ("model.py", "AdrModel.tag_loss",
      'raise ValueError("a tag at a real position must be I-ADR, I-IND or O (0, 1 or 2)")'):
