@@ -11,6 +11,7 @@ differences (see :func:`gradient_check`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence
@@ -75,6 +76,9 @@ class LinearHead:
     def params(self) -> List[Parameter]:
         return [self.w, self.b]
 
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.w.value.T + self.b.value
+
 
 # ---------------------------------------------------------------------------
 # Batched forward, shared by training and inference, with activation caching
@@ -117,18 +121,14 @@ class EncodeCache:
 
 
 @dataclass
-class DrugLossCache:
-    enc: EncodeCache
-    pooled: np.ndarray
-    probs: np.ndarray
-    labels: np.ndarray
-
-
-@dataclass
-class TagLossCache:
-    enc: EncodeCache
-    probs: np.ndarray  # (N, L) at the real positions
-    tags: np.ndarray  # (N,) gold tags at the real positions
+class LossCache:
+    # What a head's backward reads; it empties every field, so a spent cache
+    # holds no array.
+    enc: Optional[EncodeCache]
+    x: Optional[np.ndarray]  # the rows the head read: pooled states (B, 2H) or enc.h (N, 2H)
+    probs: Optional[np.ndarray]  # softmax of the head's logits, one row per row of x
+    targets: Optional[np.ndarray]  # gold class of each row of x
+    head: LinearHead  # the head that made it
 
 
 def _run_encoder(cells: Sequence[LSTMCellParams], enc: EncodeCache):
@@ -315,11 +315,40 @@ class AdrModel:
             raise NumericalError(f"encoder forward overflowed: {exc}") from exc
         return enc
 
+    # -- softmax cross-entropy, shared by both heads ---------------------------
+
+    def _loss(self, head: LinearHead, enc: EncodeCache, x: np.ndarray, targets) -> tuple:
+        """Cross-entropy of ``head``'s softmax over the rows of ``x`` against
+        ``targets``, summed and divided by the batch's B rows. Returns (loss,
+        cache) for the head's backward."""
+        probs = softmax_rows(head.logits(x))
+        picked = np.maximum(probs[np.arange(len(targets)), targets], PROB_FLOOR)
+        loss = float(-np.log(picked).sum() / len(enc.lengths))
+        return loss, LossCache(enc=enc, x=x, probs=probs, targets=targets, head=head)
+
+    def _backward_head(self, head: LinearHead, cache: LossCache, sink, scale) -> tuple:
+        """Spend ``head``'s loss cache: hand ``sink`` the head's gradients,
+        after reading its weights, and return (enc, dLoss/dx).
+        ``scale(dlogits, B)`` divides the logits' gradient by B in place and
+        returns it."""
+        if cache is None or cache.head is not head or cache.enc is None:
+            raise RuntimeError("backward requires the unspent cache from the loss of the same head")
+        enc, x, probs, targets = cache.enc, cache.x, cache.probs, cache.targets
+        # Spent: a second backward would double-count, and the caller's handle
+        # on the cache must not keep the arrays alive.
+        cache.enc = cache.x = cache.probs = cache.targets = None
+        dlogits = probs.copy()
+        dlogits[np.arange(len(targets)), targets] -= 1.0
+        dlogits = scale(dlogits, len(enc.lengths))
+        dx = dlogits @ head.w.value  # read before the sink may update the head
+        sink.step(head.w, np.matmul(dlogits.T, x, out=sink.buffer(head.w)))
+        sink.step(head.b, np.sum(dlogits, axis=0, out=sink.buffer(head.b)))
+        return enc, dx
+
     # -- drug-prediction head -----------------------------------------------
 
-    def _drug_logits(self, enc: EncodeCache) -> tuple:
-        """Mean-pooled encoder states (B, 2H) over real positions and the
-        drug head's logits (B, D)."""
+    def _pool(self, enc: EncodeCache) -> np.ndarray:
+        """Mean-pooled encoder states (B, 2H) over real positions."""
         live = enc.live
         B = live[0]
         # Each row's states are added left to right: step 0 of every row,
@@ -336,7 +365,7 @@ class AdrModel:
         pooled = np.empty((B, 2 * self.hidden))
         pooled[enc.rows[:B]] = summed.reshape(B, -1)
         pooled /= enc.lengths[:, None]
-        return pooled, pooled @ self.drug_head.w.value.T + self.drug_head.b.value
+        return pooled
 
     def drug_loss(self, indices, lengths, labels) -> tuple:
         """Mean cross-entropy of the masked-drug classifier over a batch.
@@ -344,42 +373,23 @@ class AdrModel:
         Returns (loss, cache); pass the cache to :meth:`backward_drug`.
         """
         enc = self.encode_batch(indices, lengths)
-        labels = np.asarray(labels)
-        B = len(enc.lengths)
-        pooled, logits = self._drug_logits(enc)
-        probs = softmax_rows(logits)
-        picked = np.maximum(probs[np.arange(B), labels], PROB_FLOOR)
-        loss = float(-np.log(picked).mean())
-        return loss, DrugLossCache(enc=enc, pooled=pooled, probs=probs, labels=labels)
+        return self._loss(self.drug_head, enc, self._pool(enc), np.asarray(labels))
 
-    def backward_drug(self, cache: DrugLossCache, sink):
+    def backward_drug(self, cache: LossCache, sink):
         """Hand every gradient of the drug group to ``sink`` (see
         :func:`_backprop_encoder`), the head's first."""
-        if cache is None or cache.enc is None:
-            raise RuntimeError("backward_drug requires the cache from drug_loss")
-        B = cache.probs.shape[0]
-        dlogits = cache.probs.copy()
-        dlogits[np.arange(B), cache.labels] -= 1.0
-        dlogits /= B
-        head = self.drug_head
-        dpooled = dlogits @ head.w.value  # read before the sink may update the head
-        sink.step(head.w, np.matmul(dlogits.T, cache.pooled, out=sink.buffer(head.w)))
-        sink.step(head.b, np.sum(dlogits, axis=0, out=sink.buffer(head.b)))
-        dpooled /= cache.enc.lengths[:, None]
+        enc, dpooled = self._backward_head(self.drug_head, cache, sink, operator.itruediv)
+        dpooled /= enc.lengths[:, None]
+        B = len(enc.lengths)
         # Step t's live rows are the sorted prefix rows[:n] in both directions.
-        dh = dpooled[cache.enc.rows[:B]].reshape(B, 2, self.hidden)
-        _backprop_encoder(self.cells, cache.enc, dh, sink, shared_rows=True)
-        cache.enc = None  # spent; a second backward would double-count
+        dh = dpooled[enc.rows[:B]].reshape(B, 2, self.hidden)
+        _backprop_encoder(self.cells, enc, dh, sink, shared_rows=True)
 
     def predict_drug_batch(self, indices, lengths) -> np.ndarray:
         """Drug distributions (B, D) for a padded batch."""
-        return softmax_rows(self._drug_logits(self.encode_batch(indices, lengths))[1])
+        return softmax_rows(self.drug_head.logits(self._pool(self.encode_batch(indices, lengths))))
 
     # -- tagging head ---------------------------------------------------------
-
-    def _tag_logits(self, enc: EncodeCache) -> np.ndarray:
-        """Tag head logits (N, L) at the real positions."""
-        return enc.h @ self.tag_head.w.value.T + self.tag_head.b.value
 
     def tag_loss(self, indices, lengths, tags) -> tuple:
         """Per-sequence sum of cross-entropy over the real positions, averaged
@@ -393,34 +403,24 @@ class AdrModel:
         tags = tags[enc.rows, enc.cols]
         if tags.min() < 0 or tags.max() >= int(TagLabel.PAD):
             raise ValueError("a tag at a real position must be I-ADR, I-IND or O (0, 1 or 2)")
-        probs = softmax_rows(self._tag_logits(enc))
-        picked = np.maximum(probs[np.arange(len(tags)), tags], PROB_FLOOR)
-        loss = float(-np.log(picked).sum() / len(enc.lengths))
-        return loss, TagLossCache(enc=enc, probs=probs, tags=tags)
+        return self._loss(self.tag_head, enc, enc.h, tags)
 
-    def backward_tags(self, cache: TagLossCache, sink):
+    def backward_tags(self, cache: LossCache, sink):
         """Hand every gradient of the tag group to ``sink``, as
         :meth:`backward_drug` does."""
-        if cache is None or cache.enc is None:
-            raise RuntimeError("backward_tags requires the cache from tag_loss")
-        dlogits = cache.probs.copy()
-        dlogits[np.arange(len(cache.tags)), cache.tags] -= 1.0
         # Times 1/B, not over B: the two can differ in the last bit, and every
         # trained checkpoint was written with the product.
-        dlogits *= 1.0 / len(cache.enc.lengths)
-        head = self.tag_head
-        dh = (dlogits @ head.w.value).reshape(-1, 2, self.hidden)
-        sink.step(head.w, np.matmul(dlogits.T, cache.enc.h, out=sink.buffer(head.w)))
-        sink.step(head.b, np.sum(dlogits, axis=0, out=sink.buffer(head.b)))
-        dh[:, 1] = dh[cache.enc.rev, 1]  # into the backward direction's order
-        _backprop_encoder(self.cells, cache.enc, dh, sink)
-        cache.enc = None
+        enc, dh = self._backward_head(self.tag_head, cache, sink,
+                                      lambda d, B: operator.imul(d, 1.0 / B))
+        dh = dh.reshape(-1, 2, self.hidden)
+        dh[:, 1] = dh[enc.rev, 1]  # into the backward direction's order
+        _backprop_encoder(self.cells, enc, dh, sink)
 
     def predict_tag_batch(self, indices, lengths) -> np.ndarray:
         """Greedy tag ids (B, T) for a padded batch; PAD past a row's length."""
         enc = self.encode_batch(indices, lengths)
         out = np.full(np.shape(indices), int(TagLabel.PAD))
-        out[enc.rows, enc.cols] = self._tag_logits(enc).argmax(axis=1)
+        out[enc.rows, enc.cols] = self.tag_head.logits(enc.h).argmax(axis=1)
         return out
 
     def predict_tags(self, token_indices: Sequence[int]) -> List[TagLabel]:
@@ -473,23 +473,14 @@ def gradient_check(seed: int) -> List[GradCheckResult]:
     tags = rng.integers(0, len(TagLabel) - 1, size=(B, T))
 
     results = []
-    for head, params, loss_fn, backward in (
-        (
-            "drug",
-            model.drug_parameters(),
-            lambda: model.drug_loss(indices, lengths, labels)[0],
-            lambda grads: model.backward_drug(model.drug_loss(indices, lengths, labels)[1], grads),
-        ),
-        (
-            "tag",
-            model.tag_parameters(),
-            lambda: model.tag_loss(indices, lengths, tags)[0],
-            lambda grads: model.backward_tags(model.tag_loss(indices, lengths, tags)[1], grads),
-        ),
+    for head, params, loss, backward, targets in (
+        ("drug", model.drug_parameters(), model.drug_loss, model.backward_drug, labels),
+        ("tag", model.tag_parameters(), model.tag_loss, model.backward_tags, tags),
     ):
         analytic = Gradients()
-        backward(analytic)
-        numeric = finite_difference_gradient(loss_fn, params, GRADCHECK_EPSILON)
+        backward(loss(indices, lengths, targets)[1], analytic)
+        numeric = finite_difference_gradient(lambda: loss(indices, lengths, targets)[0], params,
+                                             GRADCHECK_EPSILON)
         worst = ("", 0.0)
         for p in params:
             rel = _relative_errors(analytic[p.name], numeric[p.name])

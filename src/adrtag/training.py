@@ -300,8 +300,8 @@ def train_supervised(
         idx, lengths = pad_batch([c[0] for c in chosen], config.max_len)
         tags, _ = pad_batch([c[1] for c in chosen], config.max_len)  # unread past a row's length
         loss, cache = model.tag_loss(idx, lengths, tags)
-        counts[0] += int((cache.probs.argmax(axis=1) == cache.tags).sum())
-        counts[1] += len(cache.tags)
+        counts[0] += int((cache.probs.argmax(axis=1) == cache.targets).sum())
+        counts[1] += len(cache.targets)
         return loss, partial(model.backward_tags, cache)
 
     def accuracy():  # read at the end of an epoch; the next one counts from zero

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from adrtag import training
 from adrtag.encoding import TagLabel, decode_spans
 from adrtag.evaluation import MatchCounts, approximate_match, evaluate_tagging
-from adrtag.model import AdrModel, LSTMCellParams, LinearHead, gradient_check
+from adrtag.model import AdrModel, EncodeCache, LSTMCellParams, LinearHead, gradient_check
 from adrtag.numerics import Gradients
 from reference import (
     bilstm_forward,
@@ -304,16 +304,29 @@ class TestBackward:
         model.backward_drug(cache, grads)
         assert sorted(grads) == sorted(p.name for p in model.drug_parameters())
 
-    def test_backward_requires_forward_cache(self):
+    @pytest.mark.parametrize("head", ["drug", "tag"])
+    def test_backward_requires_forward_cache(self, head):
+        """Each head's backward takes only an unspent cache from its own
+        loss; the other head's cache raises the same RuntimeError, and a
+        spent cache holds no array."""
         model = AdrModel(
             np.random.default_rng(1).normal(size=(8, 4)), hidden=3, drug_count=3, seed=2
         )
+        idx, lengths = np.array([[1, 2]]), np.array([2])
+        caches = {"drug": lambda: model.drug_loss(idx, lengths, np.array([0]))[1],
+                  "tag": lambda: model.tag_loss(idx, lengths, np.array([[0, 2]]))[1]}
+        backward = model.backward_drug if head == "drug" else model.backward_tags
         with pytest.raises(RuntimeError):
-            model.backward_drug(None, Gradients())
-        _, cache = model.drug_loss(np.array([[1, 2]]), np.array([2]), np.array([0]))
-        model.backward_drug(cache, Gradients())
+            backward(None, Gradients())
+        other = caches["tag" if head == "drug" else "drug"]()
         with pytest.raises(RuntimeError):
-            model.backward_drug(cache, Gradients())  # cache already spent
+            backward(other, Gradients())
+        assert other.enc is not None  # a refused cache is not spent
+        cache = caches[head]()
+        backward(cache, Gradients())
+        assert not any(isinstance(v, (np.ndarray, EncodeCache)) for v in vars(cache).values())
+        with pytest.raises(RuntimeError):
+            backward(cache, Gradients())  # cache already spent
 
     def test_gradcheck_detects_injected_sign_error(self, monkeypatch):
         import adrtag.model as m

@@ -39,3 +39,26 @@ def test_traced_pretraining_reports_padding_metrics():
         value = metrics[name]["value"]
         assert isinstance(value, (int, float)) and not isinstance(value, bool), (name, value)
     assert 0 < metrics["model.real_token_share"]["value"] <= 1
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "supervised"])
+def test_traced_training_times_the_shared_softmax(phase):
+    """Both heads' losses call ``softmax_rows`` through ``adrtag.model``, the
+    name the tracer wraps, so a traced training run of either phase counts
+    softmax calls and their time."""
+    rng = np.random.default_rng(0)
+    model = AdrModel(rng.normal(size=(8, 3)), hidden=2, drug_count=2, seed=0)
+    ids = [[5, 6, 7][: 1 + i % 3] for i in range(12)]
+    tracer = tracing.Tracer()
+    with tracer.traced(phase):
+        if phase == "pretrain":
+            training.pretrain([(x, i % 2, f"t{i}") for i, x in enumerate(ids)], model,
+                              training.pretrain_config(epochs=1, batch_size=4))
+        else:
+            training.train_supervised([(x, [i % 3] * len(x), f"t{i}") for i, x in enumerate(ids)],
+                                      model, training.supervised_config(epochs=1, batch_size=4))
+    metrics = tracer.report()
+    for name in ("numerics.softmax_s", "numerics.calls"):
+        value = metrics[name]["value"]
+        assert isinstance(value, (int, float)) and not isinstance(value, bool), (name, value)
+        assert value > 0, (name, value)

@@ -35,18 +35,15 @@ ALLOWED = {
         "evaluate's --checkpoint is required, so there is at least one trial",
     ("model.py", "AdrModel.encode_batch", 'raise ValueError("valid lengths must be in [1, T]")'):
         "every caller pads with pad_batch, whose lengths lie in [1, T]",
-    ("model.py", "AdrModel.backward_drug",
-     'raise RuntimeError("backward_drug requires the cache from drug_loss")'):
-        "_train runs each cache's backward once, right after its drug_loss",
+    ("model.py", "AdrModel._backward_head",
+     'raise RuntimeError("backward requires the unspent cache from the loss of the same head")'):
+        "_train runs each cache's backward once, right after the loss of the same head",
     ("model.py", "AdrModel.tag_loss",
      'raise ValueError(f"tags {tags.shape} must align with tokens {np.shape(indices)}")'):
         "train_supervised pads tags and tokens of equal lengths alike",
     ("model.py", "AdrModel.tag_loss",
      'raise ValueError("a tag at a real position must be I-ADR, I-IND or O (0, 1 or 2)")'):
         "read_conll refuses the <PAD> tag, so every tag train reads is I-ADR, I-IND or O",
-    ("model.py", "AdrModel.backward_tags",
-     'raise RuntimeError("backward_tags requires the cache from tag_loss")'):
-        "_train runs each cache's backward once, right after its tag_loss",
     ("numerics.py", "Gradients.step", 'raise ValueError(f"a second gradient for {p.name}")'):
         "a backward pass hands each parameter's gradient over once",
     ("numerics.py", "finite_difference_gradient", "raise NumericalError("):
