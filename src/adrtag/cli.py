@@ -22,30 +22,17 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-# The settings `pretrain` and `train` share, each a flag on both commands.
-# A setting that is not given keeps the default of the code that reads it.
-TRAINING_SETTINGS = {
-    "hidden": click.INT,
-    "epochs": click.INT,
-    "batch_size": click.INT,
-    "max_len": click.INT,
-    "seed": click.INT,
-    "learning_rate": click.FLOAT,
-}
-
 
 def _training_options(command):
-    """Add one flag per TRAINING_SETTINGS entry, None when not given."""
-    for name, kind in reversed(TRAINING_SETTINGS.items()):
-        flag = "--" + name.replace("_", "-")
-        command = click.option(flag, name, type=kind, default=None)(command)
-    return command
-
-
-def _train_config(factory, settings) -> training.TrainConfig:
-    """`factory`'s config with the given settings; the rest keep their defaults."""
-    return factory(**{f.name: settings[f.name] for f in fields(training.TrainConfig)
-                      if f.name in settings})
+    """Add the flags `pretrain` and `train` share: the outputs, the model's
+    width and one flag per TrainConfig field, typed by its default. A setting
+    that is not given is None and keeps the default of the code that reads it."""
+    for f in reversed(fields(training.TrainConfig)):
+        flag = "--" + f.name.replace("_", "-")
+        command = click.option(flag, f.name, type=type(f.default))(command)
+    command = click.option("--hidden", type=click.IntRange(min=1))(command)
+    command = click.option("--log", "log_path", type=click.Path())(command)
+    return click.option("--out", "out_path", required=True, type=click.Path())(command)
 
 
 def _read_unlabeled(path):
@@ -100,14 +87,14 @@ def _encode_labeled(sentences, vocab):
     return data
 
 
-def _build_model_from_inputs(vocab, embeddings_path, settings, seed, drug_names=None):
+def _build_model_from_inputs(vocab, embeddings_path, hidden, seed, drug_names=None):
     """A fresh model over ``vocab`` and the embeddings file, whose coverage
     of ``vocab`` it prints; ``seed`` draws the missing embedding rows and the
     weights."""
     table = text.load_embeddings(embeddings_path, vocab, seed=seed)
     model = AdrModel(
         table.vectors,
-        hidden=settings.get("hidden", 500),
+        hidden=500 if hidden is None else hidden,
         drug_count=2 if drug_names is None else len(drug_names),
         seed=seed,
         vocab_tokens=vocab.index_to_token,
@@ -128,10 +115,19 @@ def _load_tagger(checkpoint):
         raise CheckpointError(f"{checkpoint}: vocab_tokens: {exc}") from None
 
 
-def _echo_truncation(sequences, max_len):
-    """Report the tweets that batching will cut to ``max_len`` tokens."""
-    cut = sum(len(seq) > max_len for seq in sequences)
-    click.echo(f"truncated: {cut} of {len(sequences)} tweets longer than max_len {max_len}")
+def _run_phase(phase, examples, model, config, out, log_file, *first):
+    """Report the tweets that batching will cut to ``config.max_len`` tokens,
+    train ``model`` on ``examples`` by ``phase``, then write the checkpoint to
+    ``out`` and, if given, the records ``first`` and the phase's log to
+    ``log_file``. Returns the phase's log."""
+    cut = sum(len(e[0]) > config.max_len for e in examples)
+    click.echo(f"truncated: {cut} of {len(examples)} tweets longer than max_len "
+               f"{config.max_len}")
+    log = phase(examples, model, config)
+    training.write_checkpoint(model, out)
+    if log_file:
+        training.write_log(log_file, [*first, *log])
+    return log
 
 
 @contextlib.contextmanager
@@ -238,15 +234,12 @@ def build_vocab(unlabeled, labeled, cap, out_path):
 @click.option("--vocab", type=click.Path(exists=True), required=True)
 @click.option("--embeddings", type=click.Path(exists=True), required=True)
 @click.option("--lexicon", type=click.Path(exists=True), required=True)
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--log", "log_path", type=click.Path())
 @_training_options
-def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, **flags):
+def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, hidden, **settings):
     """Phase 1: train the encoder to predict the masked drug from context."""
-    outputs = ("--out", out_path, "wb"), ("--log", log_path, "w")
-    with _writing(*outputs) as (out, log_file):
-        settings = {k: v for k, v in flags.items() if v is not None}
-        train_cfg = _train_config(training.pretrain_config, settings)
+    with _writing(("--out", out_path, "wb"), ("--log", log_path, "w")) as outputs:
+        train_cfg = training.pretrain_config(
+            **{k: v for k, v in settings.items() if v is not None})
         lex = text.DrugLexicon.load(lexicon)
         if len(lex) < 2:
             raise DataError(f"{lexicon}: drug lexicon must contain at least 2 names, "
@@ -257,13 +250,9 @@ def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, **flags):
             if drug not in lex.index:
                 raise DataError(f"{corpus}: unknown drug name {drug!r}")
             examples.append((vocab_obj.indices(tokens), lex.index[drug], tweet_id))
-        model = _build_model_from_inputs(vocab_obj, embeddings, settings, train_cfg.seed,
+        model = _build_model_from_inputs(vocab_obj, embeddings, hidden, train_cfg.seed,
                                          lex.names)
-        _echo_truncation([e[0] for e in examples], train_cfg.max_len)
-        log = training.pretrain(examples, model, train_cfg)
-        training.write_checkpoint(model, out)
-        if log_file:
-            training.write_log(log_file, log)
+        log = _run_phase(training.pretrain, examples, model, train_cfg, *outputs)
     if log:
         last = log[-1]
         acc = "n/a" if last["accuracy"] is None else f"{last['accuracy']:.3f}"
@@ -278,15 +267,12 @@ def pretrain(corpus, vocab, embeddings, lexicon, out_path, log_path, **flags):
 @click.option("--vocab", type=click.Path(exists=True))
 @click.option("--embeddings", type=click.Path(exists=True))
 @click.option("--init-checkpoint", type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--log", "log_path", type=click.Path())
 @_training_options
-def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path, **flags):
+def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path, hidden, **settings):
     """Phase 2: supervised tagging, fresh or from a pretraining checkpoint."""
-    outputs = ("--out", out_path, "wb"), ("--log", log_path, "w")
-    with _writing(*outputs) as (out, log_file):
-        settings = {k: v for k, v in flags.items() if v is not None}
-        train_cfg = _train_config(training.supervised_config, settings)
+    with _writing(("--out", out_path, "wb"), ("--log", log_path, "w")) as outputs:
+        train_cfg = training.supervised_config(
+            **{k: v for k, v in settings.items() if v is not None})
         if init_checkpoint:
             fixed = [flag for flag, path in (("--vocab", vocab), ("--embeddings", embeddings))
                      if path is not None]
@@ -294,8 +280,8 @@ def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path, **fla
                 raise click.UsageError(f"{', '.join(fixed)}: the --init-checkpoint vocabulary "
                                        "and embeddings are fixed")
             model, vocab_obj = _load_tagger(init_checkpoint)
-            if settings.get("hidden", model.hidden) != model.hidden:
-                raise click.UsageError(f"hidden: {settings['hidden']} given, but --init-checkpoint "
+            if hidden not in (None, model.hidden):
+                raise click.UsageError(f"hidden: {hidden} given, but --init-checkpoint "
                                        f"{init_checkpoint} has {model.hidden}")
         else:
             if not (vocab and embeddings):
@@ -303,16 +289,12 @@ def train(labeled, vocab, embeddings, init_checkpoint, out_path, log_path, **fla
                     "--vocab and --embeddings are required without --init-checkpoint"
                 )
             vocab_obj = text.Vocabulary.load(vocab)
-            model = _build_model_from_inputs(vocab_obj, embeddings, settings, train_cfg.seed)
+            model = _build_model_from_inputs(vocab_obj, embeddings, hidden, train_cfg.seed)
         data = _encode_labeled(_read_sentences(labeled), vocab_obj)
         click.echo(f"training tweets: {len(data)}")
-        _echo_truncation([d[0] for d in data], train_cfg.max_len)
-        log = [{"phase": "supervised", "event": "data", "train_tweets": len(data)}]
-        log += training.train_supervised(data, model, train_cfg)
-        training.write_checkpoint(model, out)
-        if log_file:
-            training.write_log(log_file, log)
-    if len(log) > 1:
+        log = _run_phase(training.train_supervised, data, model, train_cfg, *outputs,
+                         {"phase": "supervised", "event": "data", "train_tweets": len(data)})
+    if log:
         click.echo(f"final loss {log[-1]['mean_loss']:.4f}, "
                    f"token accuracy {log[-1]['accuracy']:.3f}")
 

@@ -337,9 +337,8 @@ class AdrModel:
         # Spent: a second backward would double-count, and the caller's handle
         # on the cache must not keep the arrays alive.
         cache.enc = cache.x = cache.probs = cache.targets = None
-        dlogits = probs.copy()
-        dlogits[np.arange(len(targets)), targets] -= 1.0
-        dlogits = scale(dlogits, len(enc.lengths))
+        probs[np.arange(len(targets)), targets] -= 1.0  # no one else reads probs now
+        dlogits = scale(probs, len(enc.lengths))
         dx = dlogits @ head.w.value  # read before the sink may update the head
         sink.step(head.w, np.matmul(dlogits.T, x, out=sink.buffer(head.w)))
         sink.step(head.b, np.sum(dlogits, axis=0, out=sink.buffer(head.b)))

@@ -457,6 +457,18 @@ def _one_drug(header, arrays):
     header["arrays"] = [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()]
 
 
+def _no_hidden_units(header, arrays):
+    """A _rewrite_checkpoint edit: a model of hidden 0, the file consistent
+    with it: each encoder array and head weight keeps no row or column of H."""
+    header["hidden"] = 0
+    for name, a in arrays.items():
+        if name.startswith(("fwd.", "bwd.")):
+            arrays[name] = a[:0, :0] if ".w_" in name else a[:0]
+        elif name.endswith(".w"):
+            arrays[name] = a[:, :0]
+    header["arrays"] = [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()]
+
+
 @pytest.mark.parametrize(
     "key", ["hidden", "emb", "drug_count", "seed", "pooling", "gate_biases", "arrays"]
 )
@@ -784,7 +796,7 @@ FLAG_SURFACE = {
         "lexicon": (("--lexicon",), (), "path", (), True, None),
         "out_path": (("--out",), (), "path", (), True, None),
         "log_path": (("--log",), (), "path", (), False, None),
-        "hidden": (("--hidden",), (), "integer", (), False, None),
+        "hidden": (("--hidden",), (), "integer range", (), False, None),
         "epochs": (("--epochs",), (), "integer", (), False, None),
         "batch_size": (("--batch-size",), (), "integer", (), False, None),
         "max_len": (("--max-len",), (), "integer", (), False, None),
@@ -798,7 +810,7 @@ FLAG_SURFACE = {
         "init_checkpoint": (("--init-checkpoint",), (), "path", (), False, None),
         "out_path": (("--out",), (), "path", (), True, None),
         "log_path": (("--log",), (), "path", (), False, None),
-        "hidden": (("--hidden",), (), "integer", (), False, None),
+        "hidden": (("--hidden",), (), "integer range", (), False, None),
         "epochs": (("--epochs",), (), "integer", (), False, None),
         "batch_size": (("--batch-size",), (), "integer", (), False, None),
         "max_len": (("--max-len",), (), "integer", (), False, None),
@@ -973,6 +985,10 @@ def test_non_finite_loss_is_numerical_error(workspace, monkeypatch, capsys, tmp_
 def test_out_of_range_setting_is_usage_error(workspace, monkeypatch, capsys, tmp_path,
                                              command, flag, value):
     inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, command)
+    loaded = []
+    load_embeddings = cli_module.text.load_embeddings
+    monkeypatch.setattr(cli_module.text, "load_embeddings",
+                        lambda *a, **kw: loaded.append(a) or load_embeddings(*a, **kw))
     ckpt = tmp_path / "x.ckpt"
     code, _, err = run_cli(monkeypatch, capsys, command, *inputs, flag, value,
                            "--epochs", "1", "--out", str(ckpt))
@@ -980,6 +996,8 @@ def test_out_of_range_setting_is_usage_error(workspace, monkeypatch, capsys, tmp
     assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
     assert "Traceback" not in err
     assert not ckpt.exists()
+    if flag == "--hidden":  # refused as a flag, before the embeddings file is read
+        assert loaded == []
 
 
 @pytest.mark.parametrize("flags", [
@@ -999,11 +1017,32 @@ def test_evaluate_rejects_retraining_flags_with_one_trial(workspace, monkeypatch
     assert "No such option" in err and flags[0] in err and "Traceback" not in err
 
 
-def test_every_train_config_field_is_a_training_setting():
-    """A TrainConfig field exists only as a setting `pretrain` and `train`
-    take by flag; the other setting, hidden, builds the model."""
-    assert ({f.name for f in fields(TrainConfig)}
-            == set(cli_module.TRAINING_SETTINGS) - {"hidden"})
+# A value of each TrainConfig field that is no phase's default. On the workspace
+# inputs max_len 4 cuts tweets (see test_truncation_at_max_len_is_reported) and
+# batch_size 4 splits each training set.
+_NON_DEFAULT = {"batch_size": 4, "epochs": 1, "max_len": 4, "seed": 3, "learning_rate": 0.02}
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train"])
+def test_each_training_flag_reaches_its_phase(workspace, monkeypatch, capsys, tmp_path,
+                                              command):
+    """A run with one TrainConfig field's flag at a value that is not the
+    default writes another checkpoint or log than the same run without it."""
+    inputs = _training_inputs(workspace, monkeypatch, capsys, tmp_path, command)
+
+    def outputs(*flags):
+        ckpt, log = tmp_path / "x.ckpt", tmp_path / "x.jsonl"
+        code, _, err = run_cli(monkeypatch, capsys, command, *inputs, "--hidden", "3",
+                               *flags, "--out", str(ckpt), "--log", str(log))
+        assert code == 0, err
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        return ckpt.read_bytes(), [{k: v for k, v in r.items() if k != "wall_time"}
+                                   for r in records]
+
+    plain = outputs()
+    ignored = [f.name for f in fields(TrainConfig)
+               if outputs("--" + f.name.replace("_", "-"), str(_NON_DEFAULT[f.name])) == plain]
+    assert ignored == []
 
 
 _VOCAB = "<PAD>\n<UNK>\n<LINK>\n<USER>\n<DRUG>\nugh\ndizzy\n"
@@ -1505,6 +1544,9 @@ FAILURES = {
                                  ("repeated", ["a", "a"], "1 of 2"),
                                  ("too-few", ["a"], "1 of 1")]
        for name, command in _ON_BAD_CHECKPOINT},
+    "checkpoint-no-hidden-units": ({"bad.ckpt": _edited_checkpoint(_no_hidden_units)},
+                                   _PREDICT + " {ws}/bad.ckpt", CheckpointError,
+                                   ["bad.ckpt: hidden must be >= 1"]),
     "checkpoint-one-drug": ({"bad.ckpt": _edited_checkpoint(_one_drug)},
                             _PREDICT + " {ws}/bad.ckpt", CheckpointError,
                             ["bad.ckpt: drug catalog must contain at least 2 names"]),

@@ -48,6 +48,9 @@ COMMANDS = [
     ("pretrain-mean", "pretrain --corpus corpus.tsv --vocab vocab.txt --embeddings emb.txt"
      " --lexicon drugs.txt --hidden 6 --epochs 2 --batch-size 16 --out pre-mean.ckpt"
      " --log pre-mean.jsonl", None),
+    ("pretrain-seeded", "pretrain --corpus corpus.tsv --vocab vocab.txt --embeddings emb.txt"
+     " --lexicon drugs.txt --hidden 6 --epochs 2 --batch-size 16 --seed 3"
+     " --learning-rate 0.02 --out pre-seeded.ckpt --log pre-seeded.jsonl", None),
     ("pretrain-truncated", "pretrain --corpus corpus.tsv --vocab vocab.txt"
      " --embeddings emb.txt --lexicon drugs.txt --hidden 6 --epochs 2 --batch-size 16"
      " --max-len 8 --out pre-truncated.ckpt --log pre-truncated.jsonl", None),
