@@ -26,7 +26,8 @@ TAG_TO_STRING = {
     TagLabel.O: "O",
     TagLabel.PAD: "<PAD>",
 }
-STRING_TO_TAG = {s: t for t, s in TAG_TO_STRING.items()}
+# Only the gold tags can be read: <PAD> marks no token of an input file.
+STRING_TO_TAG = {TAG_TO_STRING[t]: t for t in (TagLabel.I_ADR, TagLabel.I_IND, TagLabel.O)}
 _TAG_TO_SPAN_LABEL = {TagLabel.I_ADR: ADR, TagLabel.I_IND: IND}
 
 
@@ -78,7 +79,7 @@ def read_conll(path) -> List[Tuple[List[str], List[TagLabel]]]:
             if tok.split() != [tok]:
                 raise DataError(f"{path}: line {lineno}: token {tok!r} is empty or holds "
                                 "whitespace")
-            if tag not in STRING_TO_TAG or tag == "<PAD>":
+            if tag not in STRING_TO_TAG:
                 raise DataError(f"{path}: line {lineno}: unknown tag {tag!r}")
             tokens.append(tok)
             tags.append(STRING_TO_TAG[tag])

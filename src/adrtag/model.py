@@ -11,6 +11,7 @@ differences (see :func:`gradient_check`).
 
 from __future__ import annotations
 
+import copy
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -227,9 +228,12 @@ def _backprop_encoder(cells: Sequence[LSTMCellParams], enc: EncodeCache, dh: np.
 class AdrModel:
     """Encoder + both task heads, with frozen word embeddings as input.
 
-    The weights are Glorot draws from ``seed``; ``load_checkpoint``, which
-    overwrites every weight and swaps in a read-only mapping of the file's
-    table, builds the model with ``_draw_weights=False``."""
+    The table is read-only in every model: the model keeps a read-only view
+    of the array it is given, and a deep copy shares that view, so only the
+    trained weights are copied. The weights are Glorot draws from ``seed``;
+    ``load_checkpoint``, which overwrites every weight and swaps in a
+    read-only mapping of the file's table, builds the model with
+    ``_draw_weights=False``."""
 
     def __init__(
         self,
@@ -246,7 +250,8 @@ class AdrModel:
             raise ValueError("hidden must be >= 1")
         if drug_count < 2:
             raise ValueError("drug catalog must contain at least 2 names")
-        self.embeddings = np.asarray(embeddings, dtype=np.float64)
+        self.embeddings = np.asarray(embeddings, dtype=np.float64).view()
+        self.embeddings.flags.writeable = False
         self.emb = self.embeddings.shape[1]
         self.hidden = hidden
         self.drug_count = drug_count
@@ -263,6 +268,13 @@ class AdrModel:
             raise ValueError(f"hidden {hidden} is too large: {exc}") from None
         self.drug_head = LinearHead("drug", drug_count, 2 * hidden, rng)
         self.tag_head = LinearHead("tag", len(TagLabel), 2 * hidden, rng)
+
+    def __deepcopy__(self, memo):
+        """A copy that shares the frozen table and owns every other array."""
+        memo[id(self.embeddings)] = self.embeddings
+        clone = memo[id(self)] = copy.copy(self)
+        clone.__dict__.update(copy.deepcopy(self.__dict__, memo))
+        return clone
 
     # -- parameter groups ---------------------------------------------------
 

@@ -106,7 +106,7 @@ def normalize_token(token: str) -> str:
 def remove_stopwords(tokens: Sequence[str], stopwords: Iterable[str]) -> List[str]:
     """Drop stopword tokens. Sentinels are never removed."""
     stop = stopwords if isinstance(stopwords, (set, frozenset)) else set(stopwords)
-    return [t for t in tokens if t in _PROTECTED or t not in stop]
+    return [t for t in tokens if t not in stop or t in _PROTECTED]
 
 
 def default_stopwords() -> frozenset:

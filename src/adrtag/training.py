@@ -66,9 +66,8 @@ class Adam:
     The optimizer owns the step counter ``t``, the moments ``m`` and ``v``,
     one array per parameter, one gradient workspace the size of the group's
     largest parameter, and one chunk of update scratch. The first
-    :meth:`update` allocates the scratch and the moments, the moments as
-    zeros, so every optimizer starts from zero moments; :meth:`release`
-    drops all three."""
+    :meth:`update` allocates all four, the moments as zeros, so every
+    optimizer starts from zero moments; :meth:`release` drops them."""
 
     def __init__(self, params: Sequence[Parameter], learning_rate: float):
         self.params = list(params)
@@ -86,15 +85,15 @@ class Adam:
         if not self.m:
             self.m = [np.zeros_like(p.value) for p in self.params]
             self.v = [np.zeros_like(p.value) for p in self.params]
-            self.scratch = np.empty(min(ADAM_CHUNK, max(p.value.size for p in self.params)))
+            largest = max(p.value.size for p in self.params)
+            self.workspace = np.empty(largest)
+            self.scratch = np.empty(min(ADAM_CHUNK, largest))
         self.t += 1
         backward(self)
 
     def buffer(self, p: Parameter) -> np.ndarray:
         """A view of the workspace, shaped like ``p``, to write its gradient
         into; it is valid until the next call."""
-        if self.workspace is None:
-            self.workspace = np.empty(max(q.value.size for q in self.params))
         return self.workspace[: p.value.size].reshape(p.value.shape)
 
     def step(self, param: Parameter, grad: np.ndarray):
@@ -387,8 +386,9 @@ _HEADER_FIELDS = {
 def load_checkpoint(path) -> AdrModel:
     """One pass: sizes are checked against the file before any array is
     allocated or mapped. The frozen embedding table is mapped read-only from
-    the file, so it is shared through the page cache and lives as long as the
-    model; every other array is read straight into the model's writable
+    the file, so it is shared through the page cache, and by every deep copy
+    of the model, and lives as long as the last model that reads it; every
+    other array is read straight into the model's writable
     storage, which is built without random draws and holds no training
     buffers."""
     with open(path, "rb") as fh:

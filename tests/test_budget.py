@@ -11,6 +11,7 @@ A PR that lowers a budget tightens its formula here; a PR that raises one
 says why in CHANGES.md.
 """
 
+import copy
 import tracemalloc
 from functools import partial
 
@@ -134,3 +135,17 @@ def test_first_step_retains_the_optimizer_state(model, phase):
     sizes = [p.value.size for p in group]
     state = F * (2 * sum(sizes) + max(sizes) + min(training.ADAM_CHUNK, max(sizes)))
     assert state <= retained <= MARGIN * state
+
+
+def test_deep_copy_allocates_only_the_weights():
+    """A deep copy shares the frozen table: copying a model whose table
+    outweighs its weights allocates the weights and a slack for the copied
+    Python objects (about 11 KiB here), not the table."""
+    rng = np.random.default_rng(5)
+    big = AdrModel(rng.normal(size=(4000, 64)), hidden=8, drug_count=20, seed=0)
+    weights = sum(p.value.nbytes for p in big.drug_parameters() + big.tag_head.params())
+    slack = 16 * 1024
+    copy.deepcopy(big)  # warm up one-time allocations
+    peak, _ = traced(lambda: copy.deepcopy(big))
+    assert weights <= peak <= weights + slack
+    assert weights + slack < big.embeddings.nbytes

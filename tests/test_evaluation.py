@@ -164,7 +164,9 @@ def test_overflowing_embedding_row_fails_instead_of_tagging():
     model = AdrModel(embeddings, hidden=2, drug_count=2, seed=0)
     data = [([1, 2, 3], [2, 2, 2], "ok"), ([4, 5], [0, 2], "huge")]
     assert evaluate_tagging(model, data).gold == 1
-    model.embeddings[5] = 1.7e308
+    table = model.embeddings.copy()  # the model's own table is read-only
+    table[5] = 1.7e308
+    model.embeddings = table
     model.cells[1].i.value[...] = 1.0
     with pytest.raises(NumericalError, match="encoder forward overflowed"):
         evaluate_tagging(model, data)

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import re
@@ -160,8 +161,10 @@ class TestAdam:
     def test_buffer_is_one_workspace_sized_to_the_largest_parameter(self):
         small, large = Parameter("b", np.ones(3)), Parameter("w", np.ones((4, 5)))
         opt = Adam([small, large], 0.001)
-        assert opt.workspace is None  # allocated on first use
-        a, b = opt.buffer(small), opt.buffer(large)
+        assert opt.workspace is None  # allocated by the first update, with the moments
+        views = []
+        opt.update(lambda sink: views.extend((sink.buffer(small), sink.buffer(large))))
+        a, b = views
         assert a.shape == (3,) and b.shape == (4, 5) and b.flags.c_contiguous
         assert opt.workspace.size == 20
         assert a.base is opt.workspace and b.base is opt.workspace
@@ -549,6 +552,42 @@ class TestTrainingBuffers:
         assert _weights_only(_all_parameters(copied))
         train_both(copied)
 
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_deep_copies_share_the_read_only_table(self, tmp_path, source):
+        """A deep copy owns every weight but shares the frozen table, which
+        neither the model nor its copy lets anyone write into. A built model
+        reads a view of the caller's array, which stays the caller's."""
+        _, emb, model = tiny_setup()
+        if source == "loaded":
+            save_checkpoint(model, tmp_path / "model.ckpt")
+            model = load_checkpoint(tmp_path / "model.ckpt")
+        copied = copy.deepcopy(model)
+        assert np.shares_memory(copied.embeddings, model.embeddings)
+        for p, q in zip(_all_parameters(model), _all_parameters(copied)):
+            assert not np.shares_memory(p.value, q.value), p.name
+        for m in (model, copied):
+            with pytest.raises(ValueError, match="read-only"):
+                m.embeddings[1, 0] = 0.0
+        assert np.array_equal(copied.embeddings, emb)
+        assert emb.flags.writeable
+
+    def test_a_copy_of_a_loaded_model_outlives_the_original(self, tmp_path):
+        """The shared mapping lives as long as the last model that reads it,
+        so a copy tags as before once the model it was copied from and the
+        file it was mapped from are both gone."""
+        vocab, emb, model = tiny_setup(seed=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        tweets = [e[0] for e in synthetic.labeled_examples(vocab, 3, 6, seed=3)]
+        before = [loaded.predict_tags(ids) for ids in tweets]
+        copied = copy.deepcopy(loaded)
+        assert np.shares_memory(copied.embeddings, loaded.embeddings)
+        del loaded
+        gc.collect()
+        save_checkpoint(AdrModel(emb + 1.0, hidden=6, drug_count=3, seed=5), path)
+        assert [copied.predict_tags(ids) for ids in tweets] == before
+        assert np.array_equal(copied.embeddings, emb)
 
     def test_a_b1_step_holds_the_moments_and_one_gradient_workspace(self):
         """A B=1 supervised step, the paper's fine-tuning setting, peaks above
@@ -624,11 +663,15 @@ class TestNonFiniteLoss:
     backward pass or update can write the NaN into the weights."""
 
     @staticmethod
-    def poison_one_tweet(model, examples, victim):
+    def poison_one_tweet(model, examples, victim, value=np.nan):
+        """Give ``victim`` a first token whose row no other tweet reads, and
+        swap in a copy of the read-only table that holds ``value`` there."""
         used = {i for k, e in enumerate(examples) if k != victim for i in e[0]}
         row = min(set(range(1, len(model.embeddings))) - used)
         examples[victim][0][0] = row
-        model.embeddings[row] = np.nan
+        table = model.embeddings.copy()
+        table[row] = value
+        model.embeddings = table
 
     def test_pretrain_names_the_tweet(self):
         vocab, _, model = tiny_setup()
@@ -652,8 +695,7 @@ class TestNonFiniteLoss:
         # a huge but finite row overflows the input projection to inf
         vocab, _, model = tiny_setup()
         data = synthetic.labeled_examples(vocab, 3, 12, seed=4)
-        self.poison_one_tweet(model, data, 7)
-        model.embeddings[np.isnan(model.embeddings)] = 1.7e308
+        self.poison_one_tweet(model, data, 7, 1.7e308)
         model.cells[0].i.value[...] = 1.0
         with pytest.raises(NumericalError,
                            match=r"supervised epoch 0: encoder forward overflowed: .*\bl7$"):
@@ -704,7 +746,7 @@ class TestCheckpoint:
     def test_non_finite_array_is_named(self, tmp_path, name, bad):
         _, _, model = tiny_setup(hidden=2)
         target = {p.name: p.value for p in _all_parameters(model)}
-        target["embeddings"] = model.embeddings
+        target["embeddings"] = model.embeddings = model.embeddings.copy()  # a writable table
         target[name].flat[-1] = bad
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)

@@ -1,7 +1,8 @@
 """Report the lines of ``src/adrtag`` that no test in the given files runs.
 
 The CLI tests drive ``adr`` in-process, so a line they never run serves no
-command, unless it is a library guard listed in ``ALLOWED`` with its reason.
+command, unless it is a library guard, or a method only library callers use,
+listed in ``ALLOWED`` with its reason.
 An allow-list entry names a statement by its first line. The tests run
 under ``sys.settrace`` with Hypothesis derandomized, so a run is
 repeatable, and write nothing into the checkout.
@@ -64,6 +65,13 @@ ALLOWED = {
      'raise CheckpointError(f"{path}: truncated while reading {name}")'):
         "the file's size was checked against the header on the same open file, "
         "so only a file cut while it is read gets here",
+    **{("model.py", "AdrModel.__deepcopy__", line):
+        "each adr command holds one model and copies none; copy.deepcopy serves library "
+        "callers that run several trials from one model in one process, as perfbench does"
+       for line in ("memo[id(self.embeddings)] = self.embeddings",
+                    "clone = memo[id(self)] = copy.copy(self)",
+                    "clone.__dict__.update(copy.deepcopy(self.__dict__, memo))",
+                    "return clone")},
 }
 
 
