@@ -15,7 +15,7 @@ import click
 
 from . import encoding, evaluation, text, training
 from .errors import CheckpointError, DataError, NumericalError
-from .files import atomic_write, read_stdin, reading
+from .files import atomic_write, lines, read_stdin
 from .model import AdrModel, gradient_check
 
 EXIT_USAGE = 1
@@ -38,15 +38,13 @@ def _training_options(command):
 def _read_unlabeled(path):
     """Yield each tweet of an unlabeled corpus as it is read: one tweet per
     line, 'tweet_id<TAB>raw_text'."""
-    with reading(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 'id<TAB>text'")
-            yield parts[0], parts[1]
+    for lineno, line in lines(path):
+        if not line.strip():
+            continue
+        parts = line.split("\t", 1)
+        if len(parts) != 2:
+            raise DataError(f"{path}: line {lineno}: expected 'id<TAB>text'")
+        yield parts[0], parts[1]
 
 
 def _read_processed(path):
@@ -54,19 +52,17 @@ def _read_processed(path):
     as it is read: 'tweet_id<TAB>drug_name<TAB>space-joined tokens'. A file
     without a record ends the stream with a DataError."""
     found = False
-    with reading(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 'id<TAB>drug<TAB>tokens'")
-            tokens = parts[2].split()
-            if not tokens:
-                raise DataError(f"{path}: line {lineno}: record has no tokens")
-            found = True
-            yield parts[0], parts[1], tokens
+    for lineno, line in lines(path):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}: line {lineno}: expected 'id<TAB>drug<TAB>tokens'")
+        tokens = parts[2].split()
+        if not tokens:
+            raise DataError(f"{path}: line {lineno}: record has no tokens")
+        found = True
+        yield parts[0], parts[1], tokens
     if not found:
         raise DataError(f"{path}: no records found")
 
@@ -119,11 +115,17 @@ def _run_phase(phase, examples, model, config, out, log_file, *first):
     """Report the tweets that batching will cut to ``config.max_len`` tokens,
     train ``model`` on ``examples`` by ``phase``, then write the checkpoint to
     ``out`` and, if given, the records ``first`` and the phase's log to
-    ``log_file``. Returns the phase's log."""
+    ``log_file``. Returns the phase's log. Running out of memory in the phase
+    is a usage error naming the settings that size a step."""
     cut = sum(len(e[0]) > config.max_len for e in examples)
     click.echo(f"truncated: {cut} of {len(examples)} tweets longer than max_len "
                f"{config.max_len}")
-    log = phase(examples, model, config)
+    try:
+        log = phase(examples, model, config)
+    except MemoryError as exc:
+        raise click.UsageError(
+            f"out of memory: {exc}; a step is sized by --batch-size {config.batch_size}, "
+            f"--max-len {config.max_len} and --hidden {model.hidden}") from None
     training.write_checkpoint(model, out)
     if log_file:
         training.write_log(log_file, [*first, *log])
@@ -340,7 +342,12 @@ def predict(checkpoint, raw_text):
         click.echo("warning: input is empty after preprocessing", err=True)
         return
     with _naming_checkpoint(checkpoint):
-        tags = model.predict_tags(vocab_obj.indices(tokens))
+        try:
+            tags = model.predict_tags(vocab_obj.indices(tokens))
+        except MemoryError as exc:
+            raise click.UsageError(
+                f"out of memory: {exc}; the text has {len(tokens)} tokens and {checkpoint} "
+                f"has hidden {model.hidden}") from None
     for tok, tag in zip(tokens, tags):
         click.echo(f"{tok}\t{encoding.TAG_TO_STRING[tag]}")
     for span in encoding.decode_spans(tags):
@@ -379,6 +386,8 @@ def main():
         _fail(EXIT_DATA, str(exc))
     except NumericalError as exc:
         _fail(EXIT_NUMERICAL, str(exc))
+    except MemoryError as exc:
+        _fail(EXIT_USAGE, f"out of memory: {exc}")
     except (click.ClickException, click.exceptions.Abort, ValueError) as exc:
         _fail(EXIT_USAGE,
               exc.format_message() if isinstance(exc, click.ClickException) else str(exc))

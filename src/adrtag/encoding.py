@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import DataError
-from .files import reading
+from .files import lines
 
 ADR = "ADR"
 IND = "IND"
@@ -64,25 +64,23 @@ def read_conll(path) -> List[Tuple[List[str], List[TagLabel]]]:
     sentences = []
     tokens: List[str] = []
     tags: List[TagLabel] = []
-    with reading(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                if tokens:
-                    sentences.append((tokens, tags))
-                    tokens, tags = [], []
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 'token<TAB>tag'")
-            tok, tag = parts
-            if tok.split() != [tok]:
-                raise DataError(f"{path}: line {lineno}: token {tok!r} is empty or holds "
-                                "whitespace")
-            if tag not in STRING_TO_TAG:
-                raise DataError(f"{path}: line {lineno}: unknown tag {tag!r}")
-            tokens.append(tok)
-            tags.append(STRING_TO_TAG[tag])
+    for lineno, line in lines(path):
+        if not line.strip():
+            if tokens:
+                sentences.append((tokens, tags))
+                tokens, tags = [], []
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}: line {lineno}: expected 'token<TAB>tag'")
+        tok, tag = parts
+        if tok.split() != [tok]:
+            raise DataError(f"{path}: line {lineno}: token {tok!r} is empty or holds "
+                            "whitespace")
+        if tag not in STRING_TO_TAG:
+            raise DataError(f"{path}: line {lineno}: unknown tag {tag!r}")
+        tokens.append(tok)
+        tags.append(STRING_TO_TAG[tag])
     if tokens:
         sentences.append((tokens, tags))
     return sentences

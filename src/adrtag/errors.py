@@ -1,8 +1,8 @@
 """The errors that decide how the ``adr`` command ends.
 
 Exit codes: 0 success; 1 a usage error (click's errors and any other
-``ValueError``); 2 a :class:`DataError` or an ``OSError``, naming
-the file; 3 a :class:`NumericalError`.
+``ValueError``) or running out of memory; 2 a :class:`DataError` or an
+``OSError``, naming the file; 3 a :class:`NumericalError`.
 """
 
 

@@ -12,22 +12,23 @@ import sys
 from .errors import DataError
 
 
-def _not_utf8(name, lines, exc: UnicodeDecodeError) -> DataError:
-    """The error for input ``name``, naming the first of its byte ``lines``
-    that is not UTF-8."""
+def _not_utf8(name, raw, exc: UnicodeDecodeError) -> DataError:
+    """The error for input ``name``, naming the first of its byte lines
+    ``raw`` that is not UTF-8."""
     # A line is UTF-8 exactly when decoding it replaces nothing.
-    lineno = next((n for n, line in enumerate(lines, start=1)
+    lineno = next((n for n, line in enumerate(raw, start=1)
                    if line.decode("utf-8", "replace").encode("utf-8") != line), None)
     return DataError(f"{name}: line {lineno}: not UTF-8 text ({exc.reason})")
 
 
-@contextlib.contextmanager
-def reading(path):
-    """Yield ``path`` opened as UTF-8 text. Bytes that are not UTF-8 end the
-    block with a :class:`DataError` naming the file and the first such line."""
+def lines(path):
+    """Yield ``(number, text)`` for each line of the UTF-8 file ``path``,
+    numbered from 1, without its newline. Bytes that are not UTF-8 raise a
+    :class:`DataError` naming the file and the first such line."""
     try:
         with open(path, encoding="utf-8") as fh:
-            yield fh
+            for number, line in enumerate(fh, start=1):
+                yield number, line.rstrip("\n")
     except UnicodeDecodeError as exc:
         with open(path, "rb") as fh:  # read again, only to name the line
             raise _not_utf8(path, fh, exc) from None

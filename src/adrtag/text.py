@@ -12,7 +12,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DataError
-from .files import reading
+from .files import lines
 
 PAD = "<PAD>"
 UNK = "<UNK>"
@@ -99,6 +99,8 @@ def normalize_token(token: str) -> str:
     Labeled data arrives already tokenized with per-token tags, so a token
     that normalizes away entirely maps to UNK instead of being dropped.
     """
+    if token.isascii() and token.isalnum():  # a plain word, as normalize short-cuts it
+        return token.lower()
     parts = tokenize(normalize(token))
     return parts[0] if parts else UNK
 
@@ -119,19 +121,18 @@ def _read_words(path, kind: str, use: str) -> List[Tuple[int, str, str]]:
     word, normalized as tweet tokens are. A word that normalizes to nothing or
     to a sentinel could never ``use``, and is refused, naming the line."""
     words = []
-    with reading(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            word = line.strip()
-            if not word:
-                continue
-            if len(word.split()) > 1:
-                raise DataError(f"{path}: line {lineno}: {kind} {word!r} holds whitespace")
-            token = normalize(word)
-            if not token or token in _PROTECTED:
-                became = f"the sentinel {token}" if token else "no token"
-                raise DataError(f"{path}: line {lineno}: {kind} {word!r} normalizes to "
-                                f"{became}, so it can never {use}")
-            words.append((lineno, word, token))
+    for lineno, line in lines(path):
+        word = line.strip()
+        if not word:
+            continue
+        if len(word.split()) > 1:
+            raise DataError(f"{path}: line {lineno}: {kind} {word!r} holds whitespace")
+        token = normalize(word)
+        if not token or token in _PROTECTED:
+            became = f"the sentinel {token}" if token else "no token"
+            raise DataError(f"{path}: line {lineno}: {kind} {word!r} normalizes to "
+                            f"{became}, so it can never {use}")
+        words.append((lineno, word, token))
     return words
 
 
@@ -231,9 +232,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with reading(path) as fh:
-            numbered = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1)
-                        if line.rstrip("\n")]
+        numbered = [(n, line) for n, line in lines(path) if line]
         tokens = [tok for _, tok in numbered]
         try:
             return cls(tokens)
@@ -288,34 +287,34 @@ def load_embeddings(path, vocab: Vocabulary, seed: int = 0) -> EmbeddingTable:
     all zeros. Coverage is the fraction of non-sentinel vocabulary tokens found
     in the file.
     """
-    with reading(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise DataError(f"{path}: header must be 'V D'")
-        try:
-            count, dim = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise DataError(f"{path}: header must be two integers") from exc
-        if count < 0 or dim < 1:
-            raise DataError(f"{path}: header 'V D' needs V >= 0 and D >= 1, got {count} {dim}")
-        # Allocated once rows of width D have been read, so that a header that
-        # overstates D is a data error naming a line, not a failed allocation.
-        vectors = None
-        in_file = np.zeros(len(vocab), dtype=bool)
-        seen: List[np.ndarray] = []  # the hashes of the tokens read so far, in sorted runs
-        first = 2  # the line number of the block's first row
-        while lines := list(itertools.islice(fh, _BLOCK_LINES)):
-            tokens, values = (_parse_block(lines, dim, seen)
-                              or _parse_lines(path, lines, first, dim, seen))
-            if vectors is None:
-                vectors = np.zeros((len(vocab), dim), dtype=np.float64)
-            _add_run(seen, _sorted_hashes(tokens))
-            index = np.fromiter((vocab.token_to_index.get(t, 0) for t in tokens),
-                                dtype=np.intp, count=len(tokens))
-            keep = index > 0  # 0 is PAD, whose row stays zero, or not in the vocabulary
-            vectors[index[keep]] = values[keep]
-            in_file[index[keep]] = True
-            first += len(lines)
+    numbered = lines(path)
+    header = next(numbered, (1, ""))[1].split()
+    if len(header) != 2:
+        raise DataError(f"{path}: header must be 'V D'")
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise DataError(f"{path}: header must be two integers") from exc
+    if count < 0 or dim < 1:
+        raise DataError(f"{path}: header 'V D' needs V >= 0 and D >= 1, got {count} {dim}")
+    # Allocated once rows of width D have been read, so that a header that
+    # overstates D is a data error naming a line, not a failed allocation.
+    vectors = None
+    in_file = np.zeros(len(vocab), dtype=bool)
+    seen: List[np.ndarray] = []  # the hashes of the tokens read so far, in sorted runs
+    first = 2  # the line number of the block's first row
+    while block := [line for _, line in itertools.islice(numbered, _BLOCK_LINES)]:
+        tokens, values = (_parse_block(block, dim, seen)
+                          or _parse_lines(path, block, first, dim, seen))
+        if vectors is None:
+            vectors = np.zeros((len(vocab), dim), dtype=np.float64)
+        _add_run(seen, _sorted_hashes(tokens))
+        index = np.fromiter((vocab.token_to_index.get(t, 0) for t in tokens),
+                            dtype=np.intp, count=len(tokens))
+        keep = index > 0  # 0 is PAD, whose row stays zero, or not in the vocabulary
+        vectors[index[keep]] = values[keep]
+        in_file[index[keep]] = True
+        first += len(block)
     if first - 2 != count:
         raise DataError(f"{path}: header says {count} rows, file has {first - 2}")
     if vectors is None:
@@ -358,29 +357,29 @@ def _skip_token(field: str) -> float:
 
 
 def _parse_block(
-    lines: List[str], dim: int, seen: List[np.ndarray]
+    block: List[str], dim: int, seen: List[np.ndarray]
 ) -> Optional[Tuple[List[str], np.ndarray]]:
     """The tokens and (n, dim) values of a block of rows, parsed by numpy's C
     parser; None if any row might fail a check, so that the caller re-parses
     the block line by line."""
     # loadtxt skips blank lines, which the line-by-line parse rejects.
-    if "\n" in lines:
+    if "" in block:
         return None
-    text = "".join(lines)
+    text = "".join(block)
     if any(c in text for c in _LOADTXT_ONLY_SPACE):
         return None
     del text  # as large as the block, so freed before the parse
     try:
         # Column 0, the token, is parsed too, so that loadtxt checks each row's
         # width; the converter skips its float parse.
-        parsed = np.loadtxt(lines, delimiter=" ", converters={0: _skip_token},
+        parsed = np.loadtxt(block, delimiter=" ", converters={0: _skip_token},
                             comments=None, quotechar=None, ndmin=2)
     except ValueError:
         return None
-    if parsed.shape != (len(lines), dim + 1) or not np.isfinite(parsed).all():
+    if parsed.shape != (len(block), dim + 1) or not np.isfinite(parsed).all():
         return None
     values = parsed[:, 1:]
-    tokens = [line[: line.index(" ")] for line in lines]
+    tokens = [line[: line.index(" ")] for line in block]
     hashes = _sorted_hashes(tokens)
     if (hashes[1:] == hashes[:-1]).any() or _hash_seen(seen, hashes).any():
         return None
@@ -388,15 +387,15 @@ def _parse_block(
 
 
 def _parse_lines(
-    path, lines: List[str], first: int, dim: int, seen: List[np.ndarray]
+    path, block: List[str], first: int, dim: int, seen: List[np.ndarray]
 ) -> Tuple[List[str], np.ndarray]:
     """A block of rows parsed one line at a time, raising the first bad
-    line's error. ``first`` is the line number of ``lines[0]``."""
+    line's error. ``first`` is the line number of ``block[0]``."""
     tokens: List[str] = []
-    block = set()
+    new = set()
     rows = []
-    for lineno, line in enumerate(lines, start=first):
-        parts = line.rstrip("\n").split(" ")
+    for lineno, line in enumerate(block, start=first):
+        parts = line.split(" ")
         if len(parts) != dim + 1:
             raise DataError(
                 f"{path}: line {lineno}: expected {dim} values, got {len(parts) - 1}"
@@ -407,9 +406,9 @@ def _parse_lines(
             raise DataError(f"{path}: line {lineno}: bad float") from exc
         if not np.isfinite(vec).all():
             raise DataError(f"{path}: line {lineno}: non-finite value (nan or inf)")
-        if parts[0] in block or _in_earlier_block(path, parts[0], first, seen):
+        if parts[0] in new or _in_earlier_block(path, parts[0], first, seen):
             raise DataError(f"{path}: line {lineno}: duplicate token {parts[0]!r}")
-        block.add(parts[0])
+        new.add(parts[0])
         tokens.append(parts[0])
         rows.append(vec)
     return tokens, np.array(rows)
@@ -420,7 +419,5 @@ def _in_earlier_block(path, token: str, first: int, seen: List[np.ndarray]) -> b
     hash is in ``seen`` needs the file read again, to rule out a collision."""
     if not _hash_seen(seen, hash(token)):
         return False
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        return any(line[: line.index(" ")] == token
-                   for line in itertools.islice(fh, first - 2))
+    return any(line[: line.index(" ")] == token
+               for _, line in itertools.islice(lines(path), 1, first - 1))

@@ -34,7 +34,7 @@ class _FillingFile:
 def disk_fills_up(monkeypatch):
     """``disk_fills_up(n)``: from then on, every file ``atomic_write`` opens
     fails with ENOSPC once ``n`` characters have been written to it. Files
-    that ``files.reading`` opens for reading are left alone."""
+    that ``files.lines`` opens for reading are left alone."""
     def arm(room):
         def filling_open(path, mode="r", **kw):
             fh = open(path, mode, **kw)

@@ -18,6 +18,9 @@ from hypothesis import strategies as st
 
 import adrtag
 from adrtag import cli as cli_module
+from adrtag import evaluation as evaluation_module
+from adrtag import text as text_module
+from adrtag import training as training_module
 from adrtag.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_USAGE, main
 from adrtag.errors import CheckpointError, DataError, NumericalError
 from adrtag.model import AdrModel
@@ -1623,6 +1626,55 @@ def test_every_documented_failure_exits_by_its_error_class(workspace, monkeypatc
     assert all(needle in err for needle in needles), err
     assert "Traceback" not in err
     assert not (workspace / "out").exists()
+
+
+_OOM = "Unable to allocate 2.11 GiB for an array with shape (70935, 2, 2000) and data type float64"
+_TRAINING_OUTPUTS = " --hidden 2 --epochs 1 --out {ws}/out --log {ws}/log"
+# case -> (the module and name of the call that runs out of memory, the command
+# line, texts its one error line must hold). The call is patched to raise, so no
+# memory is allocated.
+OUT_OF_MEMORY = {
+    "preprocess": ((text_module, "mask_drug"), _PREPROCESS + " --out {ws}/out", []),
+    "build-vocab": ((text_module.Vocabulary, "build"),
+                    "build-vocab --labeled {ws}/train.tsv --out {ws}/out", []),
+    "pretrain-phase": ((training_module, "pretrain"),
+                       _PRETRAIN + " --batch-size 4096" + _TRAINING_OUTPUTS,
+                       ["; a step is sized by --batch-size 4096, --max-len ", " and --hidden 2"]),
+    "pretrain-embeddings": ((text_module, "load_embeddings"), _PRETRAIN + _TRAINING_OUTPUTS, []),
+    "train-phase": ((training_module, "train_supervised"),
+                    _TRAIN + " --max-len 9" + _TRAINING_OUTPUTS,
+                    ["; a step is sized by --batch-size ", ", --max-len 9 and --hidden 2"]),
+    "evaluate": ((evaluation_module, "evaluate_tagging"),
+                 "evaluate --checkpoint {ws}/model.ckpt --test {ws}/test.tsv --report {ws}/out",
+                 []),
+    "predict": ((AdrModel, "predict_tags"), "predict --checkpoint {ws}/model.ckpt",
+                ["; the text has 3 tokens and ", "model.ckpt has hidden 2"]),
+    "gradcheck": ((cli_module, "gradient_check"), "gradcheck --seeds 1", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_MEMORY))
+def test_out_of_memory_is_one_error_line(workspace, monkeypatch, capsys, case):
+    """Running out of memory in any command is exit 1 with one line holding
+    numpy's message, and the names of the settings that size the failed
+    work where there are some; no traceback, no output and no temporary file."""
+    (workspace / "vocab.txt").write_text(_VOCAB)
+    (workspace / "corpus.tsv").write_text("t1\teffexor\tugh <DRUG> dizzy\n")
+    _save_tiny_checkpoint(workspace / "model.ckpt")
+    (owner, name), command, needles = OUT_OF_MEMORY[case]
+
+    def allocate(*args, **kwargs):
+        raise MemoryError(_OOM)
+
+    monkeypatch.setattr(owner, name, allocate)
+    monkeypatch.setattr(sys, "stdin", _stdin(b"ugh so dizzy\n"))  # predict's text
+    listing = sorted(p.name for p in workspace.iterdir())
+    code, _, err = run_cli(monkeypatch, capsys, *command.format(ws=workspace).split())
+    assert code == EXIT_USAGE, err
+    assert err.startswith(f"error: out of memory: {_OOM}") and err.count("\n") == 1, err
+    assert all(needle in err for needle in needles), err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in workspace.iterdir()) == listing
 
 
 _PROPERTY = settings(max_examples=100, deadline=None,

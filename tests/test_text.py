@@ -1,4 +1,5 @@
 import re
+import string
 import sys
 import tempfile
 import tracemalloc
@@ -273,6 +274,17 @@ def test_normalize_token_alignment():
     assert normalize_token("@BLENDOS") == USER
     assert normalize_token("Weight") == "weight"
     assert normalize_token("😀") == UNK
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.text(max_size=8),
+    st.text(string.ascii_letters + string.digits, max_size=8),
+    st.lists(st.sampled_from([*SENTINELS, "@", "#", "_", "A", "z", "0", "é", "ß", "²", "İ",
+                              "http://", "www.", " ", "!"]), max_size=4).map("".join),
+))
+def test_normalize_token_is_the_first_token_of_normalize(token):
+    assert normalize_token(token) == (tokenize(normalize(token)) or [UNK])[0]
 
 
 def write_embedding_file(path, rows, dim):
